@@ -51,6 +51,29 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def closure(identity, gens, mul, cap: int | None = None) -> list | None:
+    """Elements of the monoid generated by `gens`, in breadth-first discovery order.
+
+    Each new element is found as mul(x, g) for an earlier element x and a
+    generator g.  Returns None as soon as more than `cap` elements would be
+    needed; for a finite group the monoid is the group itself.
+    """
+    seen = {identity: None}  # insertion-ordered: the discovery order
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = mul(x, g)
+                if y not in seen:
+                    if cap is not None and len(seen) >= cap:
+                        return None
+                    seen[y] = None
+                    nxt.append(y)
+        frontier = nxt
+    return list(seen)
+
+
 def perm_inverse(p: Perm) -> Perm:
     inv = [0] * len(p)
     for i, x in enumerate(p):
@@ -322,19 +345,8 @@ class ComponentGroup:
         return acc
 
     def subgroup_closure(self, indices) -> tuple[int, ...]:
-        seen = {self.identity}
-        frontier = [self.identity]
-        gens = sorted(set(indices))
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = self.table[x][g]
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return tuple(sorted(seen))
+        table = self.table
+        return tuple(sorted(closure(self.identity, sorted(set(indices)), lambda x, g: table[x][g])))
 
     def is_subgroup(self, indices) -> bool:
         s = set(indices)
@@ -538,27 +550,6 @@ def _bfs_component_group(
     return elements, index
 
 
-def _literal_closure_size(P: MonomialGroupPresentation, cap: int) -> int | None:
-    """Order of the group generated by the literal monomial pairs, or None past cap."""
-    m = P.num_lines
-    ident = (tuple(range(m)), tuple(Fraction(0) for _ in range(m)))
-    seen = {ident}
-    frontier = [ident]
-    gens = list(P.generators)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = monomial_mul(x, g)
-                if y not in seen:
-                    if len(seen) >= cap:
-                        return None
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return len(seen)
-
-
 @lru_cache(maxsize=None)
 def validate(P: MonomialGroupPresentation, cap: int = DEFAULT_ELEMENT_CAP) -> ValidationReport:
     """Certify that the presentation realizes a torus-by-p-group extension."""
@@ -597,12 +588,11 @@ def validate(P: MonomialGroupPresentation, cap: int = DEFAULT_ELEMENT_CAP) -> Va
     if n != 1:
         return failure("NOT_P_GROUP", f"component group order {order} is not a power of {P.p}")
 
-    split_witness = False
-    literal = _literal_closure_size(P, cap)
-    if literal is None:
-        diagnostics.append("literal generator closure exceeded the cap; split witness unknown")
-    else:
-        split_witness = literal == order
+    # The literal generators generate a group mapping onto F, so it is a
+    # complement exactly when it has no more than |F| elements.
+    m = P.num_lines
+    ident = (tuple(range(m)), tuple(Fraction(0) for _ in range(m)))
+    split_witness = closure(ident, P.generators, monomial_mul, cap=order) is not None
     if P.split_claim is True and not split_witness:
         diagnostics.append("split claim rejected: literal generators do not close up to a complement")
     if P.split_claim is False and split_witness:
@@ -645,28 +635,16 @@ def component_group(P: MonomialGroupPresentation, cap: int = DEFAULT_ELEMENT_CAP
 
 def character_lattice_action(P: MonomialGroupPresentation, cap: int = DEFAULT_ELEMENT_CAP):
     """The rank-d lattice together with the finite matrix group induced on it."""
-    from .symrank import FLattice
+    from .symrank import FLattice, _mat_mul
 
     report = ensure_valid(P, cap)
-    mats = {m_as_tuple(A) for A in report.induced_matrices}
-    d = P.torus_rank
-    ident = m_as_tuple(IntMatrix.identity(d))
-    closure = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in mats:
-                c = m_as_tuple(IntMatrix.from_rows(a) @ IntMatrix.from_rows(b))
-                if c not in closure:
-                    if len(closure) >= cap:
-                        raise PresentationError("LIMIT_EXCEEDED", "matrix group closure exceeded the cap")
-                    closure.add(c)
-                    nxt.append(c)
-        frontier = nxt
     group_order = component_group(P, cap).order
-    assert group_order % len(closure) == 0, "lattice action order must divide the component order"
-    return FLattice(rank=d, matrices=tuple(sorted(closure)))
+    d = P.torus_rank
+    gens = sorted({m_as_tuple(A) for A in report.induced_matrices})
+    # the matrix group is the image of F, so it never needs more than |F| elements
+    mats = closure(m_as_tuple(IntMatrix.identity(d)), gens, _mat_mul, cap=group_order)
+    assert mats is not None and group_order % len(mats) == 0, "lattice action order must divide the component order"
+    return FLattice(rank=d, matrices=tuple(sorted(mats)))
 
 
 def m_as_tuple(A: IntMatrix) -> tuple[tuple[int, ...], ...]:

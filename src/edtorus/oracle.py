@@ -16,7 +16,7 @@ from math import gcd
 
 import numpy as np
 
-from .monogrp import MonomialGroupPresentation, MonomialRep, component_group, natural_rep
+from .monogrp import MonomialGroupPresentation, MonomialRep, _is_prime, component_group, natural_rep
 
 DEFAULT_FF_BUDGET = 10**8
 DEFAULT_TRIALS = 50
@@ -27,17 +27,6 @@ class OracleError(Exception):
         self.code = code
         self.detail = detail
         super().__init__(f"{code}: {detail}" if detail else code)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _primitive_root(q: int) -> int:

@@ -21,17 +21,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import zlat
 from .monogrp import (
     ComponentGroup,
     MonomialGroupPresentation,
     MonomialRep,
     Perm,
     RepBlock,
+    _is_prime,
     append_character_block,
+    closure,
     component_group,
     ensure_valid,
     natural_rep,
+    perm_compose,
     perm_sign,
 )
 from .stab import StabilizerReport, generic_stabilizer, is_p_faithful, is_p_generically_free
@@ -243,17 +245,6 @@ def essential_p_dimension(
 # -- special linear case studies ------------------------------------------------
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True
-
-
 def make_sl_presentation(n: int, p: int, perms: list[Perm]) -> MonomialGroupPresentation:
     """Preimage in SL_n of the permutation subgroup generated by `perms`.
 
@@ -310,26 +301,13 @@ def sylow_tower_generators(n: int, p: int, count: int, offset: int = 0) -> list[
     first p points, then for each level l the product of p^(l-1) disjoint
     p-cycles interleaving the p sub-blocks of size p^(l-1).
     """
-    blocks = []
-    remaining = count
-    cursor = offset
-    sizes = []
-    power = 1
-    while power * p <= count:
-        power *= p
-    while remaining >= p:
-        while power > remaining:
-            power //= p
-        sizes.append((cursor, power))
-        cursor += power
-        remaining -= power
     out = []
-    for start, size in sizes:
+    for start, size in _tower_offsets(p, count):
         level_gens = []
         block = 1
         while block < size:
             cycles = [
-                [start + i + k * block for k in range(p)] for i in range(block)
+                [offset + start + i + k * block for k in range(p)] for i in range(block)
             ]
             level_gens.append(_product_perm(n, cycles))
             block *= p
@@ -689,28 +667,12 @@ def ed_case_so(n: int) -> EdReport:
 # -- executable ground truth for the stabilizer clauses ---------------------------
 
 
-def _perm_closure_order(n: int, perms) -> int:
-    ident = tuple(range(n))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in perms:
-                y = tuple(g[x[i]] for i in range(n))
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return len(seen)
-
-
 def verify_sl_stabilizer_clauses(n: int, h_generators) -> bool:
     """Check both stabilizer clauses for the natural representation of the
     preimage of a permutation p-group: trivial torus part, and component
     image equal to the even part of the subgroup."""
     perms = [tuple(g) for g in h_generators]
-    order = _perm_closure_order(n, perms)
+    order = len(closure(tuple(range(n)), perms, perm_compose))
     p = next((q for q in (2, 3, 5, 7, 11, 13) if order % q == 0), None)
     if p is None and order != 1:
         raise PipelineError("UNSUPPORTED", "generators do not generate a p-group")

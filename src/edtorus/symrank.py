@@ -16,6 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import zlat
+from .monogrp import closure
+
 DEFAULT_BOX_BUDGET = 50_000_000
 DEFAULT_NODE_BUDGET = 100_000_000
 
@@ -43,11 +45,19 @@ class FLattice:
         for a in self.matrices:
             if len(a) != self.rank or any(len(r) != self.rank for r in a):
                 raise ValueError("matrix shape mismatch")
+        # A finite set is closed under products iff it equals the monoid it
+        # generates; each matrix not yet reached joins the generators.
+        gens = []
+        reached = {ident}
         for a in self.matrices:
-            for b in self.matrices:
-                c = _mat_mul(a, b)
-                if c not in mats:
+            if a not in reached:
+                gens.append(a)
+                got = closure(ident, gens, _mat_mul, cap=len(mats))
+                if got is None:
                     raise ValueError("matrix set is not closed under products")
+                reached = set(got)
+        if reached != mats:
+            raise ValueError("matrix set is not closed under products")
 
     @property
     def order(self) -> int:

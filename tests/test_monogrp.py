@@ -10,6 +10,7 @@ from edtorus.monogrp import (
     PresentationError,
     append_character_block,
     character_lattice_action,
+    closure,
     component_group,
     monomial_mul,
     natural_rep,
@@ -39,6 +40,19 @@ class TestConventions:
         comp = perm_compose(p1, p2)
         assert comp == tuple(p1[p2[i]] for i in range(3))
         assert perm_compose(p1, perm_inverse(p1)) == (0, 1, 2)
+
+
+class TestClosure:
+    def add6(self, x, g):
+        return (x + g) % 6
+
+    def test_breadth_first_discovery_order(self):
+        assert closure(0, [2, 3], self.add6) == [0, 2, 3, 4, 5, 1]
+
+    def test_cap(self):
+        assert closure(0, [1], self.add6, cap=5) is None
+        assert closure(0, [1], self.add6, cap=6) == [0, 1, 2, 3, 4, 5]
+        assert closure(0, [], self.add6, cap=1) == [0]
 
 
 class TestValidate:
@@ -95,6 +109,30 @@ class TestValidate:
         report = validate(sl3_three_cycle, cap=2)
         assert not report.ok
         assert report.error == "LIMIT_EXCEEDED"
+
+    @pytest.mark.parametrize("split", [None, True])
+    def test_literal_closure_past_cap_is_no_witness(self, split):
+        # the generator is a torus point of order e, so F is trivial while the
+        # literal generators close up to e > cap elements: no split witness
+        e = 2**11
+        P = MonomialGroupPresentation(
+            p=2,
+            torus_rank=1,
+            root_of_unity_exponent=e,
+            weights=((1,), (-1,)),
+            generators=(((0, 1), (frac(1, e), frac(e - 1, e))),),
+            split_claim=split,
+        )
+        report = validate(P, cap=1000)
+        assert report.ok
+        assert report.component_order == 1
+        assert report.split_witness is False
+        if split:
+            assert report.diagnostics == (
+                "split claim rejected: literal generators do not close up to a complement",
+            )
+        else:
+            assert report.diagnostics == ()
 
     def test_coefficient_denominator_must_divide_e(self):
         with pytest.raises(PresentationError):

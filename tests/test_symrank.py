@@ -43,6 +43,44 @@ def closure_lattice(d, gens):
     return FLattice(rank=d, matrices=tuple(sorted(mats)))
 
 
+DIHEDRAL_8 = tuple(
+    m
+    for a in (1, -1)
+    for b in (1, -1)
+    for m in (((a, 0), (0, b)), ((0, a), (b, 0)))
+)
+
+
+class TestFLatticeChecks:
+    def test_identity_required(self):
+        with pytest.raises(ValueError, match="identity"):
+            FLattice(rank=1, matrices=(((-1,),),))
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="shape"):
+            FLattice(rank=2, matrices=(((1, 0), (0, 1)), ((1, 0, 0), (0, 1, 0))))
+
+    def test_infinite_monoid_rejected(self):
+        # {I, 2I} generates the infinite monoid {2^k I}; the check must stop
+        with pytest.raises(ValueError, match="closed"):
+            FLattice(rank=1, matrices=(((1,),), ((2,),)))
+
+    def test_square_missing(self):
+        rot = ((0, -1), (1, 0))  # rot^2 = -I is not in the set
+        with pytest.raises(ValueError, match="closed"):
+            FLattice(rank=2, matrices=(((1, 0), (0, 1)), rot))
+
+    @pytest.mark.parametrize("drop", [m for m in DIHEDRAL_8 if m != ((1, 0), (0, 1))])
+    def test_dihedral_minus_one_element(self, drop):
+        with pytest.raises(ValueError, match="closed"):
+            FLattice(rank=2, matrices=tuple(m for m in DIHEDRAL_8 if m != drop))
+
+    def test_dihedral_accepted_in_any_order(self):
+        mats = list(DIHEDRAL_8)
+        random.Random(3).shuffle(mats)
+        assert FLattice(rank=2, matrices=tuple(mats)).order == 8
+
+
 class TestSymrankValues:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_trivial_group(self, d):
