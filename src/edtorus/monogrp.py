@@ -281,7 +281,9 @@ class ComponentGroup:
     """Finite quotient of the presented group by its torus, fully enumerated.
 
     Elements are stored in deterministic breadth-first order (lexicographic
-    tie-break inside each level); element 0 is the identity.
+    tie-break inside each level); element 0 is the identity.  `right[x][g]` is
+    the class of x times generator g (the right Cayley graph); the full
+    multiplication table is filled from it along the breadth-first words.
     """
 
     def __init__(self, P: MonomialGroupPresentation, elements, index, canon):
@@ -291,16 +293,22 @@ class ComponentGroup:
         self._canon = canon
         self.identity = 0
         n = len(elements)
-        self.table = [[0] * n for _ in range(n)]
+        self.right = right = [
+            [self._lookup(monomial_mul((el.perm, el.coeff), gen)) for gen in P.generators]
+            for el in elements
+        ]
+        # rep(j) = rep(parent(j)) * gen_last(j), so x * rep(j) = (x * rep(parent(j))) * gen_last(j)
+        word_index = {el.word: j for j, el in enumerate(elements)}
+        steps = [(word_index[el.word[:-1]], el.word[-1]) for el in elements[1:]]
+        self.table = []
         for i in range(n):
-            for j in range(n):
-                prod = monomial_mul(
-                    (elements[i].perm, elements[i].coeff),
-                    (elements[j].perm, elements[j].coeff),
-                )
-                self.table[i][j] = self._lookup(prod)
+            row = [i]
+            for parent, g in steps:
+                row.append(right[row[parent]][g])
+            self.table.append(row)
         self.orders = [self._order(i) for i in range(n)]
         self._rep_actions: dict[MonomialRep, list[tuple[Perm, Coeff]]] = {}
+        self._decompositions: dict[tuple[int, ...], tuple] = {}
 
     def _lookup(self, pair: tuple[Perm, Coeff]) -> int:
         key = (pair[0], self._canon.canon(pair[1]))
@@ -333,8 +341,7 @@ class ComponentGroup:
         return row.index(self.identity)
 
     def is_abelian(self) -> bool:
-        n = len(self.elements)
-        return all(self.table[i][j] == self.table[j][i] for i in range(n) for j in range(i))
+        return self._commute(set(self.right[self.identity]))
 
     def power(self, i: int, k: int) -> int:
         if k < 0:
@@ -371,30 +378,50 @@ class ComponentGroup:
 
     # -- abelian structure ---------------------------------------------------
 
+    def _generators(self, members) -> list[int]:
+        """Greedy generating set of a subgroup: each member, in increasing
+        order, that the earlier picks do not yet generate."""
+        table = self.table
+        gens: list[int] = []
+        reached = {self.identity}
+        for h in members:
+            if h not in reached:
+                gens.append(h)
+                reached = set(closure(self.identity, gens, lambda x, g: table[x][g]))
+        return gens
+
+    def _commute(self, gens) -> bool:
+        table = self.table
+        return all(table[a][b] == table[b][a] for a, b in itertools.combinations(gens, 2))
+
     def abelian_decomposition(self, indices=None):
         """Cyclic decomposition of an abelian subgroup.
 
         Returns (basis_indices, factor_orders, coords) where the subgroup is
         the internal direct sum of the cyclic groups generated by the basis
         elements, factor_orders is the divisibility chain of their orders, and
-        coords maps each subgroup element index to its exponent tuple.
+        coords maps each subgroup element index to its exponent tuple.  The
+        subgroup is presented by a greedy generating set and the relations
+        read off its Cayley graph; results are memoized per member set.
         """
         members = self.subgroup_closure(indices if indices is not None else range(len(self)))
-        for i in members:
-            for j in members:
-                if self.table[i][j] != self.table[j][i]:
-                    raise ValueError("subgroup is not abelian")
-        hs = list(members)
-        pos = {h: t for t, h in enumerate(hs)}
+        if members not in self._decompositions:
+            self._decompositions[members] = self._decompose(members)
+        return self._decompositions[members]
+
+    def _decompose(self, members: tuple[int, ...]):
+        hs = self._generators(members)
+        if not self._commute(hs):
+            raise ValueError("subgroup is not abelian")
         s = len(hs)
-        if s == 1:
+        if s == 0:
             return (), (), {self.identity: ()}
-        # exponent-vector representative per element plus relation vectors
-        vec = {self.identity: tuple([0] * s)}
+        # exponent-vector representative per element (a spanning tree of the
+        # Cayley graph) plus one relation vector per edge outside the tree
+        vec = {self.identity: (0,) * s}
         queue = [self.identity]
         relations = []
-        while queue:
-            x = queue.pop(0)
+        for x in queue:
             vx = vec[x]
             for t, h in enumerate(hs):
                 y = self.table[x][h]
@@ -407,7 +434,8 @@ class ComponentGroup:
                     queue.append(y)
         rel_matrix = IntMatrix.from_rows(relations).transpose()  # columns are relations
         dec = zlat.smith_normal_form(rel_matrix)
-        assert dec.rank == s, "relation lattice of a finite group has full rank"
+        if dec.rank != s:
+            raise PresentationError("INTERNAL", "relation lattice of a finite group must have full rank")
         uinv = zlat.unimodular_inverse(dec.U)
         basis = []
         orders = []
@@ -427,7 +455,8 @@ class ComponentGroup:
             for b, k in zip(basis, expo):
                 g = self.table[g][self.power(b, k)]
             coords[g] = expo
-        assert len(coords) == len(members), "decomposition must enumerate the subgroup"
+        if len(coords) != len(members):
+            raise PresentationError("INTERNAL", "decomposition must enumerate the subgroup")
         return tuple(basis), tuple(orders), coords
 
     def characters(self):
@@ -450,27 +479,40 @@ class ComponentGroup:
         return out
 
     def elementary_rank(self, indices, p: int) -> int:
-        """Largest r with an elementary abelian p-subgroup of rank r inside."""
-        members = set(indices)
-        order_p = [i for i in sorted(members) if i != self.identity and self.orders[i] == p]
+        """Largest r with an elementary abelian p-subgroup of rank r inside.
+
+        For an abelian subgroup this is the number of its invariant factors
+        divisible by p.  Otherwise a depth-first search walks the elementary
+        abelian subgroups generated by elements of order p, once per member set.
+        """
+        indices = set(indices)
+        members = self.subgroup_closure(indices)
+        if len(members) == len(indices) and self._commute(self._generators(members)):
+            _, orders, _ = self.abelian_decomposition(members)
+            return sum(1 for d in orders if d % p == 0)
+        return self._elementary_rank_search(indices, p)
+
+    def _elementary_rank_search(self, indices, p: int) -> int:
+        table = self.table
+        order_p = [i for i in sorted(indices) if i != self.identity and self.orders[i] == p]
         best = 0
+        visited: set[frozenset[int]] = set()
 
-        # candidates must commute pairwise; filter progressively
-        def commuting(cands: list[int], g: int) -> list[int]:
-            return [h for h in cands if self.table[h][g] == self.table[g][h]]
-
-        def dfs(span: set[int], cands: list[int], depth: int):
+        def dfs(span: frozenset[int], gens: list[int]):
+            # the candidates depend on the span alone: commuting with its
+            # generators is commuting with all of it
             nonlocal best
-            best = max(best, depth)
-            if depth + len(cands) <= best:
+            best = max(best, len(gens))
+            cands = [g for g in order_p if g not in span and all(table[g][h] == table[h][g] for h in gens)]
+            if len(gens) + len(cands) <= best:
                 return
-            for idx, g in enumerate(cands):
-                if g in span:
-                    continue
-                new_span = set(self.subgroup_closure(list(span) + [g]))
-                dfs(new_span, commuting(cands[idx + 1 :], g), depth + 1)
+            for g in cands:
+                new_span = frozenset(self.subgroup_closure(gens + [g]))
+                if new_span not in visited:
+                    visited.add(new_span)
+                    dfs(new_span, gens + [g])
 
-        dfs({self.identity}, order_p, 0)
+        dfs(frozenset([self.identity]), [])
         return best
 
 
@@ -655,7 +697,7 @@ def append_character_block(R: MonomialRep, chi) -> MonomialRep:
     """Append the one-dimensional block on which the group acts by chi.
 
     chi is a tuple of fractions indexed by component-group element, verified
-    to be a homomorphism against the multiplication table.  The new block has
+    to be a homomorphism on the edges of the Cayley graph.  The new block has
     weight zero, so the torus acts trivially on it.
     """
     P = R.presentation
@@ -665,19 +707,18 @@ def append_character_block(R: MonomialRep, chi) -> MonomialRep:
         raise PresentationError("NOT_A_CHARACTER", "character must assign a value to every class")
     if mod1(chi[group.identity]) != 0:
         raise PresentationError("NOT_A_CHARACTER", "character must vanish on the identity")
-    for i in range(n):
-        for j in range(n):
-            if mod1(chi[i] + chi[j]) != mod1(chi[group.table[i][j]]):
+    # chi(x g) = chi(x) + chi(g) on every Cayley edge gives chi(x y) = chi(x) +
+    # chi(y) for all x, y, by induction on the word length of y
+    gen_classes = group.right[group.identity]
+    for x, row in enumerate(group.right):
+        for g, y in enumerate(row):
+            if mod1(chi[x] + chi[gen_classes[g]]) != mod1(chi[y]):
                 raise PresentationError("NOT_A_CHARACTER", "values do not respect the multiplication table")
-    gen_values = []
-    for perm, coeff in P.generators:
-        cls = group.class_of((perm, coeff))
-        gen_values.append((mod1(chi[cls]),))
     d = P.torus_rank
     block = RepBlock(
         weights=((0,) * d,),
         gen_perms=tuple((0,) for _ in P.generators),
-        gen_coeffs=tuple(gen_values),
+        gen_coeffs=tuple((mod1(chi[c]),) for c in gen_classes),
     )
     return MonomialRep(presentation=P, blocks=R.blocks + (block,))
 

@@ -10,7 +10,7 @@ claimed when a certified lower bound meets the best witness found.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -36,6 +36,8 @@ class FLattice:
 
     rank: int
     matrices: tuple[tuple[tuple[int, ...], ...], ...]
+    # the matrices the closure check below picks; they generate the group
+    generators: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mats = set(self.matrices)
@@ -58,6 +60,7 @@ class FLattice:
                 reached = set(got)
         if reached != mats:
             raise ValueError("matrix set is not closed under products")
+        object.__setattr__(self, "generators", tuple(gens))
 
     @property
     def order(self) -> int:
@@ -65,7 +68,7 @@ class FLattice:
 
     def is_abelian(self) -> bool:
         return all(
-            _mat_mul(a, b) == _mat_mul(b, a) for a, b in itertools.combinations(self.matrices, 2)
+            _mat_mul(a, b) == _mat_mul(b, a) for a, b in itertools.combinations(self.generators, 2)
         )
 
     def orbit(self, vec) -> tuple[tuple[int, ...], ...]:

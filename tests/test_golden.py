@@ -1,0 +1,69 @@
+"""Canonical `--format json` output, byte-compared against checked-in files.
+
+Each entry of GOLDEN names a file under tests/golden/ and the CLI argv whose
+stdout it holds.  `@name` stands for the presentation tests/golden/inputs/
+name.json, the `presentation` field of `edtorus case ... --format json`.
+
+Regenerate (only for a deliberate output change, noted in CHANGES.md):
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from edtorus.cli import EXIT_OK, main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+INPUTS = {"sl_9_3": ["sl", "9", "3"], "so_2": ["so", "2"]}
+
+GOLDEN = {
+    "ed_case_sl_9_2": ["ed", "case", "sl", "9", "2"],
+    "ed_case_sl_10_3": ["ed", "case", "sl", "10", "3"],
+    "ed_case_sl_7_2": ["ed", "case", "sl", "7", "2"],
+    "ed_case_so_1": ["ed", "case", "so", "1"],
+    "ed_case_so_2": ["ed", "case", "so", "2"],
+    "table_sl_8_2": ["table", "sl", "8", "2"],
+    **{
+        f"{cmd}_{name}": [cmd, "@" + name]
+        for name in INPUTS
+        for cmd in ("validate", "stabilizer", "eta", "ed")
+    },
+}
+
+
+def _argv(argv):
+    return [str(GOLDEN_DIR / "inputs" / f"{a[1:]}.json") if a.startswith("@") else a for a in argv]
+
+
+def _stdout(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(_argv(argv) + ["--format", "json"])
+    assert code == EXIT_OK
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_output(name):
+    expected = (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
+    assert _stdout(GOLDEN[name]) == expected
+
+
+def _regenerate():
+    (GOLDEN_DIR / "inputs").mkdir(parents=True, exist_ok=True)
+    for name, case in INPUTS.items():
+        doc = json.loads(_stdout(["case", *case]))["presentation"]
+        (GOLDEN_DIR / "inputs" / f"{name}.json").write_text(
+            json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8"
+        )
+    for name, argv in GOLDEN.items():
+        (GOLDEN_DIR / f"{name}.json").write_text(_stdout(argv), encoding="utf-8")
+
+
+if __name__ == "__main__":
+    _regenerate()

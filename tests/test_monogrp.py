@@ -180,6 +180,21 @@ class TestComponentGroup:
                 o //= P.p
             assert o == 1
 
+    @pytest.mark.parametrize(
+        "maker",
+        [lambda: sln_case(9, 2).presentation, lambda: so_case(2).presentation],  # |F| = 128, 16
+        ids=["sl_9_2", "so_2"],
+    )
+    def test_cayley_table_matches_literal_products(self, maker):
+        group = component_group(maker())
+        reps = [(el.perm, el.coeff) for el in group.elements]
+        literal = [[group.class_of(monomial_mul(a, b)) for b in reps] for a in reps]
+        assert group.table == literal
+        gens = group.right[group.identity]
+        assert group.right == [[row[g] for g in gens] for row in literal]
+        n = group.order
+        assert group.is_abelian() == all(literal[i][j] == literal[j][i] for i in range(n) for j in range(n))
+
     def test_homomorphism_to_lattice_matrices(self, sl3_three_cycle):
         report = validate(sl3_three_cycle)
         group = component_group(sl3_three_cycle)
@@ -301,3 +316,71 @@ class TestAbelianDecomposition:
         _, orders, coords = group.abelian_decomposition()
         assert tuple(sorted(orders)) == tuple(sorted(expected))
         assert len(coords) == group.order
+
+    def test_proper_subgroup_coords_are_a_homomorphism(self):
+        group = component_group(sln_case(9, 2).presentation)
+        table = group.table
+        # an element of order 4 and one commuting with it outside its span
+        x, y = next(
+            (x, y)
+            for x in range(group.order)
+            if group.orders[x] == 4
+            for y in range(group.order)
+            if table[x][y] == table[y][x] and y not in group.subgroup_closure([x])
+        )
+        members = group.subgroup_closure([x, y])
+        assert len(members) < group.order
+        basis, orders, coords = group.abelian_decomposition(members)
+        assert max(orders) > 2
+        assert sorted(coords) == list(members)
+        assert [coords[b] for b in basis] == [
+            tuple(int(i == k) for i in range(len(basis))) for k in range(len(basis))
+        ]
+        for a in members:
+            for b in members:
+                expected = tuple((u + v) % d for u, v, d in zip(coords[a], coords[b], orders))
+                assert coords[table[a][b]] == expected
+        assert group.abelian_decomposition([y, x]) is group.abelian_decomposition(members)
+
+    def test_non_abelian_subgroup_rejected(self):
+        group = component_group(sln_case(5, 2).presentation)
+        with pytest.raises(ValueError, match="not abelian"):
+            group.abelian_decomposition()
+
+
+class TestElementaryRank:
+    @pytest.mark.parametrize(
+        "maker,rank",
+        [
+            (lambda: sln_case(4, 2).presentation, 2),
+            (lambda: so_case(2).presentation, 4),
+            (lambda: sln_case(9, 3).presentation, 3),
+        ],
+        ids=["sl_4_2", "so_2", "sl_9_3"],
+    )
+    def test_invariant_factor_rank_matches_search(self, maker, rank):
+        P = maker()
+        group = component_group(P)
+        subgroups = {tuple(range(group.order))}
+        subgroups.update(group.subgroup_closure([i, j]) for i in range(group.order) for j in range(i))
+        for members in sorted(subgroups):
+            assert group.elementary_rank(members, P.p) == group._elementary_rank_search(members, P.p)
+        assert group.elementary_rank(range(group.order), P.p) == rank
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_non_abelian_search_matches_brute_force(self, n):
+        from itertools import combinations
+
+        group = component_group(sln_case(n, 2).presentation)
+        table = group.table
+        involutions = [i for i in range(group.order) if group.orders[i] == 2]
+        # k pairwise commuting involutions generating 2^k elements
+        brute = max(
+            k
+            for k in range(len(involutions) + 1)
+            for combo in combinations(involutions, k)
+            if all(table[a][b] == table[b][a] for a, b in combinations(combo, 2))
+            and len(group.subgroup_closure(combo)) == 2**k
+        )
+        assert not group.is_abelian()
+        assert group.elementary_rank(range(group.order), 2) == brute

@@ -154,6 +154,17 @@ class TestEdReports:
         assert report.hypotheses.lower_source == "stabilizer-formula"
         assert report.hypotheses.component_abelian and report.hypotheses.split_witness
 
+    @pytest.mark.parametrize("n,p", [(12, 2), (12, 3), (14, 7), (15, 5)])
+    def test_elementary_abelian_stabilizer_image(self, n, p):
+        # the p-rank of the stabilizer image is read off its invariant factors
+        report = ed_case_sl(n, p)
+        assert report.exact == closed_form_sln(n, p)
+
+    def test_so_three_blocks(self):
+        # F = (Z/2)^6: characters() decomposes all 64 elements
+        report = ed_case_so(3)
+        assert report.exact == closed_form_so(3) == 9
+
     def test_exact_via_rank_formula_for_abelian_sylow(self):
         report = ed_case_sl(5, 3)
         assert report.exact == 1

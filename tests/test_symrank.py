@@ -4,12 +4,13 @@ import random
 
 import pytest
 
-from edtorus.monogrp import character_lattice_action, natural_rep
+from edtorus.monogrp import character_lattice_action, closure, natural_rep
 from edtorus.oracle import symrank_bruteforce
 from edtorus.pipeline import sln_case
 from edtorus.symrank import (
     EtaError,
     FLattice,
+    _mat_mul,
     eta_bounds,
     perm_lower_bound,
     symrank,
@@ -79,6 +80,27 @@ class TestFLatticeChecks:
         mats = list(DIHEDRAL_8)
         random.Random(3).shuffle(mats)
         assert FLattice(rank=2, matrices=tuple(mats)).order == 8
+
+
+class TestFLatticeAbelian:
+    @staticmethod
+    def all_pairs_commute(L):
+        return all(_mat_mul(a, b) == _mat_mul(b, a) for a in L.matrices for b in L.matrices)
+
+    @pytest.mark.parametrize(
+        "maker,abelian",
+        [
+            (lambda: FLattice(rank=2, matrices=DIHEDRAL_8), False),
+            (lambda: FLattice(rank=2, matrices=tuple(m for m in DIHEDRAL_8 if m[0][1] == 0)), True),
+            (lambda: character_lattice_action(sln_case(9, 3).presentation), True),
+        ],
+        ids=["dihedral_8", "diagonal_signs", "sl_9_3"],
+    )
+    def test_generators_decide_commutativity(self, maker, abelian):
+        L = maker()
+        ident = tuple(tuple(int(i == j) for j in range(L.rank)) for i in range(L.rank))
+        assert set(closure(ident, L.generators, _mat_mul)) == set(L.matrices)
+        assert L.is_abelian() == self.all_pairs_commute(L) == abelian
 
 
 class TestSymrankValues:
