@@ -2,7 +2,10 @@
 
 Each entry of GOLDEN names a file under tests/golden/ and the CLI argv whose
 stdout it holds.  `@name` stands for the presentation tests/golden/inputs/
-name.json, the `presentation` field of `edtorus case ... --format json`.
+name.json.  For the names in INPUTS that file is the `presentation` field of
+`edtorus case ... --format json`; `so_1_char` is written by hand: the
+`case so 1` presentation plus one weight-zero line on which generator 1 acts
+by 1/2 and generator 2 by 0, a block whose denominator does not divide e = 1.
 
 Regenerate (only for a deliberate output change, noted in CHANGES.md):
 
@@ -28,11 +31,16 @@ GOLDEN = {
     "ed_case_so_1": ["ed", "case", "so", "1"],
     "ed_case_so_2": ["ed", "case", "so", "2"],
     "table_sl_8_2": ["table", "sl", "8", "2"],
+    "case_sl_9_2": ["case", "sl", "9", "2"],
+    "case_so_2": ["case", "so", "2"],
     **{
         f"{cmd}_{name}": [cmd, "@" + name]
         for name in INPUTS
         for cmd in ("validate", "stabilizer", "eta", "ed")
     },
+    # `ed` on so_1_char is inconclusive (exit 2), so it is not listed
+    **{f"{cmd}_so_1_char": [cmd, "@so_1_char"] for cmd in ("validate", "stabilizer", "eta")},
+    **{f"oracle_stab_{name}": ["oracle", "stab", "@" + name] for name in ("so_2", "sl_9_3", "so_1_char")},
 }
 
 
