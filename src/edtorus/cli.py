@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -72,6 +73,14 @@ def _parse_generator(obj, num_lines: int):
     return tuple(x - 1 for x in perm), coeff
 
 
+def _scaled(coeffs, n: int) -> tuple[tuple[int, ...], ...]:
+    """Fractions in [0, 1) as integers modulo n; every denominator must divide n."""
+    bad = next((c.denominator for coeff in coeffs for c in coeff if n % c.denominator), None)
+    if bad is not None:
+        raise PresentationError("BAD_INPUT", f"coefficient denominator {bad} does not divide e = {n}")
+    return tuple(tuple(c.numerator * (n // c.denominator) for c in coeff) for coeff in coeffs)
+
+
 def presentation_from_json(doc) -> tuple[MonomialGroupPresentation, list[RepBlock]]:
     if not isinstance(doc, dict):
         raise InputError("top level must be a JSON object")
@@ -90,13 +99,14 @@ def presentation_from_json(doc) -> tuple[MonomialGroupPresentation, list[RepBloc
             raise InputError("each weight must have length torus_rank")
     m = len(weights)
     gens = [_parse_generator(g, m) for g in doc["generators"]]
+    e = int(doc["root_of_unity_exponent"])
     try:
         P = MonomialGroupPresentation(
             p=int(doc["p"]),
             torus_rank=int(d),
-            root_of_unity_exponent=int(doc["root_of_unity_exponent"]),
+            root_of_unity_exponent=e,
             weights=tuple(tuple(int(x) for x in w) for w in weights),
-            generators=tuple(gens),
+            generators=tuple(zip([g[0] for g in gens], _scaled([g[1] for g in gens], e))),
             split_claim=doc.get("split"),
         )
     except PresentationError as exc:
@@ -113,27 +123,30 @@ def presentation_from_json(doc) -> tuple[MonomialGroupPresentation, list[RepBloc
             raise InputError("each block needs one action per presentation generator")
         bm = len(bweights)
         parsed = [_parse_generator(g, bm) for g in bgens]
+        modulus = math.lcm(*(c.denominator for g in parsed for c in g[1]))
         blocks.append(
             RepBlock(
                 weights=tuple(tuple(int(x) for x in w) for w in bweights),
                 gen_perms=tuple(g[0] for g in parsed),
-                gen_coeffs=tuple(g[1] for g in parsed),
+                gen_coeffs=_scaled([g[1] for g in parsed], modulus),
+                modulus=modulus,
             )
         )
     return P, blocks
 
 
 def presentation_to_json(P: MonomialGroupPresentation) -> dict:
+    e = P.root_of_unity_exponent
     doc = {
         "p": P.p,
         "torus_rank": P.torus_rank,
-        "root_of_unity_exponent": P.root_of_unity_exponent,
+        "root_of_unity_exponent": e,
         "weights": [list(w) for w in P.weights],
         "generators": [
             {
                 "perm": [x + 1 for x in perm],
-                "coeff_num": [c.numerator for c in coeff],
-                "coeff_den": [c.denominator for c in coeff],
+                "coeff_num": [Fraction(c, e).numerator for c in coeff],
+                "coeff_den": [Fraction(c, e).denominator for c in coeff],
             }
             for perm, coeff in P.generators
         ],

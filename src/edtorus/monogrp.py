@@ -3,30 +3,32 @@
 A presentation encodes an extension of a finite p-group by a split torus of
 rank d: the torus acts on a list of m lines through integer weight vectors,
 and finitely many monomial generators act by permuting the lines and scaling
-them by roots of unity (recorded as fractions modulo 1).  Semantics are fixed
-over a field containing a primitive e-th root of unity for every coefficient
-denominator e in play, with characteristic prime to them.
+them by roots of unity.  A coefficient c modulo n stands for c/n in Q/Z, the
+root of unity zeta_n^c; n is e (root_of_unity_exponent) for the presentation,
+and each representation block has its own modulus.  Semantics are fixed over
+a field containing a primitive n-th root of unity for every modulus n in
+play, with characteristic prime to them.
 
 Conventions (asserted in tests):
   * weights are column vectors in Z^d; a torus point acts on line i through
     the character of weight w_i;
   * a finite generator (sigma, c) sends coordinate v_{sigma^-1(i)} to
     position i scaled by the root of unity with exponent c_i, so that
-    (g1*g2) = (sigma1 sigma2, c1 + sigma1.c2).
+    (g1*g2) = (sigma1 sigma2, c1 + sigma1.c2) modulo n.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from fractions import Fraction
+import math
+from dataclasses import dataclass
 from functools import lru_cache
 
 from . import zlat
-from .zlat import IntMatrix, mod1
+from .zlat import IntMatrix
 
 Perm = tuple[int, ...]
-Coeff = tuple[Fraction, ...]
+Coeff = tuple[int, ...]  # c_i modulo a modulus n, standing for c_i/n in Q/Z
 
 DEFAULT_ELEMENT_CAP = 10**6
 
@@ -86,12 +88,12 @@ def perm_compose(p1: Perm, p2: Perm) -> Perm:
     return tuple(p1[x] for x in p2)
 
 
-def monomial_mul(a: tuple[Perm, Coeff], b: tuple[Perm, Coeff]) -> tuple[Perm, Coeff]:
-    """Product of monomial maps: (s1,c1)(s2,c2) = (s1 s2, c1 + s1.c2)."""
+def monomial_mul(a: tuple[Perm, Coeff], b: tuple[Perm, Coeff], n: int) -> tuple[Perm, Coeff]:
+    """Product of monomial maps: (s1,c1)(s2,c2) = (s1 s2, c1 + s1.c2), coefficients mod n."""
     p1, c1 = a
     p2, c2 = b
     inv1 = perm_inverse(p1)
-    coeff = tuple(mod1(c1[i] + c2[inv1[i]]) for i in range(len(c1)))
+    coeff = tuple((c1[i] + c2[inv1[i]]) % n for i in range(len(c1)))
     return perm_compose(p1, p2), coeff
 
 
@@ -142,14 +144,8 @@ class MonomialGroupPresentation:
                 raise PresentationError("BAD_INPUT", "generator permutation is not a permutation of the lines")
             if len(coeff) != m:
                 raise PresentationError("BAD_INPUT", "generator coefficient length mismatch")
-            for c in coeff:
-                if mod1(c) != c:
-                    raise PresentationError("BAD_INPUT", "coefficients must be reduced modulo 1")
-                if e % c.denominator != 0:
-                    raise PresentationError(
-                        "BAD_INPUT",
-                        f"coefficient denominator {c.denominator} does not divide e = {e}",
-                    )
+            if any(not 0 <= c < e for c in coeff):
+                raise PresentationError("BAD_INPUT", "coefficients must be reduced modulo e")
 
     @property
     def num_lines(self) -> int:
@@ -162,11 +158,13 @@ class MonomialGroupPresentation:
 
 @dataclass(frozen=True)
 class RepBlock:
-    """One monomial block of a representation: weights plus generator actions."""
+    """One monomial block of a representation: weights plus generator actions,
+    whose coefficients are integers modulo `modulus`."""
 
     weights: tuple[tuple[int, ...], ...]
     gen_perms: tuple[Perm, ...]
     gen_coeffs: tuple[Coeff, ...]
+    modulus: int
 
     @property
     def dim(self) -> int:
@@ -192,20 +190,22 @@ class MonomialRep:
     def weight_matrix(self) -> IntMatrix:
         return IntMatrix.from_rows([list(w) for w in self.weights])
 
+    @property
+    def modulus(self) -> int:
+        """The lcm of the block moduli; every action on the rep is taken modulo it."""
+        return math.lcm(*(b.modulus for b in self.blocks))
+
     def generator_action(self, j: int) -> tuple[Perm, Coeff]:
-        """Action of presentation generator j on all lines of the rep."""
+        """Action of presentation generator j on all lines of the rep, modulo `modulus`."""
+        n = self.modulus
         perm: list[int] = []
-        coeff: list[Fraction] = []
+        coeff: list[int] = []
         offset = 0
         for b in self.blocks:
             perm.extend(offset + x for x in b.gen_perms[j])
-            coeff.extend(b.gen_coeffs[j])
+            coeff.extend(c * (n // b.modulus) for c in b.gen_coeffs[j])
             offset += b.dim
         return tuple(perm), tuple(coeff)
-
-    def identity_action(self) -> tuple[Perm, Coeff]:
-        n = self.dim
-        return tuple(range(n)), tuple(Fraction(0) for _ in range(n))
 
 
 def natural_rep(P: MonomialGroupPresentation) -> MonomialRep:
@@ -214,6 +214,7 @@ def natural_rep(P: MonomialGroupPresentation) -> MonomialRep:
         weights=P.weights,
         gen_perms=tuple(g[0] for g in P.generators),
         gen_coeffs=tuple(g[1] for g in P.generators),
+        modulus=P.root_of_unity_exponent,
     )
     return MonomialRep(presentation=P, blocks=(block,))
 
@@ -233,38 +234,26 @@ class _CoeffCanon:
     """Canonical forms for coefficient vectors modulo the torus torsion image.
 
     Two coefficient vectors describe the same coset of the torus exactly when
-    their difference lies in the image of (Q/Z)^d under the weight rows.  All
-    vectors in play have denominators dividing e, so the quotient is by a
-    full-rank integer lattice once scaled by e.
+    their difference lies in the image of (Q/Z)^d under the weight rows W.
+    Coefficients are integers modulo n, so the quotient is by the full-rank
+    integer lattice U^-1 (Z^rank + n Z^(m - rank)), U from the Smith form of W.
     """
 
-    def __init__(self, P: MonomialGroupPresentation):
-        m, d = P.num_lines, P.torus_rank
-        self.e = P.root_of_unity_exponent
-        self.m = m
-        W = P.weight_matrix()
+    def __init__(self, W: IntMatrix, n: int):
+        m = W.rows
         dec = zlat.smith_normal_form(W)
-        self.rank = dec.rank
         if m == 0:
             self.hnf = []
             return
         uinv = zlat.unimodular_inverse(dec.U)
-        basis = []
-        for i in range(m):
-            col = uinv.column(i)
-            scale = 1 if i < self.rank else self.e
-            basis.append([scale * x for x in col])
+        basis = [[(1 if i < dec.rank else n) * x for x in uinv.column(i)] for i in range(m)]
         self.hnf = zlat.hermite_normal_form(basis, m)
         assert len(self.hnf) == m, "torsion-image lattice must have full rank"
 
     def canon(self, coeff: Coeff) -> tuple[int, ...]:
-        scaled = []
-        for c in coeff:
-            num = c.numerator * (self.e // c.denominator)
-            scaled.append(num % self.e)
-        if not scaled:
+        if not coeff:
             return ()
-        return zlat.reduce_mod_row_lattice(scaled, self.hnf)
+        return zlat.reduce_mod_row_lattice(coeff, self.hnf)
 
     def is_torsion_image(self, coeff: Coeff) -> bool:
         return all(x == 0 for x in self.canon(coeff))
@@ -293,8 +282,9 @@ class ComponentGroup:
         self._canon = canon
         self.identity = 0
         n = len(elements)
+        e = P.root_of_unity_exponent
         self.right = right = [
-            [self._lookup(monomial_mul((el.perm, el.coeff), gen)) for gen in P.generators]
+            [self._lookup(monomial_mul((el.perm, el.coeff), gen, e)) for gen in P.generators]
             for el in elements
         ]
         # rep(j) = rep(parent(j)) * gen_last(j), so x * rep(j) = (x * rep(parent(j))) * gen_last(j)
@@ -362,16 +352,17 @@ class ComponentGroup:
         return all(self.table[i][j] in s for i in s for j in s)
 
     def rep_actions(self, R: MonomialRep) -> list[tuple[Perm, Coeff]]:
-        """Action of each class representative on all lines of R."""
+        """Action of each class representative on all lines of R, modulo R.modulus."""
         cached = self._rep_actions.get(R)
         if cached is not None:
             return cached
+        n = R.modulus
         gens = [R.generator_action(j) for j in range(len(self.presentation.generators))]
         out = []
         for el in self.elements:
-            act = R.identity_action()
+            act = (tuple(range(R.dim)), (0,) * R.dim)
             for j in el.word:
-                act = monomial_mul(act, gens[j])
+                act = monomial_mul(act, gens[j], n)
             out.append(act)
         self._rep_actions[R] = out
         return out
@@ -462,19 +453,18 @@ class ComponentGroup:
     def characters(self):
         """All homomorphisms of an abelian group to Q/Z, as value tuples.
 
-        Each character is a tuple chi with chi[i] the value on element i.
-        Ordered lexicographically by the defining exponent tuple.
+        Each character is a tuple chi of integers modulo n = |F|, chi[i]/n the
+        value on element i.  Ordered lexicographically by the defining
+        exponent tuple.
         """
         basis, orders, coords = self.abelian_decomposition()
+        n = len(self.elements)
         out = []
         for a in itertools.product(*[range(d) for d in orders]):
-            values = [Fraction(0)] * len(self.elements)
+            scaled = [ai * (n // di) for ai, di in zip(a, orders)]
+            values = [0] * n
             for g, expo in coords.items():
-                values[g] = mod1(
-                    sum(Fraction(ai * bi, di) for ai, bi, di in zip(a, expo, orders))
-                    if orders
-                    else Fraction(0)
-                )
+                values[g] = sum(s * b for s, b in zip(scaled, expo)) % n
             out.append(tuple(values))
         return out
 
@@ -561,9 +551,8 @@ def _bfs_component_group(
     P: MonomialGroupPresentation, canon: _CoeffCanon, cap: int
 ) -> tuple[list[GroupElement], dict]:
     m = P.num_lines
-    ident = GroupElement(
-        perm=tuple(range(m)), coeff=tuple(Fraction(0) for _ in range(m)), word=()
-    )
+    e = P.root_of_unity_exponent
+    ident = GroupElement(perm=tuple(range(m)), coeff=(0,) * m, word=())
     elements = [ident]
     index = {(ident.perm, canon.canon(ident.coeff)): 0}
     level = [0]
@@ -574,7 +563,7 @@ def _bfs_component_group(
         for idx in level:
             el = elements[idx]
             for j, gen in enumerate(gens):
-                perm, coeff = monomial_mul((el.perm, el.coeff), gen)
+                perm, coeff = monomial_mul((el.perm, el.coeff), gen, e)
                 key = (perm, canon.canon(coeff))
                 if key in index or key in fresh_keys:
                     continue
@@ -617,7 +606,7 @@ def validate(P: MonomialGroupPresentation, cap: int = DEFAULT_ELEMENT_CAP) -> Va
     except PresentationError as exc:
         return failure(exc.code, exc.detail)
 
-    canon = _CoeffCanon(P)
+    canon = _CoeffCanon(W, P.root_of_unity_exponent)
     try:
         elements, _ = _bfs_component_group(P, canon, cap)
     except PresentationError as exc:
@@ -632,9 +621,9 @@ def validate(P: MonomialGroupPresentation, cap: int = DEFAULT_ELEMENT_CAP) -> Va
 
     # The literal generators generate a group mapping onto F, so it is a
     # complement exactly when it has no more than |F| elements.
-    m = P.num_lines
-    ident = (tuple(range(m)), tuple(Fraction(0) for _ in range(m)))
-    split_witness = closure(ident, P.generators, monomial_mul, cap=order) is not None
+    e = P.root_of_unity_exponent
+    ident = (tuple(range(P.num_lines)), (0,) * P.num_lines)
+    split_witness = closure(ident, P.generators, lambda a, b: monomial_mul(a, b, e), cap=order) is not None
     if P.split_claim is True and not split_witness:
         diagnostics.append("split claim rejected: literal generators do not close up to a complement")
     if P.split_claim is False and split_witness:
@@ -668,7 +657,7 @@ def component_group(P: MonomialGroupPresentation, cap: int = DEFAULT_ELEMENT_CAP
     if got is not None:
         return got
     ensure_valid(P, cap)
-    canon = _CoeffCanon(P)
+    canon = _CoeffCanon(P.weight_matrix(), P.root_of_unity_exponent)
     elements, index = _bfs_component_group(P, canon, cap)
     group = ComponentGroup(P, elements, index, canon)
     _GROUP_CACHE[key] = group
@@ -696,29 +685,31 @@ def m_as_tuple(A: IntMatrix) -> tuple[tuple[int, ...], ...]:
 def append_character_block(R: MonomialRep, chi) -> MonomialRep:
     """Append the one-dimensional block on which the group acts by chi.
 
-    chi is a tuple of fractions indexed by component-group element, verified
-    to be a homomorphism on the edges of the Cayley graph.  The new block has
-    weight zero, so the torus acts trivially on it.
+    chi is a tuple of integers modulo n = |F| indexed by component-group
+    element (chi[i]/n in Q/Z), verified to be a homomorphism on the edges of
+    the Cayley graph.  The new block has weight zero, so the torus acts
+    trivially on it, and modulus n.
     """
     P = R.presentation
     group = component_group(P)
     n = len(group.elements)
     if len(chi) != n:
         raise PresentationError("NOT_A_CHARACTER", "character must assign a value to every class")
-    if mod1(chi[group.identity]) != 0:
+    if chi[group.identity] % n != 0:
         raise PresentationError("NOT_A_CHARACTER", "character must vanish on the identity")
     # chi(x g) = chi(x) + chi(g) on every Cayley edge gives chi(x y) = chi(x) +
     # chi(y) for all x, y, by induction on the word length of y
     gen_classes = group.right[group.identity]
     for x, row in enumerate(group.right):
         for g, y in enumerate(row):
-            if mod1(chi[x] + chi[gen_classes[g]]) != mod1(chi[y]):
+            if (chi[x] + chi[gen_classes[g]] - chi[y]) % n != 0:
                 raise PresentationError("NOT_A_CHARACTER", "values do not respect the multiplication table")
     d = P.torus_rank
     block = RepBlock(
         weights=((0,) * d,),
         gen_perms=tuple((0,) for _ in P.generators),
-        gen_coeffs=tuple((mod1(chi[c]),) for c in gen_classes),
+        gen_coeffs=tuple((chi[c] % n,) for c in gen_classes),
+        modulus=n,
     )
     return MonomialRep(presentation=P, blocks=R.blocks + (block,))
 

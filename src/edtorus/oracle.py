@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -50,20 +50,17 @@ def _primitive_root(q: int) -> int:
 
 def required_torsion(P: MonomialGroupPresentation, R: MonomialRep) -> int:
     """Least L such that q = 1 (mod L) makes F_q rich enough for R: the
-    declared exponent, every coefficient denominator, and every invariant
-    factor of the weight lattice must divide q - 1."""
+    declared exponent, the reduced denominator n/gcd(n, c) of every block
+    coefficient c/n, and every invariant factor of the weight lattice must
+    divide q - 1."""
     from . import zlat
 
     L = P.root_of_unity_exponent
     for block in R.blocks:
         for coeff in block.gen_coeffs:
-            for c in coeff:
-                L = L * c.denominator // gcd(L, c.denominator)
+            L = lcm(L, *(block.modulus // gcd(block.modulus, c) for c in coeff))
     dec = zlat.smith_normal_form(R.weight_matrix().transpose())
-    for d in dec.invariant_factors:
-        if d > 0:
-            L = L * d // gcd(L, d)
-    return L
+    return lcm(L, *(d for d in dec.invariant_factors if d > 0))
 
 
 def _cycle_character_spread(R: MonomialRep) -> int:
@@ -148,6 +145,7 @@ def ff_stabilizer(
         raise OracleError("BUDGET_EXCEEDED", "torus value table would not fit in memory")
     g0 = _primitive_root(q)
     actions = group.rep_actions(R)
+    n = R.modulus
 
     # value table: row per torus point, column per line, entry prod_j t_j^(w_ij)
     weights = np.array([list(w) for w in R.weights], dtype=np.int64)  # (m, d)
@@ -166,8 +164,7 @@ def ff_stabilizer(
     for perm, coeff in actions:
         s = []
         for c in coeff:
-            k = (q - 1) // c.denominator * c.numerator
-            s.append(pow(g0, int(k % (q - 1)), q))
+            s.append(pow(g0, (q - 1) * c // n % (q - 1), q))  # zeta_n^c; n/gcd(n, c) divides L
         scalars.append(np.array(s, dtype=np.int64))
         inv = [0] * m
         for i, x in enumerate(perm):

@@ -19,7 +19,6 @@ the computed values against closed forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .monogrp import (
     ComponentGroup,
@@ -38,7 +37,6 @@ from .monogrp import (
 )
 from .stab import StabilizerReport, generic_stabilizer, is_p_faithful, is_p_generically_free
 from .symrank import eta_bounds
-from .zlat import mod1
 
 
 class PipelineError(Exception):
@@ -64,21 +62,22 @@ def _characters_generating_dual(group: ComponentGroup, image: tuple[int, ...]):
     if r == 0:
         return []
     all_chars = group.characters()
+    N = group.order  # characters take values c/N
 
     def restriction(chi):
-        return tuple(mod1(chi[b]) for b in basis)
+        return tuple(chi[b] for b in basis)
 
     def order_in_quotient(chi, span: set):
         val = restriction(chi)
         n = 1
         acc = val
         while acc not in span:
-            acc = tuple(mod1(a + b) for a, b in zip(acc, val))
+            acc = tuple((a + b) % N for a, b in zip(acc, val))
             n += 1
         return n
 
     chosen = []
-    span = {tuple(Fraction(0) for _ in basis)}
+    span = {(0,) * len(basis)}
     target = 1
     for d in orders:
         target *= d
@@ -97,7 +96,7 @@ def _characters_generating_dual(group: ComponentGroup, image: tuple[int, ...]):
             acc = s
             for _ in range(best[0]):
                 new_span.add(acc)
-                acc = tuple(mod1(a + b) for a, b in zip(acc, val))
+                acc = tuple((a + b) % N for a, b in zip(acc, val))
         span = new_span
     assert len(chosen) == r, "one character per invariant factor of the image"
     return chosen
@@ -250,9 +249,9 @@ def make_sl_presentation(n: int, p: int, perms: list[Perm]) -> MonomialGroupPres
 
     Weights e_1..e_{n-1}, -(e_1+...+e_{n-1}) on the n lines.  Even
     permutations lift to plain permutation matrices; odd ones pick up a
-    coefficient 1/2 on the lowest-index moved line so the lift has
-    determinant one.  Any other placement differs by a sum-zero coefficient
-    vector, which lies in the torus torsion image.
+    coefficient 1/2 (1 modulo e = 2) on the lowest-index moved line so the
+    lift has determinant one.  Any other placement differs by a sum-zero
+    coefficient vector, which lies in the torus torsion image.
     """
     d = n - 1
     weights = []
@@ -263,10 +262,10 @@ def make_sl_presentation(n: int, p: int, perms: list[Perm]) -> MonomialGroupPres
     weights.append(tuple([-1] * d))
     gens = []
     for perm in perms:
-        coeff = [Fraction(0)] * n
+        coeff = [0] * n
         if perm_sign(perm) == -1:
             moved = min(i for i in range(n) if perm[i] != i)
-            coeff[moved] = Fraction(1, 2)
+            coeff[moved] = 1
         gens.append((tuple(perm), tuple(coeff)))
     e = 2 if any(perm_sign(perm) == -1 for perm in perms) else 1
     return MonomialGroupPresentation(
@@ -315,24 +314,24 @@ def sylow_tower_generators(n: int, p: int, count: int, offset: int = 0) -> list[
     return out
 
 
-def wreath_faithful_rep_actions(p: int, levels: int) -> list[list[tuple[Perm, tuple[Fraction, ...]]]]:
+def wreath_faithful_rep_actions(p: int, levels: int) -> list[tuple[Perm, tuple[int, ...]]]:
     """Faithful monomial actions for the tower generators of one p-power block.
 
-    Dimension p^(levels-1): the base line carries a primitive p-th root
-    character for the bottom cycle; each further level takes p cyclically
-    permuted copies, the new generator rotating the copies.
+    Dimension p^(levels-1), coefficients modulo p: the base line carries a
+    primitive p-th root character for the bottom cycle; each further level
+    takes p cyclically permuted copies, the new generator rotating the copies.
     """
     dim = 1
-    actions: list[tuple[Perm, tuple[Fraction, ...]]] = [((0,), (Fraction(1, p),))]
+    actions: list[tuple[Perm, tuple[int, ...]]] = [((0,), (1,))]
     for _ in range(1, levels):
         new_dim = dim * p
         lifted = []
         for perm, coeff in actions:
             new_perm = tuple(list(perm) + list(range(dim, new_dim)))
-            new_coeff = tuple(list(coeff) + [Fraction(0)] * (new_dim - dim))
+            new_coeff = coeff + (0,) * (new_dim - dim)
             lifted.append((new_perm, new_coeff))
         rotate = tuple((i + dim) % new_dim for i in range(new_dim))
-        lifted.append((rotate, tuple(Fraction(0) for _ in range(new_dim))))
+        lifted.append((rotate, (0,) * new_dim))
         actions = lifted
         dim = new_dim
     return actions
@@ -491,7 +490,7 @@ def _faithful_sylow_block_reps(case: SlCase) -> list[RepBlock]:
             if gen_cursor <= j < gen_cursor + levels:
                 perm, coeff = actions[j - gen_cursor]
             else:
-                perm, coeff = tuple(range(dim)), tuple(Fraction(0) for _ in range(dim))
+                perm, coeff = tuple(range(dim)), (0,) * dim
             perms.append(perm)
             coeffs.append(coeff)
         blocks.append(
@@ -499,6 +498,7 @@ def _faithful_sylow_block_reps(case: SlCase) -> list[RepBlock]:
                 weights=tuple(tuple([0] * P.torus_rank) for _ in range(dim)),
                 gen_perms=tuple(perms),
                 gen_coeffs=tuple(coeffs),
+                modulus=p,
             )
         )
         gen_cursor += levels
@@ -517,6 +517,7 @@ def _restricted_natural_block(case: SlCase, keep: int) -> RepBlock:
         weights=P.weights[:keep],
         gen_perms=tuple(perm[:keep] for perm, _ in P.generators),
         gen_coeffs=tuple(coeff[:keep] for _, coeff in P.generators),
+        modulus=P.root_of_unity_exponent,
     )
 
 
@@ -620,7 +621,7 @@ def so_case(n: int) -> SoCase:
         w[i] = -1
         weights.append(tuple(w))
     gens = []
-    zero = tuple(Fraction(0) for _ in range(m))
+    zero = (0,) * m
     for j in range(n):
         a, b = 2 * j, 2 * j + 1
         perm = list(range(m))

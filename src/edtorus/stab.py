@@ -7,7 +7,8 @@ torus element.  The class test is the cycle criterion implemented here:
 
     a class (sigma, c) fixes a generic point up to the torus iff for every
     basis vector u of the saturated kernel K of the transposed weight matrix,
-    (i) u is constant on every cycle of sigma, and (ii) <u, c> = 0 in Q/Z.
+    (i) u is constant on every cycle of sigma, and (ii) <u, c> = 0 in Q/Z,
+    that is sum u_i c_i = 0 (mod n) for coefficients c_i/n.
 
 Multiplying the fixed-point equations around a cycle of sigma cancels the
 generic coordinates; what remains is exactly the solvability of the torus
@@ -30,7 +31,7 @@ from .monogrp import (
     natural_rep,
     perm_cycles,
 )
-from .zlat import FiniteAbelianStructure, mod1
+from .zlat import FiniteAbelianStructure
 
 
 class StabError(Exception):
@@ -70,14 +71,14 @@ def _kernel_constraints(R: MonomialRep) -> list[tuple[int, ...]]:
     return zlat.integer_kernel_basis(R.weight_matrix().transpose())
 
 
-def _class_passes(perm, coeff, kernel_basis) -> bool:
+def _class_passes(perm, coeff, kernel_basis, n: int) -> bool:
     cycles = perm_cycles(perm)
     for u in kernel_basis:
         for cyc in cycles:
             first = u[cyc[0]]
             if any(u[i] != first for i in cyc[1:]):
                 return False
-        if mod1(sum(ui * ci for ui, ci in zip(u, coeff))) != 0:
+        if sum(ui * ci for ui, ci in zip(u, coeff)) % n != 0:
             return False
     return True
 
@@ -101,7 +102,7 @@ def _kernel_classes(group: ComponentGroup, R: MonomialRep) -> list[int]:
     for idx, (perm, coeff) in enumerate(actions):
         if idx == group.identity or perm != ident:
             continue
-        if zlat.torsion_image_membership([mod1(-c) for c in coeff], W):
+        if zlat.torsion_image_membership(coeff, W, R.modulus):  # -coeff is, iff coeff is
             found.append(idx)
     return found
 
@@ -140,7 +141,7 @@ def generic_stabilizer(P: MonomialGroupPresentation, R: MonomialRep | None = Non
         sorted(
             idx
             for idx, (perm, coeff) in enumerate(actions)
-            if _class_passes(perm, coeff, kernel_basis)
+            if _class_passes(perm, coeff, kernel_basis, R.modulus)
         )
     )
     assert group.is_subgroup(image), "cycle criterion must cut out a subgroup"

@@ -2,19 +2,13 @@
 
 Smith and Hermite normal forms, cokernel torsion invariants, sublattice
 indices, and membership tests in divisible-group images.  Everything here is
-exact: Python integers (arbitrary precision) and fractions.Fraction for
-values modulo one.  No floating point.
+exact: Python integers (arbitrary precision); a value c/n in Q/Z is the
+integer c modulo n.  No floating point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-
-
-def mod1(x: Fraction | int) -> Fraction:
-    """Representative of x in [0, 1), i.e. x modulo the integers."""
-    return Fraction(x) % 1
 
 
 @dataclass(frozen=True)
@@ -78,7 +72,7 @@ class IntMatrix:
         return IntMatrix(self.rows, other.cols, tuple(flat))
 
     def apply(self, vec):
-        """Matrix times column vector; entries may be ints or Fractions."""
+        """Matrix times an integer column vector."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         return tuple(
@@ -350,15 +344,16 @@ def sublattice_p_index(vectors, dim: int, p: int) -> int | None:
     return sum(valuation(d, p) for d in dec.invariant_factors if d != 0)
 
 
-def torsion_image_membership(v, W: IntMatrix) -> bool:
+def torsion_image_membership(v, W: IntMatrix, n: int) -> bool:
     """Is v in the image of (Q/Z)^cols under W, inside (Q/Z)^rows?
 
-    v is a vector of fractions modulo 1, length W.rows.  Via Smith form:
-    transform by U and require zeroes beyond the rank; the nonzero invariant
-    factors act surjectively on the divisible group Q/Z.
+    v is an integer vector of length W.rows standing for (v_i / n) in Q/Z.
+    Via Smith form: transform by U and require (U v)_i = 0 (mod n) beyond the
+    rank; the nonzero invariant factors act surjectively on the divisible
+    group Q/Z.
     """
     if len(v) != W.rows:
         raise ValueError("vector length must match row count")
     dec = smith_normal_form(W)
-    y = dec.U.apply([mod1(x) for x in v])
-    return all(mod1(y[i]) == 0 for i in range(dec.rank, W.rows))
+    y = dec.U.apply(v)
+    return all(y[i] % n == 0 for i in range(dec.rank, W.rows))

@@ -1,25 +1,20 @@
 """Shared fixture presentations used across the suite."""
 
-from fractions import Fraction
-
 import pytest
 
 from edtorus.monogrp import MonomialGroupPresentation
 
 
-def frac(n, d=1):
-    return Fraction(n, d)
-
-
 @pytest.fixture
 def sl2_normalizer():
-    """Rank-1 torus with the swap generator lifted with a half coefficient."""
+    """Rank-1 torus with the swap generator lifted with a half coefficient
+    (1 modulo e = 2)."""
     return MonomialGroupPresentation(
         p=2,
         torus_rank=1,
         root_of_unity_exponent=2,
         weights=((1,), (-1,)),
-        generators=(((1, 0), (frac(0), frac(1, 2))),),
+        generators=(((1, 0), (0, 1)),),
     )
 
 
@@ -31,7 +26,7 @@ def sl3_three_cycle():
         torus_rank=2,
         root_of_unity_exponent=1,
         weights=((1, 0), (0, 1), (-1, -1)),
-        generators=(((1, 2, 0), (frac(0), frac(0), frac(0))),),
+        generators=(((1, 2, 0), (0, 0, 0)),),
     )
 
 

@@ -1,7 +1,5 @@
 """Presentation validation, component groups, lattice actions, character blocks."""
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
@@ -21,19 +19,16 @@ from edtorus.monogrp import (
 from edtorus.pipeline import sln_case, so_case
 
 
-def frac(n, d=1):
-    return Fraction(n, d)
-
-
 class TestConventions:
     def test_action_convention(self, sl2_normalizer):
         # (sigma, c) sends coordinate v_{sigma^-1(i)} to position i scaled by c_i:
         # the swap with coefficient (0, 1/2) squares to the coefficient vector
-        # (1/2, 1/2), which is the torus point -1 acting through weights (1, -1)
+        # (1/2, 1/2), which is the torus point -1 acting through weights (1, -1);
+        # modulo e = 2 these are (0, 1) and (1, 1)
         g = sl2_normalizer.generators[0]
-        sq = monomial_mul(g, g)
+        sq = monomial_mul(g, g, 2)
         assert sq[0] == (0, 1)
-        assert sq[1] == (frac(1, 2), frac(1, 2))
+        assert sq[1] == (1, 1)
 
     def test_compose_inverse(self):
         p1, p2 = (1, 2, 0), (0, 2, 1)
@@ -72,7 +67,7 @@ class TestValidate:
             torus_rank=1,
             root_of_unity_exponent=1,
             weights=((1,), (2,)),
-            generators=(((1, 0), (frac(0), frac(0))),),
+            generators=(((1, 0), (0, 0)),),
         )
         report = validate(P)
         assert not report.ok
@@ -84,7 +79,7 @@ class TestValidate:
             torus_rank=1,
             root_of_unity_exponent=1,
             weights=((1,), (1,), (1,)),
-            generators=(((1, 2, 0), (frac(0), frac(0), frac(0))),),
+            generators=(((1, 2, 0), (0, 0, 0)),),
         )
         report = validate(P)
         assert not report.ok
@@ -120,7 +115,7 @@ class TestValidate:
             torus_rank=1,
             root_of_unity_exponent=e,
             weights=((1,), (-1,)),
-            generators=(((0, 1), (frac(1, e), frac(e - 1, e))),),
+            generators=(((0, 1), (1, e - 1)),),  # (1/e, (e-1)/e)
             split_claim=split,
         )
         report = validate(P, cap=1000)
@@ -135,13 +130,27 @@ class TestValidate:
             assert report.diagnostics == ()
 
     def test_coefficient_denominator_must_divide_e(self):
-        with pytest.raises(PresentationError):
+        from edtorus.cli import InputError, presentation_from_json
+
+        doc = {
+            "p": 2,
+            "torus_rank": 1,
+            "root_of_unity_exponent": 2,
+            "weights": [[1], [-1]],
+            "generators": [{"perm": [2, 1], "coeff_num": [0, 1], "coeff_den": [1, 3]}],
+        }
+        with pytest.raises(InputError, match="coefficient denominator 3 does not divide e = 2"):
+            presentation_from_json(doc)
+
+    @pytest.mark.parametrize("c", [-1, 2])
+    def test_coefficients_must_be_reduced_modulo_e(self, c):
+        with pytest.raises(PresentationError, match="reduced modulo e"):
             MonomialGroupPresentation(
                 p=2,
                 torus_rank=1,
                 root_of_unity_exponent=2,
                 weights=((1,), (-1,)),
-                generators=(((1, 0), (frac(0), frac(1, 3))),),
+                generators=(((1, 0), (0, c)),),
             )
 
 
@@ -188,7 +197,8 @@ class TestComponentGroup:
     def test_cayley_table_matches_literal_products(self, maker):
         group = component_group(maker())
         reps = [(el.perm, el.coeff) for el in group.elements]
-        literal = [[group.class_of(monomial_mul(a, b)) for b in reps] for a in reps]
+        e = group.presentation.root_of_unity_exponent
+        literal = [[group.class_of(monomial_mul(a, b, e)) for b in reps] for a in reps]
         assert group.table == literal
         gens = group.right[group.identity]
         assert group.right == [[row[g] for g in gens] for row in literal]
@@ -224,12 +234,20 @@ class TestComponentGroup:
         assert sorted(g1.orders) == sorted(g2.orders)
 
     def test_torsion_shifted_representative_same_class(self, sl3_three_cycle):
-        group = component_group(sl3_three_cycle)
         perm, coeff = sl3_three_cycle.generators[0]
         # a torus point of exact order 3 acts through the weights as the
-        # coefficient vector (1/3, 1/3, 1/3) scaled by each line weight
-        shift = (frac(1, 3), frac(0), frac(2, 3))  # weights (1,0),(0,1),(-1,-1) at s=(1/3, 0)
-        shifted_coeff = tuple((a + b) % 1 for a, b in zip(coeff, shift))
+        # coefficient vector (1/3, 1/3, 1/3) scaled by each line weight; it
+        # needs modulus 3, so the same generator is read with e = 3
+        P3 = MonomialGroupPresentation(
+            p=3,
+            torus_rank=2,
+            root_of_unity_exponent=3,
+            weights=sl3_three_cycle.weights,
+            generators=sl3_three_cycle.generators,
+        )
+        group = component_group(P3)
+        shift = (1, 0, 2)  # weights (1,0),(0,1),(-1,-1) at s=(1/3, 0), modulo 3
+        shifted_coeff = tuple((a + b) % 3 for a, b in zip(coeff, shift))
         assert group.class_of((perm, shifted_coeff)) == group.class_of((perm, coeff))
 
     def test_class_equality_matches_torsion_membership(self, sl2_normalizer):
@@ -241,10 +259,9 @@ class TestComponentGroup:
         W = sl2_normalizer.weight_matrix()
         perm, base = sl2_normalizer.generators[0]
         cls = group.class_of((perm, base))
-        for a, b in iproduct(range(2), repeat=2):
-            shift = (frac(a, 2), frac(b, 2))
-            coeff = tuple((x + y) % 1 for x, y in zip(base, shift))
-            if torsion_image_membership(shift, W):
+        for shift in iproduct(range(2), repeat=2):  # (a/2, b/2), modulo e = 2
+            coeff = tuple((x + y) % 2 for x, y in zip(base, shift))
+            if torsion_image_membership(shift, W, 2):
                 assert group.class_of((perm, coeff)) == cls
             else:
                 # a coefficient outside the torsion image is a different
@@ -272,25 +289,26 @@ class TestCharacterLattice:
 class TestCharacterBlocks:
     def test_trivial_character(self, sl3_three_cycle):
         group = component_group(sl3_three_cycle)
-        chi = tuple(frac(0) for _ in range(group.order))
+        chi = (0,) * group.order
         R = append_character_block(natural_rep(sl3_three_cycle), chi)
         assert R.dim == 4
         assert R.blocks[-1].weights == ((0, 0),)
-        assert R.blocks[-1].gen_coeffs == ((frac(0),),)
+        assert R.blocks[-1].gen_coeffs == ((0,),)
 
     def test_order_three_character(self, sl3_three_cycle):
         group = component_group(sl3_three_cycle)
         g = group.class_of(sl3_three_cycle.generators[0])
-        chi = [frac(0)] * group.order
-        chi[g] = frac(1, 3)
-        chi[group.table[g][g]] = frac(2, 3)
+        chi = [0] * group.order  # values modulo |F| = 3
+        chi[g] = 1
+        chi[group.table[g][g]] = 2
         R = append_character_block(natural_rep(sl3_three_cycle), tuple(chi))
-        assert R.blocks[-1].gen_coeffs == ((frac(1, 3),),)
+        assert R.blocks[-1].gen_coeffs == ((1,),)
+        assert R.blocks[-1].modulus == 3
 
     def test_not_a_character(self, sl3_three_cycle):
         group = component_group(sl3_three_cycle)
-        bogus = [frac(0)] * group.order
-        bogus[1] = frac(1, 2)  # 1/2 is not additive on a group of order 3
+        bogus = [0] * group.order
+        bogus[1] = 1  # 1/3 on one class alone is not additive on a group of order 3
         with pytest.raises(PresentationError) as err:
             append_character_block(natural_rep(sl3_three_cycle), tuple(bogus))
         assert err.value.code == "NOT_A_CHARACTER"
@@ -302,7 +320,7 @@ class TestCharacterBlocks:
         for chi in chars:
             for i in range(4):
                 for j in range(4):
-                    assert (chi[i] + chi[j]) % 1 == chi[group.table[i][j]]
+                    assert (chi[i] + chi[j]) % 4 == chi[group.table[i][j]]
 
 
 class TestAbelianDecomposition:

@@ -20,7 +20,6 @@ from edtorus.zlat import (
     cokernel_structure,
     hermite_normal_form,
     integer_kernel_basis,
-    mod1,
     p_rank,
     reduce_mod_row_lattice,
     smith_normal_form,
@@ -215,6 +214,11 @@ class TestSublatticeIndex:
             assert got == expect
 
 
+def mod1(x) -> Fraction:
+    """x modulo the integers, in [0, 1)."""
+    return Fraction(x) % 1
+
+
 def membership_bruteforce(v, W: IntMatrix) -> bool:
     """Exhaustive oracle: search torus torsion points with denominators
     dividing lcm(denominators of v) times the largest invariant factor."""
@@ -236,17 +240,17 @@ def membership_bruteforce(v, W: IntMatrix) -> bool:
 class TestTorsionMembership:
     def test_zero_vector(self):
         W = IntMatrix.from_rows([[1], [1]])
-        assert torsion_image_membership([Fraction(0), Fraction(0)], W)
+        assert torsion_image_membership([0, 0], W, 2)
 
     def test_diagonal_half(self):
         W = IntMatrix.from_rows([[1], [1]])
         assert membership_bruteforce([Fraction(1, 2), Fraction(1, 2)], W)
-        assert torsion_image_membership([Fraction(1, 2), Fraction(1, 2)], W)
+        assert torsion_image_membership([1, 1], W, 2)
 
     def test_half_zero_not_in_image(self):
         W = IntMatrix.from_rows([[1], [1]])
         assert not membership_bruteforce([Fraction(1, 2), Fraction(0)], W)
-        assert not torsion_image_membership([Fraction(1, 2), Fraction(0)], W)
+        assert not torsion_image_membership([1, 0], W, 2)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -266,14 +270,16 @@ class TestTorsionMembership:
         nums = data.draw(st.lists(st.integers(0, 7), min_size=m, max_size=m))
         W = IntMatrix.from_rows(rows)
         v = [Fraction(a, b) for a, b in zip(nums, dens)]
-        assert torsion_image_membership(v, W) == membership_bruteforce(v, W)
+        n = 24  # a multiple of every denominator drawn; v_i = c_i / n
+        c = [a * (n // b) for a, b in zip(nums, dens)]
+        assert torsion_image_membership(c, W, n) == membership_bruteforce(v, W)
 
     def test_three_by_three_grid(self):
         # exhaustive small-denominator sweep at the full allowed shape
         W = IntMatrix.from_rows([[1, 0, 1], [0, 2, 1], [1, 1, 0]])
         for nums in itertools.product(range(4), repeat=3):
             v = [Fraction(a, 2) for a in nums]
-            assert torsion_image_membership(v, W) == membership_bruteforce(v, W)
+            assert torsion_image_membership(list(nums), W, 2) == membership_bruteforce(v, W)
 
 
 class TestKernelBasis:
