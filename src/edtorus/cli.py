@@ -59,18 +59,49 @@ _GEN_KEYS = {"perm", "coeff_num", "coeff_den"}
 _BLOCK_KEYS = {"weights", "generators"}
 
 
+def _int(x, what: str) -> int:
+    """A JSON integer; bool, float and str are rejected, never coerced."""
+    if type(x) is not int:
+        raise InputError(f"{what} must be an integer, got {json.dumps(x)}")
+    return x
+
+
+def _int_list(x, length: int, what: str) -> tuple[int, ...]:
+    if not isinstance(x, list) or len(x) != length:
+        raise InputError(f"{what} must be an array of {length} integers")
+    return tuple(_int(v, what) for v in x)
+
+
+def _object(x, keys: set, what: str) -> dict:
+    if not isinstance(x, dict):
+        raise InputError(f"{what} must be a JSON object")
+    if set(x) - keys:
+        raise InputError(f"unknown {what} keys: {sorted(set(x) - keys)}")
+    return x
+
+
+def _parse_weights(x, d: int) -> tuple[tuple[int, ...], ...]:
+    if not isinstance(x, list) or not x:
+        raise InputError("weights must be a nonempty array of integer arrays")
+    return tuple(_int_list(w, d, "each weight") for w in x)
+
+
+def _parse_generators(x, num_lines: int) -> list:
+    if not isinstance(x, list):
+        raise InputError("generators must be an array")
+    return [_parse_generator(g, num_lines) for g in x]
+
+
 def _parse_generator(obj, num_lines: int):
-    if set(obj) - _GEN_KEYS:
-        raise InputError(f"unknown generator keys: {sorted(set(obj) - _GEN_KEYS)}")
-    perm = obj.get("perm")
-    num = obj.get("coeff_num")
-    den = obj.get("coeff_den")
-    if not isinstance(perm, list) or sorted(perm) != list(range(1, num_lines + 1)):
+    obj = _object(obj, _GEN_KEYS, "generator")
+    perm = _int_list(obj.get("perm"), num_lines, "perm")
+    if sorted(perm) != list(range(1, num_lines + 1)):
         raise InputError("perm must be a 1-based image list of the lines")
-    if not isinstance(num, list) or not isinstance(den, list) or len(num) != num_lines or len(den) != num_lines:
-        raise InputError("coeff_num/coeff_den must be integer arrays over the lines")
-    coeff = tuple(Fraction(int(a), int(b)) % 1 for a, b in zip(num, den))
-    return tuple(x - 1 for x in perm), coeff
+    num = _int_list(obj.get("coeff_num"), num_lines, "coeff_num")
+    den = _int_list(obj.get("coeff_den"), num_lines, "coeff_den")
+    if 0 in den:
+        raise InputError("coeff_den entries must be nonzero")
+    return tuple(x - 1 for x in perm), tuple(Fraction(a, b) % 1 for a, b in zip(num, den))
 
 
 def _scaled(coeffs, n: int) -> tuple[tuple[int, ...], ...]:
@@ -82,6 +113,7 @@ def _scaled(coeffs, n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def presentation_from_json(doc) -> tuple[MonomialGroupPresentation, list[RepBlock]]:
+    """Parse and type-check an input document; malformed input raises InputError."""
     if not isinstance(doc, dict):
         raise InputError("top level must be a JSON object")
     unknown = set(doc) - _TOP_KEYS
@@ -90,43 +122,38 @@ def presentation_from_json(doc) -> tuple[MonomialGroupPresentation, list[RepBloc
     for key in ("p", "torus_rank", "root_of_unity_exponent", "weights", "generators"):
         if key not in doc:
             raise InputError(f"missing key: {key}")
-    weights = doc["weights"]
-    if not isinstance(weights, list) or not weights:
-        raise InputError("weights must be a nonempty array of integer arrays")
-    d = doc["torus_rank"]
-    for w in weights:
-        if not isinstance(w, list) or len(w) != d:
-            raise InputError("each weight must have length torus_rank")
-    m = len(weights)
-    gens = [_parse_generator(g, m) for g in doc["generators"]]
-    e = int(doc["root_of_unity_exponent"])
+    p, d, e = (_int(doc[key], key) for key in ("p", "torus_rank", "root_of_unity_exponent"))
+    split = doc.get("split")
+    if split is not None and not isinstance(split, bool):
+        raise InputError("split must be true, false or null")
+    weights = _parse_weights(doc["weights"], d)
+    gens = _parse_generators(doc["generators"], len(weights))
     try:
         P = MonomialGroupPresentation(
-            p=int(doc["p"]),
-            torus_rank=int(d),
+            p=p,
+            torus_rank=d,
             root_of_unity_exponent=e,
-            weights=tuple(tuple(int(x) for x in w) for w in weights),
+            weights=weights,
             generators=tuple(zip([g[0] for g in gens], _scaled([g[1] for g in gens], e))),
-            split_claim=doc.get("split"),
+            split_claim=split,
         )
     except PresentationError as exc:
         raise InputError(str(exc)) from exc
+    extra = doc.get("extra_blocks", [])
+    if not isinstance(extra, list):
+        raise InputError("extra_blocks must be an array")
     blocks: list[RepBlock] = []
-    for block in doc.get("extra_blocks", []):
-        if set(block) - _BLOCK_KEYS:
-            raise InputError(f"unknown block keys: {sorted(set(block) - _BLOCK_KEYS)}")
-        bweights = block.get("weights")
-        bgens = block.get("generators")
-        if not isinstance(bweights, list) or not bweights:
-            raise InputError("block weights must be a nonempty array")
-        if not isinstance(bgens, list) or len(bgens) != len(gens):
+    for block in extra:
+        block = _object(block, _BLOCK_KEYS, "block")
+        bweights = _parse_weights(block.get("weights"), d)
+        parsed = _parse_generators(block.get("generators"), len(bweights))
+        if len(parsed) != len(gens):
             raise InputError("each block needs one action per presentation generator")
-        bm = len(bweights)
-        parsed = [_parse_generator(g, bm) for g in bgens]
+        # the block's modulus is the lcm of its reduced denominators
         modulus = math.lcm(*(c.denominator for g in parsed for c in g[1]))
         blocks.append(
             RepBlock(
-                weights=tuple(tuple(int(x) for x in w) for w in bweights),
+                weights=bweights,
                 gen_perms=tuple(g[0] for g in parsed),
                 gen_coeffs=_scaled([g[1] for g in parsed], modulus),
                 modulus=modulus,
@@ -172,10 +199,6 @@ def load_presentation(path: str, rep_selector: str) -> tuple[MonomialGroupPresen
 
 
 # -- report serialization ---------------------------------------------------------
-
-
-def _frac(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 def jsonable_validation(report) -> dict:

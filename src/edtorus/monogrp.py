@@ -248,7 +248,8 @@ class _CoeffCanon:
         uinv = zlat.unimodular_inverse(dec.U)
         basis = [[(1 if i < dec.rank else n) * x for x in uinv.column(i)] for i in range(m)]
         self.hnf = zlat.hermite_normal_form(basis, m)
-        assert len(self.hnf) == m, "torsion-image lattice must have full rank"
+        if len(self.hnf) != m:
+            raise PresentationError("INTERNAL", "torsion-image lattice must have full rank")
 
     def canon(self, coeff: Coeff) -> tuple[int, ...]:
         if not coeff:
@@ -298,6 +299,7 @@ class ComponentGroup:
             self.table.append(row)
         self.orders = [self._order(i) for i in range(n)]
         self._rep_actions: dict[MonomialRep, list[tuple[Perm, Coeff]]] = {}
+        self._checked_reps: set[MonomialRep] = set()
         self._decompositions: dict[tuple[int, ...], tuple] = {}
 
     def _lookup(self, pair: tuple[Perm, Coeff]) -> int:
@@ -366,6 +368,31 @@ class ComponentGroup:
             out.append(act)
         self._rep_actions[R] = out
         return out
+
+    def check_relations(self, R: MonomialRep) -> None:
+        """Reject R unless it respects the relations of the component group.
+
+        On every Cayley edge (x, g), R(x) R(g) must permute the lines as
+        R(x g) does, and their coefficients must differ by the action of a
+        torus point through the weights of R.  Checked once per rep.
+        """
+        if R in self._checked_reps:
+            return
+        n = R.modulus
+        actions = self.rep_actions(R)
+        gens = [R.generator_action(j) for j in range(len(self.presentation.generators))]
+        canon = _CoeffCanon(R.weight_matrix(), n)
+        for x, row in enumerate(self.right):
+            for g, y in enumerate(row):
+                perm, coeff = monomial_mul(actions[x], gens[g], n)
+                diff = tuple(a - b for a, b in zip(coeff, actions[y][1]))
+                if perm != actions[y][0] or (any(diff) and not canon.is_torsion_image(diff)):
+                    raise PresentationError(
+                        "BAD_INPUT",
+                        f"blocks do not define a representation: class {x} times generator {g} "
+                        f"does not act as class {y}",
+                    )
+        self._checked_reps.add(R)
 
     # -- abelian structure ---------------------------------------------------
 
@@ -664,8 +691,10 @@ def component_group(P: MonomialGroupPresentation, cap: int = DEFAULT_ELEMENT_CAP
     return group
 
 
+@lru_cache(maxsize=None)
 def character_lattice_action(P: MonomialGroupPresentation, cap: int = DEFAULT_ELEMENT_CAP):
-    """The rank-d lattice together with the finite matrix group induced on it."""
+    """The rank-d lattice together with the finite matrix group induced on it
+    (cached per presentation and cap, as `validate` is)."""
     from .symrank import FLattice, _mat_mul
 
     report = ensure_valid(P, cap)
@@ -674,7 +703,8 @@ def character_lattice_action(P: MonomialGroupPresentation, cap: int = DEFAULT_EL
     gens = sorted({m_as_tuple(A) for A in report.induced_matrices})
     # the matrix group is the image of F, so it never needs more than |F| elements
     mats = closure(m_as_tuple(IntMatrix.identity(d)), gens, _mat_mul, cap=group_order)
-    assert mats is not None and group_order % len(mats) == 0, "lattice action order must divide the component order"
+    if mats is None or group_order % len(mats) != 0:
+        raise PresentationError("INTERNAL", "lattice action order must divide the component order")
     return FLattice(rank=d, matrices=tuple(sorted(mats)))
 
 
@@ -716,7 +746,8 @@ def append_character_block(R: MonomialRep, chi) -> MonomialRep:
 
 def check_rep_compatible(P: MonomialGroupPresentation, R: MonomialRep) -> None:
     """Every block must transform by the same induced lattice matrices as the
-    defining representation."""
+    defining representation, and the blocks together must respect the
+    relations of the component group."""
     if R.presentation != P:
         raise PresentationError("BAD_INPUT", "representation belongs to a different presentation")
     report = ensure_valid(P)
@@ -733,3 +764,4 @@ def check_rep_compatible(P: MonomialGroupPresentation, R: MonomialRep) -> None:
                         "BAD_INPUT",
                         f"block {b}: weights are not permuted compatibly with the torus action",
                     )
+    component_group(P).check_relations(R)

@@ -16,7 +16,14 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .monogrp import MonomialGroupPresentation, MonomialRep, _is_prime, component_group, natural_rep
+from .monogrp import (
+    MonomialGroupPresentation,
+    MonomialRep,
+    PresentationError,
+    _is_prime,
+    component_group,
+    natural_rep,
+)
 
 DEFAULT_FF_BUDGET = 10**8
 DEFAULT_TRIALS = 50
@@ -342,7 +349,8 @@ def sylow_abelian_bound_check(d: int, p: int) -> SylowBoundReport:
     while k <= d:
         expected *= p ** (d // k)
         k *= p
-    assert len(sylow) == expected, "Sylow construction has the wrong order"
+    if len(sylow) != expected:
+        raise PresentationError("INTERNAL", "Sylow construction has the wrong order")
     ident = tuple(range(d))
     best = {frozenset([ident])}
     seen = set(best)

@@ -25,6 +25,7 @@ from .monogrp import (
     MonomialGroupPresentation,
     MonomialRep,
     Perm,
+    PresentationError,
     RepBlock,
     _is_prime,
     append_character_block,
@@ -87,7 +88,8 @@ def _characters_generating_dual(group: ComponentGroup, image: tuple[int, ...]):
             n = order_in_quotient(chi, span)
             if best is None or n > best[0]:
                 best = (n, chi)
-        assert best is not None and best[0] > 1
+        if best is None or best[0] <= 1:
+            raise PresentationError("INTERNAL", "some character must grow the span of the restrictions")
         chi = best[1]
         chosen.append(chi)
         val = restriction(chi)
@@ -98,7 +100,8 @@ def _characters_generating_dual(group: ComponentGroup, image: tuple[int, ...]):
                 new_span.add(acc)
                 acc = tuple((a + b) % N for a, b in zip(acc, val))
         span = new_span
-    assert len(chosen) == r, "one character per invariant factor of the image"
+    if len(chosen) != r:
+        raise PresentationError("INTERNAL", "one character per invariant factor of the image")
     return chosen
 
 
@@ -128,7 +131,8 @@ def build_generically_free_extension(
     free, free_witness = is_p_generically_free(P, W)
     if not free:
         raise PipelineError("WITNESS_NOT_FREE", free_witness or "")
-    assert W.dim - V.dim == report.require_p_rank(), "one line per invariant factor"
+    if W.dim - V.dim != report.require_p_rank():
+        raise PresentationError("INTERNAL", "one line per invariant factor")
     return ExtensionResult(rep=W, blocks_added=len(chars), stabilizer=report)
 
 
@@ -160,8 +164,8 @@ class EdReport:
     def __post_init__(self):
         if self.ed_upper is not None and self.ed_lower > self.ed_upper:
             raise ValueError("ed_lower must not exceed ed_upper")
-        if self.exact is not None:
-            assert self.ed_lower == self.exact and self.ed_upper == self.exact
+        if self.exact is not None and not self.ed_lower == self.exact == self.ed_upper:
+            raise PresentationError("INTERNAL", "an exact value must equal both bounds")
 
 
 def essential_p_dimension(
@@ -209,7 +213,8 @@ def essential_p_dimension(
         lower_source = "stabilizer-formula"
         ed_lower = exact
         ed_upper = exact
-        assert dim_free is not None and dim_free - d == exact
+        if dim_free is None or dim_free - d != exact:
+            raise PresentationError("INTERNAL", "the extension must realize the exact value")
     else:
         ed_lower = max(0, eta.lower - d)
         lower_source = "interval"

@@ -26,6 +26,7 @@ from .monogrp import (
     ComponentGroup,
     MonomialGroupPresentation,
     MonomialRep,
+    PresentationError,
     check_rep_compatible,
     component_group,
     natural_rep,
@@ -102,7 +103,8 @@ def _kernel_classes(group: ComponentGroup, R: MonomialRep) -> list[int]:
     for idx, (perm, coeff) in enumerate(actions):
         if idx == group.identity or perm != ident:
             continue
-        if zlat.torsion_image_membership(coeff, W, R.modulus):  # -coeff is, iff coeff is
+        # trivial iff a torus point acts by -coeff, that is iff coeff is in the image
+        if zlat.torsion_image_membership(coeff, W, R.modulus):
             found.append(idx)
     return found
 
@@ -137,14 +139,16 @@ def generic_stabilizer(P: MonomialGroupPresentation, R: MonomialRep | None = Non
     group = component_group(P)
     kernel_basis = _kernel_constraints(R)
     actions = group.rep_actions(R)
+    n = R.modulus
     image = tuple(
         sorted(
             idx
             for idx, (perm, coeff) in enumerate(actions)
-            if _class_passes(perm, coeff, kernel_basis, R.modulus)
+            if _class_passes(perm, coeff, kernel_basis, n)
         )
     )
-    assert group.is_subgroup(image), "cycle criterion must cut out a subgroup"
+    if not group.is_subgroup(image):
+        raise PresentationError("INTERNAL", "cycle criterion must cut out a subgroup")
     faithful = is_p_faithful(P, R)
     prank = group.elementary_rank(image, P.p) if faithful.ok else None
     free = faithful.ok and len(image) == 1

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import zlat
-from .monogrp import closure
+from .monogrp import PresentationError, closure
 
 DEFAULT_BOX_BUDGET = 50_000_000
 DEFAULT_NODE_BUDGET = 100_000_000
@@ -199,7 +199,8 @@ def _enumerate_orbits(L: FLattice, B: int, box_budget: int) -> list[_Orbit]:
     orbits = []
     for rep in reps:
         vecs = L.orbit(rep)
-        assert vecs[0] == rep, "canonical representative must be the orbit minimum"
+        if vecs[0] != rep:
+            raise PresentationError("INTERNAL", "canonical representative must be the orbit minimum")
         orbits.append(_Orbit(rep=rep, size=len(vecs), vectors=vecs))
     orbits.sort(key=lambda o: (o.size, o.rep))
     return orbits
@@ -284,7 +285,8 @@ def symrank(
 
     if best_size is None:
         raise Inconclusive(f"no invariant p-spanning union of orbits with sup-norm <= {B}")
-    assert best_witness is not None
+    if best_witness is None:
+        raise PresentationError("INTERNAL", "a best size comes with a witness")
     _check_invariant_spanning(L, p, best_witness)
     status = "EXACT" if best_size == lower else "UPPER_ONLY"
     return SymRankResult(

@@ -25,6 +25,51 @@ PLUS_MINUS_PLANE = {
     ],
 }
 
+# The generator squares to the torus point -1, which acts trivially on a
+# weight-zero line; the extra block makes it act there by i, squaring to -1.
+NOT_A_REPRESENTATION = {
+    "p": 2,
+    "torus_rank": 1,
+    "root_of_unity_exponent": 4,
+    "weights": [[1], [-1]],
+    "generators": [{"perm": [2, 1], "coeff_num": [0, 1], "coeff_den": [1, 2]}],
+    "extra_blocks": [{"weights": [[0]], "generators": [{"perm": [1], "coeff_num": [1], "coeff_den": [4]}]}],
+}
+
+
+def with_field(path, value):
+    """SL2_NORMALIZER with the entry at `path` (keys and indices) set to value."""
+    doc = json.loads(json.dumps(SL2_NORMALIZER))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+# Inputs that must be rejected, not coerced or answered with a traceback.
+MALFORMED = {
+    "coeff_den_zero": (("generators", 0, "coeff_den", 1), 0),
+    "coeff_num_str": (("generators", 0, "coeff_num", 1), "x"),
+    "coeff_den_float": (("generators", 0, "coeff_den", 1), 2.5),
+    "coeff_num_bool": (("generators", 0, "coeff_num", 1), True),
+    "perm_bool": (("generators", 0, "perm", 1), True),
+    "split_str": (("split",), "yes"),
+    "generators_object": (("generators",), {}),
+    "generator_int": (("generators", 0), 5),
+    # each value would read as the valid one if it were coerced (True as 1)
+    **{
+        f"{name}_{type(bad).__name__}": (path, bad)
+        for name, path, good in (
+            ("p", ("p",), 2),
+            ("torus_rank", ("torus_rank",), 1),
+            ("root_of_unity_exponent", ("root_of_unity_exponent",), 2),
+            ("weight_entry", ("weights", 0, 0), 1),
+        )
+        for bad in (True, float(good), str(good))
+    },
+}
+
 
 def write_json(tmp_path, doc, name="input.json"):
     path = tmp_path / name
@@ -61,6 +106,13 @@ class TestSchema:
         assert doc["component_order"] == 2
         assert doc["induced_matrices"] == [[[-1]]]
 
+    @pytest.mark.parametrize("path,value", list(MALFORMED.values()), ids=list(MALFORMED))
+    def test_malformed_field_rejected(self, tmp_path, capsys, path, value):
+        code, out, err = run(["validate", write_json(tmp_path, with_field(path, value))], capsys)
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert json.loads(err)["error"] == "BAD_INPUT"
+
     def test_invalid_presentation_exit_1(self, tmp_path, capsys):
         doc = dict(SL2_NORMALIZER)
         doc["weights"] = [[1], [2]]
@@ -68,6 +120,20 @@ class TestSchema:
         code, out, _ = run(["validate", write_json(tmp_path, doc), "--format", "json"], capsys)
         assert code == EXIT_INVALID
         assert json.loads(out)["error"] == "NO_INDUCED_ACTION"
+
+
+class TestRepresentationCheck:
+    @pytest.mark.parametrize("command", ["stabilizer", "eta", "ed"])
+    def test_block_that_is_not_a_representation_rejected(self, tmp_path, capsys, command):
+        path = write_json(tmp_path, NOT_A_REPRESENTATION)
+        code, out, err = run([command, path, "--format", "json"], capsys)
+        assert code == EXIT_INVALID
+        assert out == ""
+        diagnostic = json.loads(err)
+        assert diagnostic["error"] == "BAD_INPUT"
+        assert "do not define a representation" in diagnostic["detail"]
+        # without the block the presentation itself is fine
+        assert run(["stabilizer", path, "--rep", "natural"], capsys)[0] == EXIT_OK
 
 
 class TestRoundTrip:

@@ -285,6 +285,12 @@ class TestCharacterLattice:
         L = character_lattice_action(weight_two_line)
         assert L.order == 1
 
+    def test_cached_per_presentation(self, so4_presentation):
+        L = character_lattice_action(so4_presentation)
+        assert character_lattice_action(so4_presentation) is L
+        # an equal presentation built anew hits the same entry
+        assert character_lattice_action(so_case(1).presentation) is L
+
 
 class TestCharacterBlocks:
     def test_trivial_character(self, sl3_three_cycle):
