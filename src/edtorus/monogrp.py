@@ -144,8 +144,8 @@ class MonomialGroupPresentation:
                 raise PresentationError("BAD_INPUT", "generator permutation is not a permutation of the lines")
             if len(coeff) != m:
                 raise PresentationError("BAD_INPUT", "generator coefficient length mismatch")
-            if any(not 0 <= c < e for c in coeff):
-                raise PresentationError("BAD_INPUT", "coefficients must be reduced modulo e")
+            if any(type(c) is not int or not 0 <= c < e for c in coeff):
+                raise PresentationError("BAD_INPUT", "coefficients must be integers reduced modulo e")
 
     @property
     def num_lines(self) -> int:
@@ -758,6 +758,10 @@ def check_rep_compatible(P: MonomialGroupPresentation, R: MonomialRep) -> None:
                 raise PresentationError("BAD_INPUT", f"block {b}: generator {j} is not a permutation")
             if len(block.gen_coeffs[j]) != block.dim:
                 raise PresentationError("BAD_INPUT", f"block {b}: coefficient length mismatch")
+            if any(type(c) is not int or not 0 <= c < block.modulus for c in block.gen_coeffs[j]):
+                raise PresentationError(
+                    "BAD_INPUT", f"block {b}: coefficients must be integers reduced modulo its modulus"
+                )
             for i in range(block.dim):
                 if A.apply(block.weights[i]) != tuple(block.weights[perm[i]]):
                     raise PresentationError(

@@ -103,8 +103,7 @@ def _kernel_classes(group: ComponentGroup, R: MonomialRep) -> list[int]:
     for idx, (perm, coeff) in enumerate(actions):
         if idx == group.identity or perm != ident:
             continue
-        # trivial iff a torus point acts by -coeff, that is iff coeff is in the image
-        if zlat.torsion_image_membership(coeff, W, R.modulus):
+        if zlat.torsion_image_membership([-c for c in coeff], W, R.modulus):
             found.append(idx)
     return found
 
@@ -139,12 +138,11 @@ def generic_stabilizer(P: MonomialGroupPresentation, R: MonomialRep | None = Non
     group = component_group(P)
     kernel_basis = _kernel_constraints(R)
     actions = group.rep_actions(R)
-    n = R.modulus
     image = tuple(
         sorted(
             idx
             for idx, (perm, coeff) in enumerate(actions)
-            if _class_passes(perm, coeff, kernel_basis, n)
+            if _class_passes(perm, coeff, kernel_basis, R.modulus)
         )
     )
     if not group.is_subgroup(image):

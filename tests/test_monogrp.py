@@ -1,13 +1,18 @@
 """Presentation validation, component groups, lattice actions, character blocks."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from edtorus.monogrp import (
     MonomialGroupPresentation,
+    MonomialRep,
     PresentationError,
+    RepBlock,
     append_character_block,
     character_lattice_action,
+    check_rep_compatible,
     closure,
     component_group,
     monomial_mul,
@@ -142,9 +147,9 @@ class TestValidate:
         with pytest.raises(InputError, match="coefficient denominator 3 does not divide e = 2"):
             presentation_from_json(doc)
 
-    @pytest.mark.parametrize("c", [-1, 2])
+    @pytest.mark.parametrize("c", [-1, 2, Fraction(1, 2)])
     def test_coefficients_must_be_reduced_modulo_e(self, c):
-        with pytest.raises(PresentationError, match="reduced modulo e"):
+        with pytest.raises(PresentationError, match="integers reduced modulo e"):
             MonomialGroupPresentation(
                 p=2,
                 torus_rank=1,
@@ -327,6 +332,43 @@ class TestCharacterBlocks:
             for i in range(4):
                 for j in range(4):
                     assert (chi[i] + chi[j]) % 4 == chi[group.table[i][j]]
+
+
+class TestRepCompatibility:
+    @staticmethod
+    def with_line(P, coeffs, modulus):
+        """The natural rep plus a weight-zero line on which generator j acts by coeffs[j]."""
+        block = RepBlock(
+            weights=((0,) * P.torus_rank,),
+            gen_perms=tuple((0,) for _ in P.generators),
+            gen_coeffs=tuple((c,) for c in coeffs),
+            modulus=modulus,
+        )
+        return MonomialRep(presentation=P, blocks=natural_rep(P).blocks + (block,))
+
+    def test_block_denominator_need_not_divide_e(self, so4_presentation):
+        # e = 1, and the sign swap acts on the new line by 1/2: a character of F
+        check_rep_compatible(so4_presentation, self.with_line(so4_presentation, (1, 0), 2))
+
+    def test_relation_violated_rejected(self):
+        # the swap squares to the torus point -1, which is trivial on a weight-zero
+        # line; acting there by 1/4 its square acts by 1/2, by 1/2 it squares to 0
+        P = MonomialGroupPresentation(
+            p=2,
+            torus_rank=1,
+            root_of_unity_exponent=4,
+            weights=((1,), (-1,)),
+            generators=(((1, 0), (0, 2)),),
+        )
+        with pytest.raises(PresentationError, match="do not define a representation") as err:
+            check_rep_compatible(P, self.with_line(P, (1,), 4))
+        assert err.value.code == "BAD_INPUT"
+        check_rep_compatible(P, self.with_line(P, (2,), 4))
+
+    @pytest.mark.parametrize("c", [2, Fraction(1, 2)])
+    def test_unreduced_block_coefficient_rejected(self, so4_presentation, c):
+        with pytest.raises(PresentationError, match="integers reduced modulo its modulus"):
+            check_rep_compatible(so4_presentation, self.with_line(so4_presentation, (c, 0), 2))
 
 
 class TestAbelianDecomposition:
