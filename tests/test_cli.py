@@ -57,7 +57,7 @@ MALFORMED = {
     "split_str": (("split",), "yes"),
     "generators_object": (("generators",), {}),
     "generator_int": (("generators", 0), 5),
-    # each value would read as the valid one if it were coerced (True as 1)
+    # the float and str forms would read as the valid value if they were coerced
     **{
         f"{name}_{type(bad).__name__}": (path, bad)
         for name, path, good in (
