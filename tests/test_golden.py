@@ -22,7 +22,12 @@ import pytest
 from edtorus.cli import EXIT_OK, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-INPUTS = {"sl_9_3": ["sl", "9", "3"], "so_2": ["so", "2"]}
+INPUTS = {
+    "sl_9_3": ["sl", "9", "3"],
+    "so_2": ["so", "2"],
+    "sl_7_2": ["sl", "7", "2"],
+    "sl_7_3": ["sl", "7", "3"],
+}
 
 GOLDEN = {
     "ed_case_sl_9_2": ["ed", "case", "sl", "9", "2"],
@@ -35,9 +40,14 @@ GOLDEN = {
     "case_so_2": ["case", "so", "2"],
     **{
         f"{cmd}_{name}": [cmd, "@" + name]
-        for name in INPUTS
+        for name in ("sl_9_3", "so_2")
         for cmd in ("validate", "stabilizer", "eta", "ed")
     },
+    # the engine requests of the lattice-search benchmark: symrank witnesses
+    "symrank_sl_7_2": ["symrank", "@sl_7_2", "-B", "1"],
+    "symrank_sl_7_3": ["symrank", "@sl_7_3", "-B", "1"],
+    "symrank_so_2": ["symrank", "@so_2", "-B", "2"],
+    "eta_so_2_norep": ["eta", "@so_2", "--rep", "none", "-B", "2"],
     # `ed` on so_1_char is inconclusive (exit 2), so it is not listed
     **{f"{cmd}_so_1_char": [cmd, "@so_1_char"] for cmd in ("validate", "stabilizer", "eta")},
     **{f"oracle_stab_{name}": ["oracle", "stab", "@" + name] for name in ("so_2", "sl_9_3", "so_1_char")},
