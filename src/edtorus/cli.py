@@ -26,6 +26,7 @@ from .monogrp import (
     PresentationError,
     RepBlock,
     character_lattice_action,
+    check_rep_compatible,
     natural_rep,
     validate,
 )
@@ -399,6 +400,8 @@ def _cmd_table(args, out) -> int:
 def _cmd_oracle(args, out) -> int:
     if args.kind == "stab":
         P, rep = load_presentation(args.input, args.rep)
+        # input validation only: the oracle's own computation stays independent
+        check_rep_compatible(P, rep)
         report = oracle.ff_stabilizer(
             P, rep, q=args.q, trials=args.trials, seed=args.seed, budget=args.max_steps
         )

@@ -5,6 +5,14 @@ lattice spanning a finite-index sublattice of index prime to p.  Exact search
 by branch and bound over orbits of bounded vectors, certified against the
 rank bound and the abelian permutation-group bound; exactness is only ever
 claimed when a certified lower bound meets the best witness found.
+
+p-spanning is full rank mod p, so the search sees each orbit only through its
+F_p span, reduced once to a canonical reduced echelon form of at most d rows;
+orbits whose span is zero are dropped.  A node joins the current span with
+one such span, at most O(d) row reductions, and a memo cuts every node that
+reaches a (position, span) state already reached at no larger size.  The
+node budget counts branch-and-bound nodes, and the memo holds at most one
+entry per node.
 """
 
 from __future__ import annotations
@@ -12,8 +20,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
-
-import numpy as np
 
 from . import zlat
 from .monogrp import PresentationError, closure
@@ -136,73 +142,48 @@ def default_search_bound(L: FLattice) -> int:
 # -- F_p linear algebra (the p-spanning test is full rank mod p) --------------
 
 
-def _reduce_mod_p(basis: list[list[int]], vec, p: int) -> list[int] | None:
-    """Reduce vec against an echelon basis mod p; None if it reduces to zero."""
-    v = [x % p for x in vec]
-    for row in basis:
-        lead = next(i for i, x in enumerate(row) if x)
-        if v[lead]:
-            factor = (v[lead] * pow(row[lead], p - 2, p)) % p
-            v = [(a - factor * b) % p for a, b in zip(v, row)]
-    if any(v):
-        return v
-    return None
+def _span(rows, vecs, p: int) -> tuple[tuple[int, ...], ...]:
+    """Canonical F_p span of a canonical span `rows` joined with `vecs`: the
+    reduced row echelon form mod p, rows sorted by pivot, zero rows dropped.
+    Every row leads with 1, so its pivot is its first 1."""
+    out = [list(r) for r in rows]
+    for vec in vecs:
+        v = [x % p for x in vec]
+        for r in out:
+            f = v[r.index(1)]
+            if f:
+                v = [(a - f * b) % p for a, b in zip(v, r)]
+        if not any(v):
+            continue
+        c = next(j for j, x in enumerate(v) if x)
+        inv = pow(v[c], p - 2, p)
+        v = [(x * inv) % p for x in v]
+        for k, r in enumerate(out):
+            f = r[c]
+            if f:
+                out[k] = [(a - f * b) % p for a, b in zip(r, v)]
+        out.append(v)
+    # in reduced echelon form, descending lexicographic order is pivot order
+    out.sort(reverse=True)
+    return tuple(tuple(r) for r in out)
 
 
-def _extend_basis(basis: list[list[int]], vecs, p: int) -> list[list[int]]:
-    out = [list(r) for r in basis]
-    for v in vecs:
-        red = _reduce_mod_p(out, v, p)
-        if red is not None:
-            out.append(red)
-    return out
-
-
-@dataclass
-class _Orbit:
-    rep: tuple[int, ...]
-    size: int
-    vectors: tuple[tuple[int, ...], ...]
-
-
-def _enumerate_orbits(L: FLattice, B: int, box_budget: int) -> list[_Orbit]:
-    """Orbits of the nonzero vectors of sup-norm <= B, canonicalized by their
-    lexicographically smallest member and sorted by (size, representative)."""
-    d = L.rank
-    total = (2 * B + 1) ** d
+def _enumerate_orbits(L: FLattice, B: int, box_budget: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Orbits of the nonzero vectors of sup-norm <= B, each a sorted tuple
+    (so its first member is its smallest), sorted by (size, smallest member)."""
+    total = (2 * B + 1) ** L.rank
     if total > box_budget:
         raise SearchBudgetExceeded(
             f"box of {total} vectors exceeds the search budget {box_budget}"
         )
-    mats = np.array(L.matrices, dtype=np.int64)  # (g, d, d)
-    reps: set[tuple[int, ...]] = set()
-    chunk = 1 << 17
-    ranges = [np.arange(-B, B + 1, dtype=np.int64)] * d
-    grid = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, d)
-    for start in range(0, grid.shape[0], chunk):
-        block = grid[start : start + chunk]
-        # images[g] = block @ mats[g].T
-        images = np.einsum("gij,vj->gvi", mats, block)
-        cur = images[0].copy()
-        for g in range(1, mats.shape[0]):
-            cand = images[g]
-            less = np.zeros(block.shape[0], dtype=bool)
-            decided = np.zeros(block.shape[0], dtype=bool)
-            for col in range(d):
-                lt = (cand[:, col] < cur[:, col]) & ~decided
-                gt = (cand[:, col] > cur[:, col]) & ~decided
-                less |= lt
-                decided |= lt | gt
-            cur[less] = cand[less]
-        for row in cur[np.any(block != 0, axis=1)]:
-            reps.add(tuple(int(x) for x in row))
+    seen: set[tuple[int, ...]] = set()
     orbits = []
-    for rep in reps:
-        vecs = L.orbit(rep)
-        if vecs[0] != rep:
-            raise PresentationError("INTERNAL", "canonical representative must be the orbit minimum")
-        orbits.append(_Orbit(rep=rep, size=len(vecs), vectors=vecs))
-    orbits.sort(key=lambda o: (o.size, o.rep))
+    for v in itertools.product(range(-B, B + 1), repeat=L.rank):
+        if any(v) and v not in seen:
+            orbit = L.orbit(v)
+            seen.update(orbit)
+            orbits.append(orbit)
+    orbits.sort(key=lambda o: (len(o), o[0]))
     return orbits
 
 
@@ -237,10 +218,18 @@ def symrank(
         best_witness = vecs
 
     if best_size is None or best_size > lower:
-        orbits = _enumerate_orbits(L, B, box_budget)
-        suffix: list[list[list[int]]] = [[] for _ in range(len(orbits) + 1)]
+        # each orbit enters the search only through its span mod p; an orbit
+        # whose span is zero can never help
+        orbits = []
+        spans = []
+        for orbit in _enumerate_orbits(L, B, box_budget):
+            span = _span((), orbit, p)
+            if span:
+                orbits.append(orbit)
+                spans.append(span)
+        suffix = [()] * (len(orbits) + 1)
         for i in range(len(orbits) - 1, -1, -1):
-            suffix[i] = _extend_basis(suffix[i + 1], orbits[i].vectors, p)
+            suffix[i] = _span(suffix[i + 1], spans[i], p)
         if len(suffix[0]) < d and best_size is None:
             raise Inconclusive(
                 f"no invariant p-spanning union of orbits with sup-norm <= {B}"
@@ -248,8 +237,12 @@ def symrank(
 
         nodes = 0
         chosen: list[int] = []
+        # least size at which the loop reached (i, span): the completions from
+        # a state do not depend on how it was reached and the incumbent only
+        # improves, so reaching it again at no smaller size cannot do better
+        reached: dict[tuple, int] = {}
 
-        def dfs(i: int, size: int, basis: list[list[int]]):
+        def dfs(i: int, size: int, basis):
             # recursion depth is bounded by the rank: only inclusions recurse,
             # skips advance the loop below
             nonlocal nodes, best_size, best_witness
@@ -259,7 +252,7 @@ def symrank(
                     best_size = size
                     vecs: list[tuple[int, ...]] = []
                     for k in chosen:
-                        vecs.extend(orbits[k].vectors)
+                        vecs.extend(orbits[k])
                     best_witness = tuple(sorted(set(vecs)))
                 return
             while i < len(orbits):
@@ -268,20 +261,25 @@ def symrank(
                     raise SearchBudgetExceeded("branch-and-bound node budget exhausted")
                 if best_size is not None and best_size <= lower:
                     return
-                if best_size is not None and size + (d - rank) >= best_size:
+                # a completion adds d - rank vectors at least, and one orbit
+                # at least, none smaller than orbit i (orbits come by size)
+                if best_size is not None and size + max(d - rank, len(orbits[i])) >= best_size:
                     return
-                if len(_extend_basis(basis, _rows(suffix[i]), p)) < d:
+                if reached.get((i, basis), size + 1) <= size:
+                    return
+                reached[i, basis] = size
+                if len(suffix[i]) < d and len(_span(basis, suffix[i], p)) < d:
                     return  # remaining orbits cannot reach full rank
-                gain = _extend_basis(basis, orbits[i].vectors, p)
+                gain = _span(basis, spans[i], p)
                 if len(gain) == rank:
                     i += 1  # no new span: dominated, forced skip
                     continue
                 chosen.append(i)
-                dfs(i + 1, size + orbits[i].size, gain)
+                dfs(i + 1, size + len(orbits[i]), gain)
                 chosen.pop()
                 i += 1  # skip branch
 
-        dfs(0, 0, [])
+        dfs(0, 0, ())
 
     if best_size is None:
         raise Inconclusive(f"no invariant p-spanning union of orbits with sup-norm <= {B}")
@@ -296,10 +294,6 @@ def symrank(
         lower_bound_used=lower,
         search_bound=B,
     )
-
-
-def _rows(basis: list[list[int]]):
-    return [tuple(r) for r in basis]
 
 
 def _check_invariant_spanning(L: FLattice, p: int, vecs) -> None:

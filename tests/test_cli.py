@@ -123,10 +123,10 @@ class TestSchema:
 
 
 class TestRepresentationCheck:
-    @pytest.mark.parametrize("command", ["stabilizer", "eta", "ed"])
+    @pytest.mark.parametrize("command", ["stabilizer", "eta", "ed", "oracle stab"])
     def test_block_that_is_not_a_representation_rejected(self, tmp_path, capsys, command):
         path = write_json(tmp_path, NOT_A_REPRESENTATION)
-        code, out, err = run([command, path, "--format", "json"], capsys)
+        code, out, err = run([*command.split(), path, "--format", "json"], capsys)
         assert code == EXIT_INVALID
         assert out == ""
         diagnostic = json.loads(err)

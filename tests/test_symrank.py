@@ -6,11 +6,13 @@ import pytest
 
 from edtorus.monogrp import character_lattice_action, closure, natural_rep
 from edtorus.oracle import symrank_bruteforce
-from edtorus.pipeline import sln_case
+from edtorus.pipeline import sln_case, so_case
 from edtorus.symrank import (
     EtaError,
     FLattice,
+    _enumerate_orbits,
     _mat_mul,
+    _span,
     eta_bounds,
     perm_lower_bound,
     symrank,
@@ -169,6 +171,14 @@ class TestBudgets:
         with pytest.raises(SearchBudgetExceeded):
             symrank(L, 2, B=3, box_budget=10)
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_sl7_search_within_node_budget(self, p):
+        # a per-orbit search over every vector needed 41k-52k nodes here
+        L = character_lattice_action(sln_case(7, p).presentation)
+        res = symrank(L, p, B=1, node_budget=5_000)
+        assert res.value == 6
+        assert res.status == "EXACT"
+
 
 class TestPermLowerBound:
     def test_sl3(self, sl3_three_cycle):
@@ -258,6 +268,40 @@ class TestAgainstBruteforce:
             assert got == expect, f"seed {seed} ({name}): {got} != {expect}"
             checked += 1
         assert checked == 20
+
+
+class TestDifferential:
+    @pytest.mark.parametrize(
+        "maker,p,B",
+        [
+            (lambda: character_lattice_action(sln_case(4, 2).presentation), 2, 1),
+            (lambda: character_lattice_action(sln_case(5, 2).presentation), 2, 1),
+            (lambda: character_lattice_action(so_case(1).presentation), 2, 2),
+            (lambda: character_lattice_action(sln_case(4, 3).presentation), 3, 2),
+            (lambda: FLattice(rank=1, matrices=(((1,),), ((-1,),))), 2, 3),
+        ],
+        ids=["sl_4_2", "sl_5_2", "so_1", "sl_4_3", "negation"],
+    )
+    def test_search_matches_bruteforce(self, maker, p, B):
+        L = maker()
+        assert symrank(L, p, B=B).value == symrank_bruteforce(L, p, B)
+
+    def test_so1_has_orbits_that_vanish_mod_p(self):
+        # the search drops these orbits; the so_1 case above covers that path
+        L = character_lattice_action(so_case(1).presentation)
+        assert any(not _span((), o, 2) for o in _enumerate_orbits(L, 2, 10**6))
+
+
+class TestSpan:
+    def test_canonical_form(self):
+        # the same F_3 plane from two different generating sets
+        a = _span((), [(1, 1, 0), (0, 1, 2)], 3)
+        b = _span((), [(2, 0, 2), (1, 2, 2), (3, 3, 0)], 3)
+        assert a == b == ((1, 0, 1), (0, 1, 2))
+
+    def test_join_and_zero_rows(self):
+        assert _span((), [(2, 4), (0, 0)], 2) == ()
+        assert _span(((1, 0),), [(1, 1)], 2) == ((1, 0), (0, 1))
 
 
 class TestEta:
