@@ -173,7 +173,7 @@ class TestBudgets:
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_sl7_search_within_node_budget(self, p):
-        # a per-orbit search over every vector needed 41k-52k nodes here
+        # pins the span search and its memo (under 1,000 nodes here), not a timing
         L = character_lattice_action(sln_case(7, p).presentation)
         res = symrank(L, p, B=1, node_budget=5_000)
         assert res.value == 6
