@@ -339,7 +339,7 @@ def _cmd_symrank(args, out) -> int:
 
 def _cmd_eta(args, out) -> int:
     P, rep = load_presentation(args.input, args.rep)
-    res = eta_bounds(P, rep if args.rep != "none" else None, B=args.bound)
+    res = eta_bounds(P, rep if args.rep != "none" else None, B=args.bound, max_steps=args.max_steps)
     emit(jsonable_eta(res), args.format, out)
     return EXIT_OK if res.exact is not None else EXIT_INCONCLUSIVE
 
@@ -355,7 +355,7 @@ def _ed_from_args(args):
     if len(args.target) != 1:
         raise InputError("usage: ed <input.json> | ed case ...")
     P, rep = load_presentation(args.target[0], args.rep)
-    return pipeline.essential_p_dimension(P, rep)
+    return pipeline.essential_p_dimension(P, rep, max_steps=args.max_steps)
 
 
 def _cmd_ed(args, out) -> int:

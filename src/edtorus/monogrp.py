@@ -348,10 +348,9 @@ class ComponentGroup:
         return tuple(sorted(closure(self.identity, sorted(set(indices)), lambda x, g: table[x][g])))
 
     def is_subgroup(self, indices) -> bool:
+        """Holds the identity and equals the closure of its greedy generating set."""
         s = set(indices)
-        if self.identity not in s:
-            return False
-        return all(self.table[i][j] in s for i in s for j in s)
+        return self.identity in s and set(self.subgroup_closure(self._generators(sorted(s)))) == s
 
     def rep_actions(self, R: MonomialRep) -> list[tuple[Perm, Coeff]]:
         """Action of each class representative on all lines of R, modulo R.modulus."""
@@ -693,19 +692,33 @@ def component_group(P: MonomialGroupPresentation, cap: int = DEFAULT_ELEMENT_CAP
 
 @lru_cache(maxsize=None)
 def character_lattice_action(P: MonomialGroupPresentation, cap: int = DEFAULT_ELEMENT_CAP):
-    """The rank-d lattice together with the finite matrix group induced on it
-    (cached per presentation and cap, as `validate` is)."""
+    """The rank-d lattice with the matrix group F induces on it, cached as `validate` is.
+    The weights span, so a matrix is fixed by how it permutes the distinct weight values:
+    the image is closed as permutations, with one product A_y = A_x A_g per image element."""
     from .symrank import FLattice, _mat_mul
 
     report = ensure_valid(P, cap)
     group_order = component_group(P, cap).order
     d = P.torus_rank
-    gens = sorted({m_as_tuple(A) for A in report.induced_matrices})
+    values = sorted(set(P.weights))
+    pos = {w: k for k, w in enumerate(values)}
+    ident = tuple(range(len(values)))
+    mats = {ident: m_as_tuple(IntMatrix.identity(d))}
+    for A in report.induced_matrices:
+        mats.setdefault(tuple(pos[A.apply(w)] for w in values), m_as_tuple(A))
+    gens = sorted(g for g in mats if g != ident)
+
+    def mul(x, g):
+        y = perm_compose(x, g)
+        if y not in mats:
+            mats[y] = _mat_mul(mats[x], mats[g])
+        return y
+
     # the matrix group is the image of F, so it never needs more than |F| elements
-    mats = closure(m_as_tuple(IntMatrix.identity(d)), gens, _mat_mul, cap=group_order)
-    if mats is None or group_order % len(mats) != 0:
+    image = closure(ident, gens, mul, cap=group_order)
+    if image is None or group_order % len(image) != 0:
         raise PresentationError("INTERNAL", "lattice action order must divide the component order")
-    return FLattice(rank=d, matrices=tuple(sorted(mats)))
+    return FLattice(rank=d, matrices=tuple(sorted(mats.values())), generators=tuple(mats[g] for g in gens))
 
 
 def m_as_tuple(A: IntMatrix) -> tuple[tuple[int, ...], ...]:

@@ -38,12 +38,13 @@ class Inconclusive(Exception):
 
 @dataclass(frozen=True)
 class FLattice:
-    """Z^rank with a finite group of unimodular matrices acting on it."""
+    """Z^rank with a finite group of unimodular matrices acting on it.  A caller
+    that closed the group itself passes its non-identity generators, and the
+    closure check is skipped; otherwise the check picks them."""
 
     rank: int
     matrices: tuple[tuple[tuple[int, ...], ...], ...]
-    # the matrices the closure check below picks; they generate the group
-    generators: tuple = field(init=False, repr=False, compare=False)
+    generators: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         mats = set(self.matrices)
@@ -53,6 +54,10 @@ class FLattice:
         for a in self.matrices:
             if len(a) != self.rank or any(len(r) != self.rank for r in a):
                 raise ValueError("matrix shape mismatch")
+        if self.generators is not None:
+            if not set(self.generators) <= mats - {ident}:
+                raise ValueError("generators must be non-identity members of the matrix set")
+            return
         # A finite set is closed under products iff it equals the monoid it
         # generates; each matrix not yet reached joins the generators.
         gens = []
@@ -328,14 +333,15 @@ class EtaResult:
     certificate: str | None  # how exactness was certified, if it was
 
 
-def eta_bounds(P, V=None, B: int | None = None, run_search: bool = True) -> EtaResult:
+def eta_bounds(P, V=None, B: int | None = None, run_search: bool = True, max_steps: int | None = None) -> EtaResult:
     """Bounds on the minimal p-faithful dimension from the lattice action.
 
     The symmetric p-rank of the character lattice is always a lower bound; a
     verified splitting makes it exact.  A supplied p-faithful representation
     V bounds from above, and its nonzero weight set is itself an invariant
     p-spanning set, so a matching certified lower bound pins the value with
-    no search at all.
+    no search at all.  `max_steps`, when given, bounds both the box and the
+    nodes of the symrank search; a search a budget stops reports no symrank.
     """
     from .monogrp import character_lattice_action, ensure_valid
     from .stab import is_p_faithful
@@ -369,7 +375,8 @@ def eta_bounds(P, V=None, B: int | None = None, run_search: bool = True) -> EtaR
         )
     elif run_search:
         try:
-            sr = symrank(L, p, B=B, initial_witness=candidate)
+            budgets = {} if max_steps is None else {"box_budget": max_steps, "node_budget": max_steps}
+            sr = symrank(L, p, B=B, initial_witness=candidate, **budgets)
         except (SearchBudgetExceeded, Inconclusive):
             sr = None
 

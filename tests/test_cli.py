@@ -2,10 +2,13 @@
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
 from edtorus.cli import EXIT_BUDGET, EXIT_INCONCLUSIVE, EXIT_INVALID, EXIT_OK, main
+
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
 
 SL2_NORMALIZER = {
     "p": 2,
@@ -269,6 +272,24 @@ class TestBudgets:
         )
         assert code == EXIT_BUDGET
         assert "BUDGET_EXCEEDED" in err
+
+    def test_eta_search_obeys_max_steps(self, capsys):
+        path = str(GOLDEN_INPUTS / "sl_7_2.json")
+        code, out, _ = run(["eta", path, "-B", "1", "--format", "json"], capsys)
+        sr = json.loads(out)["symrank"]
+        assert (sr["value"], sr["status"]) == (6, "EXACT")
+        # a search the budget stops reports no symrank, as before
+        code, out, _ = run(["eta", path, "-B", "1", "--max-steps", "1", "--format", "json"], capsys)
+        assert json.loads(out)["symrank"] is None
+
+    def test_ed_file_search_obeys_max_steps(self, capsys):
+        # unbounded, the search certifies eta = 6 on this split presentation
+        path = str(GOLDEN_INPUTS / "sl_7_3.json")
+        code, out, _ = run(["ed", path, "--max-steps", "1", "--format", "json"], capsys)
+        doc = json.loads(out)
+        assert code == EXIT_INCONCLUSIVE
+        assert (doc["eta_lower"], doc["eta_upper"]) == (6, 7)
+        assert doc["hypotheses"]["eta_certificate"] is None
 
     def test_env_var_budget(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("EDTORUS_MAX_STEPS", "1")

@@ -1,5 +1,6 @@
 """Presentation validation, component groups, lattice actions, character blocks."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -19,9 +20,26 @@ from edtorus.monogrp import (
     natural_rep,
     perm_compose,
     perm_inverse,
+    m_as_tuple,
     validate,
 )
 from edtorus.pipeline import sln_case, so_case
+from edtorus.symrank import _mat_mul
+from edtorus.zlat import IntMatrix
+
+
+def _repeated_and_zero_weights():
+    """Lines 0 and 2 share weight (1, 0), lines 1 and 3 share (0, 1), line 4 has
+    weight zero.  Generator 0 swaps the two coordinates; generator 1 swaps the
+    lines of equal weight 0 and 2, so it induces the identity matrix.  The
+    component group is dihedral of order 8, its lattice image has order 2."""
+    return MonomialGroupPresentation(
+        p=2,
+        torus_rank=2,
+        root_of_unity_exponent=1,
+        weights=((1, 0), (0, 1), (1, 0), (0, 1), (0, 0)),
+        generators=(((1, 0, 3, 2, 4), (0,) * 5), ((2, 1, 0, 3, 4), (0,) * 5)),
+    )
 
 
 class TestConventions:
@@ -210,6 +228,53 @@ class TestComponentGroup:
         n = group.order
         assert group.is_abelian() == all(literal[i][j] == literal[j][i] for i in range(n) for j in range(n))
 
+    @pytest.mark.parametrize(
+        "maker",
+        [lambda: sln_case(9, 2).presentation, lambda: so_case(2).presentation],  # |F| = 128, 16
+        ids=["sl_9_2", "so_2"],
+    )
+    def test_is_subgroup_matches_all_pairs(self, maker):
+        group = component_group(maker())
+        table = group.table
+
+        def all_pairs(s):
+            return group.identity in s and all(table[a][b] in s for a in s for b in s)
+
+        # every subgroup, grown from the trivial one an element at a time;
+        # <H, x> = <H, x h> for h in H, so one x per coset x H is enough
+        gens_of = {(group.identity,): []}
+        frontier = list(gens_of)
+        while frontier:
+            nxt = []
+            for H in frontier:
+                done = set(H)
+                for x in range(group.order):
+                    if x in done:
+                        continue
+                    done.update(table[x][h] for h in H)
+                    K = group.subgroup_closure(gens_of[H] + [x])
+                    if K not in gens_of:
+                        gens_of[K] = gens_of[H] + [x]
+                        nxt.append(K)
+            frontier = nxt
+        for H in gens_of:
+            assert all_pairs(set(H))
+            assert group.is_subgroup(H)
+        # near misses and random sets, with and without the identity
+        rng = random.Random(0)
+        candidates = []
+        for H in gens_of:
+            outside = [x for x in range(group.order) if x not in H]
+            if len(H) > 1:
+                candidates.append(set(H) - {rng.choice(H[1:])})
+            if outside:
+                candidates.append(set(H) | {rng.choice(outside)})
+        for _ in range(200):
+            candidates.append(set(rng.sample(range(group.order), rng.randint(1, group.order))))
+        verdicts = [all_pairs(s) for s in candidates]
+        assert [group.is_subgroup(s) for s in candidates] == verdicts
+        assert verdicts.count(False) > len(candidates) // 2
+
     def test_homomorphism_to_lattice_matrices(self, sl3_three_cycle):
         report = validate(sl3_three_cycle)
         group = component_group(sl3_three_cycle)
@@ -289,6 +354,55 @@ class TestCharacterLattice:
     def test_trivial_generators(self, weight_two_line):
         L = character_lattice_action(weight_two_line)
         assert L.order == 1
+
+    @pytest.mark.parametrize(
+        "maker",
+        [
+            lambda: sln_case(3, 3).presentation,
+            lambda: sln_case(4, 2).presentation,
+            lambda: sln_case(5, 2).presentation,
+            lambda: sln_case(6, 3).presentation,
+            lambda: sln_case(7, 2).presentation,
+            lambda: sln_case(8, 2).presentation,
+            lambda: sln_case(9, 3).presentation,
+            lambda: so_case(1).presentation,
+            lambda: so_case(2).presentation,
+            _repeated_and_zero_weights,
+        ],
+        ids=["sl_3_3", "sl_4_2", "sl_5_2", "sl_6_3", "sl_7_2", "sl_8_2", "sl_9_3", "so_1", "so_2", "repeated_zero"],
+    )
+    def test_matches_matrix_closure(self, maker):
+        P = maker()
+        L = character_lattice_action(P)
+        # reference: the induced generator matrices closed under matrix products
+        ident = m_as_tuple(IntMatrix.identity(P.torus_rank))
+        gens = sorted({m_as_tuple(A) for A in validate(P).induced_matrices})
+        assert L.matrices == tuple(sorted(closure(ident, gens, _mat_mul)))
+        assert L.is_abelian() == all(_mat_mul(a, b) == _mat_mul(b, a) for a in L.matrices for b in L.matrices)
+        assert ident not in L.generators
+
+    def test_identity_generator_left_out(self):
+        L = character_lattice_action(_repeated_and_zero_weights())
+        assert component_group(_repeated_and_zero_weights()).order == 8
+        assert L.order == 2
+        assert L.generators == (((0, 1), (1, 0)),)
+
+    def test_one_matrix_product_per_image_element(self, monkeypatch):
+        import importlib
+
+        symrank_module = importlib.import_module("edtorus.symrank")  # the package exports a function of that name
+        calls = 0
+
+        def counting_mul(a, b):
+            nonlocal calls
+            calls += 1
+            return _mat_mul(a, b)
+
+        P = sln_case(16, 2).presentation
+        monkeypatch.setattr(symrank_module, "_mat_mul", counting_mul)
+        L = character_lattice_action.__wrapped__(P)  # past the cache: a fresh build
+        assert L.order == 256
+        assert calls <= L.order
 
     def test_cached_per_presentation(self, so4_presentation):
         L = character_lattice_action(so4_presentation)

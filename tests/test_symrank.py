@@ -83,6 +83,19 @@ class TestFLatticeChecks:
         random.Random(3).shuffle(mats)
         assert FLattice(rank=2, matrices=tuple(mats)).order == 8
 
+    def test_trusted_generators_keep_identity_and_shape_checks(self):
+        neg = ((-1,),)
+        assert FLattice(rank=1, matrices=(((1,),), neg), generators=(neg,)).generators == (neg,)
+        with pytest.raises(ValueError, match="identity"):
+            FLattice(rank=1, matrices=(neg,), generators=(neg,))
+        with pytest.raises(ValueError, match="shape"):
+            FLattice(rank=1, matrices=(((1,),), ((1, 0), (0, 1))), generators=())
+
+    @pytest.mark.parametrize("gens", [(((1,),),), (((2,),),)], ids=["identity", "non_member"])
+    def test_trusted_generators_must_be_non_identity_members(self, gens):
+        with pytest.raises(ValueError, match="generators"):
+            FLattice(rank=1, matrices=(((1,),), ((-1,),)), generators=gens)
+
 
 class TestFLatticeAbelian:
     @staticmethod
