@@ -10,9 +10,9 @@ for cross-validation.
 
 from .monogrp import (
     ComponentGroup,
+    EdtorusError,
     MonomialGroupPresentation,
     MonomialRep,
-    PresentationError,
     RepBlock,
     append_character_block,
     character_lattice_action,
@@ -51,12 +51,12 @@ __version__ = "0.1.0"
 __all__ = [
     "ComponentGroup",
     "EdReport",
+    "EdtorusError",
     "FLattice",
     "FiniteAbelianStructure",
     "IntMatrix",
     "MonomialGroupPresentation",
     "MonomialRep",
-    "PresentationError",
     "RepBlock",
     "SmithDecomposition",
     "StabilizerReport",

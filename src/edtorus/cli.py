@@ -6,8 +6,13 @@ permutation image lists), optional extra_blocks (same shape per block) and an
 optional split claim.  Unknown keys are rejected so golden outputs stay
 bit-exact.
 
-Exit codes: 0 success, 1 invalid input, 2 inconclusive (no certified
-exactness), 3 budget exceeded.
+Exit codes: 0 success, 2 inconclusive (no certified exactness), and for
+every request that gives no answer one JSON diagnostic {"error", "detail"} on
+stderr, its exit code read from the error code:
+
+    INCONCLUSIVE                     2
+    BUDGET_EXCEEDED, LIMIT_EXCEEDED  3
+    any other code (BAD_INPUT, ...)  1
 """
 
 from __future__ import annotations
@@ -21,36 +26,25 @@ from fractions import Fraction
 
 from . import oracle, pipeline
 from .monogrp import (
+    EdtorusError,
     MonomialGroupPresentation,
     MonomialRep,
-    PresentationError,
     RepBlock,
     character_lattice_action,
     check_rep_compatible,
     natural_rep,
     validate,
 )
-from .oracle import OracleError
-from .pipeline import PipelineError
-from .stab import StabError, generic_stabilizer
-from .symrank import (
-    EtaError,
-    Inconclusive,
-    SearchBudgetExceeded,
-    eta_bounds,
-    symrank as symrank_search,
-)
+from .stab import generic_stabilizer
+from .symrank import eta_bounds, symrank as symrank_search
 
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_BUDGET = 3
+_EXIT_CODES = {"INCONCLUSIVE": EXIT_INCONCLUSIVE, "BUDGET_EXCEEDED": EXIT_BUDGET, "LIMIT_EXCEEDED": EXIT_BUDGET}
 
 MAX_STEPS_ENV = "EDTORUS_MAX_STEPS"
-
-
-class InputError(Exception):
-    pass
 
 
 # -- schema ---------------------------------------------------------------------
@@ -63,33 +57,33 @@ _BLOCK_KEYS = {"weights", "generators"}
 def _int(x, what: str) -> int:
     """A JSON integer; bool, float and str are rejected, never coerced."""
     if type(x) is not int:
-        raise InputError(f"{what} must be an integer, got {json.dumps(x)}")
+        raise EdtorusError("BAD_INPUT", f"{what} must be an integer, got {json.dumps(x)}")
     return x
 
 
 def _int_list(x, length: int, what: str) -> tuple[int, ...]:
     if not isinstance(x, list) or len(x) != length:
-        raise InputError(f"{what} must be an array of {length} integers")
+        raise EdtorusError("BAD_INPUT", f"{what} must be an array of {length} integers")
     return tuple(_int(v, what) for v in x)
 
 
 def _object(x, keys: set, what: str) -> dict:
     if not isinstance(x, dict):
-        raise InputError(f"{what} must be a JSON object")
+        raise EdtorusError("BAD_INPUT", f"{what} must be a JSON object")
     if set(x) - keys:
-        raise InputError(f"unknown {what} keys: {sorted(set(x) - keys)}")
+        raise EdtorusError("BAD_INPUT", f"unknown {what} keys: {sorted(set(x) - keys)}")
     return x
 
 
 def _parse_weights(x, d: int) -> tuple[tuple[int, ...], ...]:
     if not isinstance(x, list) or not x:
-        raise InputError("weights must be a nonempty array of integer arrays")
+        raise EdtorusError("BAD_INPUT", "weights must be a nonempty array of integer arrays")
     return tuple(_int_list(w, d, "each weight") for w in x)
 
 
 def _parse_generators(x, num_lines: int) -> list:
     if not isinstance(x, list):
-        raise InputError("generators must be an array")
+        raise EdtorusError("BAD_INPUT", "generators must be an array")
     return [_parse_generator(g, num_lines) for g in x]
 
 
@@ -97,11 +91,11 @@ def _parse_generator(obj, num_lines: int):
     obj = _object(obj, _GEN_KEYS, "generator")
     perm = _int_list(obj.get("perm"), num_lines, "perm")
     if sorted(perm) != list(range(1, num_lines + 1)):
-        raise InputError("perm must be a 1-based image list of the lines")
+        raise EdtorusError("BAD_INPUT", "perm must be a 1-based image list of the lines")
     num = _int_list(obj.get("coeff_num"), num_lines, "coeff_num")
     den = _int_list(obj.get("coeff_den"), num_lines, "coeff_den")
     if 0 in den:
-        raise InputError("coeff_den entries must be nonzero")
+        raise EdtorusError("BAD_INPUT", "coeff_den entries must be nonzero")
     return tuple(x - 1 for x in perm), tuple(Fraction(a, b) % 1 for a, b in zip(num, den))
 
 
@@ -109,47 +103,44 @@ def _scaled(coeffs, n: int) -> tuple[tuple[int, ...], ...]:
     """Fractions in [0, 1) as integers modulo n; every denominator must divide n."""
     bad = next((c.denominator for coeff in coeffs for c in coeff if n % c.denominator), None)
     if bad is not None:
-        raise PresentationError("BAD_INPUT", f"coefficient denominator {bad} does not divide e = {n}")
+        raise EdtorusError("BAD_INPUT", f"coefficient denominator {bad} does not divide e = {n}")
     return tuple(tuple(c.numerator * (n // c.denominator) for c in coeff) for coeff in coeffs)
 
 
 def presentation_from_json(doc) -> tuple[MonomialGroupPresentation, list[RepBlock]]:
-    """Parse and type-check an input document; malformed input raises InputError."""
+    """Parse and type-check an input document; malformed input raises EdtorusError("BAD_INPUT")."""
     if not isinstance(doc, dict):
-        raise InputError("top level must be a JSON object")
+        raise EdtorusError("BAD_INPUT", "top level must be a JSON object")
     unknown = set(doc) - _TOP_KEYS
     if unknown:
-        raise InputError(f"unknown keys: {sorted(unknown)}")
+        raise EdtorusError("BAD_INPUT", f"unknown keys: {sorted(unknown)}")
     for key in ("p", "torus_rank", "root_of_unity_exponent", "weights", "generators"):
         if key not in doc:
-            raise InputError(f"missing key: {key}")
+            raise EdtorusError("BAD_INPUT", f"missing key: {key}")
     p, d, e = (_int(doc[key], key) for key in ("p", "torus_rank", "root_of_unity_exponent"))
     split = doc.get("split")
     if split is not None and not isinstance(split, bool):
-        raise InputError("split must be true, false or null")
+        raise EdtorusError("BAD_INPUT", "split must be true, false or null")
     weights = _parse_weights(doc["weights"], d)
     gens = _parse_generators(doc["generators"], len(weights))
-    try:
-        P = MonomialGroupPresentation(
-            p=p,
-            torus_rank=d,
-            root_of_unity_exponent=e,
-            weights=weights,
-            generators=tuple(zip([g[0] for g in gens], _scaled([g[1] for g in gens], e))),
-            split_claim=split,
-        )
-    except PresentationError as exc:
-        raise InputError(str(exc)) from exc
+    P = MonomialGroupPresentation(
+        p=p,
+        torus_rank=d,
+        root_of_unity_exponent=e,
+        weights=weights,
+        generators=tuple(zip([g[0] for g in gens], _scaled([g[1] for g in gens], e))),
+        split_claim=split,
+    )
     extra = doc.get("extra_blocks", [])
     if not isinstance(extra, list):
-        raise InputError("extra_blocks must be an array")
+        raise EdtorusError("BAD_INPUT", "extra_blocks must be an array")
     blocks: list[RepBlock] = []
     for block in extra:
         block = _object(block, _BLOCK_KEYS, "block")
         bweights = _parse_weights(block.get("weights"), d)
         parsed = _parse_generators(block.get("generators"), len(bweights))
         if len(parsed) != len(gens):
-            raise InputError("each block needs one action per presentation generator")
+            raise EdtorusError("BAD_INPUT", "each block needs one action per presentation generator")
         # the block's modulus is the lcm of its reduced denominators
         modulus = math.lcm(*(c.denominator for g in parsed for c in g[1]))
         blocks.append(
@@ -189,9 +180,9 @@ def load_presentation(path: str, rep_selector: str) -> tuple[MonomialGroupPresen
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise EdtorusError("BAD_INPUT", f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON in {path}: {exc}") from exc
+        raise EdtorusError("BAD_INPUT", f"invalid JSON in {path}: {exc}") from exc
     P, blocks = presentation_from_json(doc)
     rep = natural_rep(P)
     if rep_selector == "full" and blocks:
@@ -347,13 +338,17 @@ def _cmd_eta(args, out) -> int:
 def _ed_from_args(args):
     if args.target[0] == "case":
         rest = args.target[1:]
+        try:
+            nums = [int(x) for x in rest[1:]]
+        except ValueError:
+            raise EdtorusError("BAD_INPUT", f"case arguments must be integers: {' '.join(rest[1:])}") from None
         if len(rest) == 3 and rest[0] == "sl":
-            return pipeline.ed_case_sl(int(rest[1]), int(rest[2]))
+            return pipeline.ed_case_sl(*nums)
         if len(rest) == 2 and rest[0] == "so":
-            return pipeline.ed_case_so(int(rest[1]))
-        raise InputError("usage: ed case sl <n> <p> | ed case so <n>")
+            return pipeline.ed_case_so(*nums)
+        raise EdtorusError("BAD_INPUT", "usage: ed case sl <n> <p> | ed case so <n>")
     if len(args.target) != 1:
-        raise InputError("usage: ed <input.json> | ed case ...")
+        raise EdtorusError("BAD_INPUT", "usage: ed <input.json> | ed case ...")
     P, rep = load_presentation(args.target[0], args.rep)
     return pipeline.essential_p_dimension(P, rep, max_steps=args.max_steps)
 
@@ -419,8 +414,8 @@ def _cmd_oracle(args, out) -> int:
     if args.kind == "symrank":
         P, _ = load_presentation(args.input, "natural")
         L = character_lattice_action(P)
-        value = oracle.symrank_bruteforce(L, P.p, args.bound if args.bound else 3)
-        emit({"value": value, "search_bound": args.bound if args.bound else 3}, args.format, out)
+        value = oracle.symrank_bruteforce(L, P.p, args.bound, budget=args.max_steps)
+        emit({"value": value, "search_bound": args.bound}, args.format, out)
         return EXIT_OK
     if args.kind == "sylow":
         report = oracle.sylow_abelian_bound_check(args.d, args.p)
@@ -432,7 +427,7 @@ def _cmd_oracle(args, out) -> int:
         }
         emit(doc, args.format, out)
         return EXIT_OK if report.passed else EXIT_INCONCLUSIVE
-    raise InputError("unknown oracle kind")
+    raise EdtorusError("BAD_INPUT", "unknown oracle kind")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -536,28 +531,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args, sys.stdout)
-    except InputError as exc:
-        _diagnostic("BAD_INPUT", str(exc))
-        return EXIT_INVALID
-    except PresentationError as exc:
-        if exc.code == "LIMIT_EXCEEDED":
-            _diagnostic(exc.code, exc.detail)
-            return EXIT_BUDGET
+    except EdtorusError as exc:
         _diagnostic(exc.code, exc.detail)
-        return EXIT_INVALID
-    except (StabError, EtaError, PipelineError) as exc:
-        _diagnostic(exc.code, exc.detail)
-        return EXIT_INVALID
-    except OracleError as exc:
-        _diagnostic(exc.code, exc.detail)
-        return EXIT_BUDGET if exc.code == "BUDGET_EXCEEDED" else EXIT_INVALID
-    except Inconclusive as exc:
-        _diagnostic("INCONCLUSIVE", str(exc))
-        return EXIT_INCONCLUSIVE
-    except SearchBudgetExceeded as exc:
-        _diagnostic("BUDGET_EXCEEDED", str(exc))
-        return EXIT_BUDGET
-
+        return _EXIT_CODES.get(exc.code, EXIT_INVALID)
 
 if __name__ == "__main__":
     sys.exit(main())

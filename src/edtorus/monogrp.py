@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import zlat
 from .zlat import IntMatrix
@@ -33,8 +33,10 @@ Coeff = tuple[int, ...]  # c_i modulo a modulus n, standing for c_i/n in Q/Z
 DEFAULT_ELEMENT_CAP = 10**6
 
 
-class PresentationError(Exception):
-    """A presentation violates one of its structural invariants."""
+class EdtorusError(Exception):
+    """Why no certified answer was given: a code (BAD_INPUT, INCONCLUSIVE,
+    BUDGET_EXCEEDED, ...) and a human-readable detail.  The one error type of
+    the package; the CLI maps the code to its exit status."""
 
     def __init__(self, code: str, detail: str = ""):
         self.code = code
@@ -129,23 +131,23 @@ class MonomialGroupPresentation:
 
     def __post_init__(self):
         if not _is_prime(self.p):
-            raise PresentationError("BAD_INPUT", f"p = {self.p} is not prime")
+            raise EdtorusError("BAD_INPUT", f"p = {self.p} is not prime")
         if self.torus_rank < 0:
-            raise PresentationError("BAD_INPUT", "negative torus rank")
+            raise EdtorusError("BAD_INPUT", "negative torus rank")
         e = self.root_of_unity_exponent
         if e < 1:
-            raise PresentationError("BAD_INPUT", "root_of_unity_exponent must be >= 1")
+            raise EdtorusError("BAD_INPUT", "root_of_unity_exponent must be >= 1")
         m = len(self.weights)
         for w in self.weights:
             if len(w) != self.torus_rank:
-                raise PresentationError("BAD_INPUT", "weight length must equal torus rank")
+                raise EdtorusError("BAD_INPUT", "weight length must equal torus rank")
         for perm, coeff in self.generators:
             if sorted(perm) != list(range(m)):
-                raise PresentationError("BAD_INPUT", "generator permutation is not a permutation of the lines")
+                raise EdtorusError("BAD_INPUT", "generator permutation is not a permutation of the lines")
             if len(coeff) != m:
-                raise PresentationError("BAD_INPUT", "generator coefficient length mismatch")
+                raise EdtorusError("BAD_INPUT", "generator coefficient length mismatch")
             if any(type(c) is not int or not 0 <= c < e for c in coeff):
-                raise PresentationError("BAD_INPUT", "coefficients must be integers reduced modulo e")
+                raise EdtorusError("BAD_INPUT", "coefficients must be integers reduced modulo e")
 
     @property
     def num_lines(self) -> int:
@@ -249,7 +251,7 @@ class _CoeffCanon:
         basis = [[(1 if i < dec.rank else n) * x for x in uinv.column(i)] for i in range(m)]
         self.hnf = zlat.hermite_normal_form(basis, m)
         if len(self.hnf) != m:
-            raise PresentationError("INTERNAL", "torsion-image lattice must have full rank")
+            raise EdtorusError("INTERNAL", "torsion-image lattice must have full rank")
 
     def canon(self, coeff: Coeff) -> tuple[int, ...]:
         if not coeff:
@@ -272,35 +274,39 @@ class ComponentGroup:
 
     Elements are stored in deterministic breadth-first order (lexicographic
     tie-break inside each level); element 0 is the identity.  `right[x][g]` is
-    the class of x times generator g (the right Cayley graph); the full
-    multiplication table is filled from it along the breadth-first words.
+    the class of x times generator g (the right Cayley graph), recorded by the
+    enumeration; the full multiplication table is filled from it along the
+    breadth-first words when it is first needed.
     """
 
-    def __init__(self, P: MonomialGroupPresentation, elements, index, canon):
+    def __init__(self, P: MonomialGroupPresentation, elements, index, canon, right):
         self.presentation = P
         self.elements: list[GroupElement] = elements
         self._index = index
         self._canon = canon
         self.identity = 0
-        n = len(elements)
-        e = P.root_of_unity_exponent
-        self.right = right = [
-            [self._lookup(monomial_mul((el.perm, el.coeff), gen, e)) for gen in P.generators]
-            for el in elements
-        ]
-        # rep(j) = rep(parent(j)) * gen_last(j), so x * rep(j) = (x * rep(parent(j))) * gen_last(j)
-        word_index = {el.word: j for j, el in enumerate(elements)}
-        steps = [(word_index[el.word[:-1]], el.word[-1]) for el in elements[1:]]
-        self.table = []
-        for i in range(n):
-            row = [i]
-            for parent, g in steps:
-                row.append(right[row[parent]][g])
-            self.table.append(row)
-        self.orders = [self._order(i) for i in range(n)]
+        self.right: list[list[int]] = right
         self._rep_actions: dict[MonomialRep, list[tuple[Perm, Coeff]]] = {}
         self._checked_reps: set[MonomialRep] = set()
         self._decompositions: dict[tuple[int, ...], tuple] = {}
+
+    @cached_property
+    def table(self) -> list[list[int]]:
+        # rep(j) = rep(parent(j)) * gen_last(j), so x * rep(j) = (x * rep(parent(j))) * gen_last(j)
+        right = self.right
+        word_index = {el.word: j for j, el in enumerate(self.elements)}
+        steps = [(word_index[el.word[:-1]], el.word[-1]) for el in self.elements[1:]]
+        table = []
+        for i in range(len(self.elements)):
+            row = [i]
+            for parent, g in steps:
+                row.append(right[row[parent]][g])
+            table.append(row)
+        return table
+
+    @cached_property
+    def orders(self) -> list[int]:
+        return [self._order(i) for i in range(len(self.elements))]
 
     def _lookup(self, pair: tuple[Perm, Coeff]) -> int:
         key = (pair[0], self._canon.canon(pair[1]))
@@ -386,7 +392,7 @@ class ComponentGroup:
                 perm, coeff = monomial_mul(actions[x], gens[g], n)
                 diff = tuple(a - b for a, b in zip(coeff, actions[y][1]))
                 if perm != actions[y][0] or (any(diff) and not canon.is_torsion_image(diff)):
-                    raise PresentationError(
+                    raise EdtorusError(
                         "BAD_INPUT",
                         f"blocks do not define a representation: class {x} times generator {g} "
                         f"does not act as class {y}",
@@ -452,7 +458,7 @@ class ComponentGroup:
         rel_matrix = IntMatrix.from_rows(relations).transpose()  # columns are relations
         dec = zlat.smith_normal_form(rel_matrix)
         if dec.rank != s:
-            raise PresentationError("INTERNAL", "relation lattice of a finite group must have full rank")
+            raise EdtorusError("INTERNAL", "relation lattice of a finite group must have full rank")
         uinv = zlat.unimodular_inverse(dec.U)
         basis = []
         orders = []
@@ -473,7 +479,7 @@ class ComponentGroup:
                 g = self.table[g][self.power(b, k)]
             coords[g] = expo
         if len(coords) != len(members):
-            raise PresentationError("INTERNAL", "decomposition must enumerate the subgroup")
+            raise EdtorusError("INTERNAL", "decomposition must enumerate the subgroup")
         return tuple(basis), tuple(orders), coords
 
     def characters(self):
@@ -538,11 +544,10 @@ def _induced_matrix(P: MonomialGroupPresentation, perm: Perm) -> IntMatrix:
     Wcols = P.weight_matrix().transpose()  # d x m, columns are weights
     dec = zlat.smith_normal_form(Wcols)
     if dec.rank < d:
-        raise PresentationError("RANK_DEFICIENT", "weights span a proper subspace")
+        raise EdtorusError("RANK_DEFICIENT", "weights span a proper subspace")
     m = P.num_lines
-    target = IntMatrix.from_rows(
-        [[P.weights[perm[i]][r] for i in range(m)] for r in range(d)]
-    )  # d x m with columns w_{perm(i)}
+    # d x m with columns w_{perm(i)}; shaped explicitly, as d may be 0
+    target = IntMatrix(d, m, tuple(P.weights[perm[i]][r] for r in range(d) for i in range(m)))
     B = target @ dec.V
     c_rows = [[0] * d for _ in range(d)]
     for i in range(d):
@@ -550,61 +555,71 @@ def _induced_matrix(P: MonomialGroupPresentation, perm: Perm) -> IntMatrix:
         for r in range(d):
             val = B.at(r, i)
             if val % di != 0:
-                raise PresentationError(
+                raise EdtorusError(
                     "NO_INDUCED_ACTION", "no integral matrix maps the weights onto their images"
                 )
             c_rows[r][i] = val // di
     for j in range(d, m):
         for r in range(d):
             if B.at(r, j) != 0:
-                raise PresentationError(
+                raise EdtorusError(
                     "NO_INDUCED_ACTION", "weight images violate the defining relations"
                 )
     A = IntMatrix.from_rows(c_rows) @ dec.U
     # must be an exact solution and unimodular
     for i in range(m):
         if A.apply(P.weights[i]) != tuple(P.weights[perm[i]]):
-            raise PresentationError("NO_INDUCED_ACTION", "no integral matrix maps the weights onto their images")
+            raise EdtorusError("NO_INDUCED_ACTION", "no integral matrix maps the weights onto their images")
     prod = 1
     for f in zlat.smith_normal_form(A).invariant_factors:
         prod *= f
     if prod != 1:
-        raise PresentationError("NO_INDUCED_ACTION", "induced matrix is not unimodular")
+        raise EdtorusError("NO_INDUCED_ACTION", "induced matrix is not unimodular")
     return A
 
 
-def _bfs_component_group(
-    P: MonomialGroupPresentation, canon: _CoeffCanon, cap: int
-) -> tuple[list[GroupElement], dict]:
+@lru_cache(maxsize=None)
+def _enumerate_group(P: MonomialGroupPresentation, cap: int) -> ComponentGroup:
+    """Breadth-first enumeration of the component group, shared by `validate`
+    and `component_group`: each Cayley edge is canonicalised once, and an edge
+    to a class first met on this level is resolved once the level is sorted."""
     m = P.num_lines
     e = P.root_of_unity_exponent
+    canon = _CoeffCanon(P.weight_matrix(), e)
     ident = GroupElement(perm=tuple(range(m)), coeff=(0,) * m, word=())
     elements = [ident]
     index = {(ident.perm, canon.canon(ident.coeff)): 0}
+    right: list[list[int]] = []
     level = [0]
-    gens = [(g[0], g[1]) for g in P.generators]
     while level:
-        fresh: list[GroupElement] = []
-        fresh_keys: dict = {}
+        fresh: dict = {}
+        pending = []  # (row, generator, key) of edges into this level's new classes
         for idx in level:
             el = elements[idx]
-            for j, gen in enumerate(gens):
+            row = [0] * len(P.generators)
+            right.append(row)  # levels are consecutive runs of indices, so right[idx] is row
+            for j, gen in enumerate(P.generators):
                 perm, coeff = monomial_mul((el.perm, el.coeff), gen, e)
                 key = (perm, canon.canon(coeff))
-                if key in index or key in fresh_keys:
+                y = index.get(key)
+                if y is not None:
+                    row[j] = y
                     continue
-                fresh_keys[key] = GroupElement(perm=perm, coeff=coeff, word=el.word + (j,))
-        ordered = sorted(fresh_keys.items(), key=lambda kv: kv[0])
+                if key not in fresh:
+                    fresh[key] = GroupElement(perm=perm, coeff=coeff, word=el.word + (j,))
+                pending.append((row, j, key))
         level = []
-        for key, el in ordered:
+        for key in sorted(fresh):
             if len(elements) >= cap:
-                raise PresentationError(
+                raise EdtorusError(
                     "LIMIT_EXCEEDED", f"component group exceeds the cap of {cap} elements"
                 )
             index[key] = len(elements)
             level.append(len(elements))
-            elements.append(el)
-    return elements, index
+            elements.append(fresh[key])
+        for row, j, key in pending:
+            row[j] = index[key]
+    return ComponentGroup(P, elements, index, canon, right)
 
 
 @lru_cache(maxsize=None)
@@ -629,16 +644,14 @@ def validate(P: MonomialGroupPresentation, cap: int = DEFAULT_ELEMENT_CAP) -> Va
 
     try:
         matrices = tuple(_induced_matrix(P, perm) for perm, _ in P.generators)
-    except PresentationError as exc:
+    except EdtorusError as exc:
         return failure(exc.code, exc.detail)
 
-    canon = _CoeffCanon(W, P.root_of_unity_exponent)
     try:
-        elements, _ = _bfs_component_group(P, canon, cap)
-    except PresentationError as exc:
+        order = len(_enumerate_group(P, cap))
+    except EdtorusError as exc:
         return failure(exc.code, exc.detail)
 
-    order = len(elements)
     n = order
     while n % P.p == 0:
         n //= P.p
@@ -669,25 +682,14 @@ def validate(P: MonomialGroupPresentation, cap: int = DEFAULT_ELEMENT_CAP) -> Va
 def ensure_valid(P: MonomialGroupPresentation, cap: int = DEFAULT_ELEMENT_CAP) -> ValidationReport:
     report = validate(P, cap)
     if not report.ok:
-        raise PresentationError(report.error or "INVALID", report.detail)
+        raise EdtorusError(report.error or "INVALID", report.detail)
     return report
-
-
-_GROUP_CACHE: dict[tuple, ComponentGroup] = {}
 
 
 def component_group(P: MonomialGroupPresentation, cap: int = DEFAULT_ELEMENT_CAP) -> ComponentGroup:
     """Complete enumeration of the component group with multiplication table."""
-    key = (P, cap)
-    got = _GROUP_CACHE.get(key)
-    if got is not None:
-        return got
     ensure_valid(P, cap)
-    canon = _CoeffCanon(P.weight_matrix(), P.root_of_unity_exponent)
-    elements, index = _bfs_component_group(P, canon, cap)
-    group = ComponentGroup(P, elements, index, canon)
-    _GROUP_CACHE[key] = group
-    return group
+    return _enumerate_group(P, cap)
 
 
 @lru_cache(maxsize=None)
@@ -717,7 +719,7 @@ def character_lattice_action(P: MonomialGroupPresentation, cap: int = DEFAULT_EL
     # the matrix group is the image of F, so it never needs more than |F| elements
     image = closure(ident, gens, mul, cap=group_order)
     if image is None or group_order % len(image) != 0:
-        raise PresentationError("INTERNAL", "lattice action order must divide the component order")
+        raise EdtorusError("INTERNAL", "lattice action order must divide the component order")
     return FLattice(rank=d, matrices=tuple(sorted(mats.values())), generators=tuple(mats[g] for g in gens))
 
 
@@ -737,16 +739,16 @@ def append_character_block(R: MonomialRep, chi) -> MonomialRep:
     group = component_group(P)
     n = len(group.elements)
     if len(chi) != n:
-        raise PresentationError("NOT_A_CHARACTER", "character must assign a value to every class")
+        raise EdtorusError("NOT_A_CHARACTER", "character must assign a value to every class")
     if chi[group.identity] % n != 0:
-        raise PresentationError("NOT_A_CHARACTER", "character must vanish on the identity")
+        raise EdtorusError("NOT_A_CHARACTER", "character must vanish on the identity")
     # chi(x g) = chi(x) + chi(g) on every Cayley edge gives chi(x y) = chi(x) +
     # chi(y) for all x, y, by induction on the word length of y
     gen_classes = group.right[group.identity]
     for x, row in enumerate(group.right):
         for g, y in enumerate(row):
             if (chi[x] + chi[gen_classes[g]] - chi[y]) % n != 0:
-                raise PresentationError("NOT_A_CHARACTER", "values do not respect the multiplication table")
+                raise EdtorusError("NOT_A_CHARACTER", "values do not respect the multiplication table")
     d = P.torus_rank
     block = RepBlock(
         weights=((0,) * d,),
@@ -762,22 +764,22 @@ def check_rep_compatible(P: MonomialGroupPresentation, R: MonomialRep) -> None:
     defining representation, and the blocks together must respect the
     relations of the component group."""
     if R.presentation != P:
-        raise PresentationError("BAD_INPUT", "representation belongs to a different presentation")
+        raise EdtorusError("BAD_INPUT", "representation belongs to a different presentation")
     report = ensure_valid(P)
     for b, block in enumerate(R.blocks):
         for j, A in enumerate(report.induced_matrices):
             perm = block.gen_perms[j]
             if sorted(perm) != list(range(block.dim)):
-                raise PresentationError("BAD_INPUT", f"block {b}: generator {j} is not a permutation")
+                raise EdtorusError("BAD_INPUT", f"block {b}: generator {j} is not a permutation")
             if len(block.gen_coeffs[j]) != block.dim:
-                raise PresentationError("BAD_INPUT", f"block {b}: coefficient length mismatch")
+                raise EdtorusError("BAD_INPUT", f"block {b}: coefficient length mismatch")
             if any(type(c) is not int or not 0 <= c < block.modulus for c in block.gen_coeffs[j]):
-                raise PresentationError(
+                raise EdtorusError(
                     "BAD_INPUT", f"block {b}: coefficients must be integers reduced modulo its modulus"
                 )
             for i in range(block.dim):
                 if A.apply(block.weights[i]) != tuple(block.weights[perm[i]]):
-                    raise PresentationError(
+                    raise EdtorusError(
                         "BAD_INPUT",
                         f"block {b}: weights are not permuted compatibly with the torus action",
                     )

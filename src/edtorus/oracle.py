@@ -12,28 +12,21 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 import numpy as np
 
 from .monogrp import (
+    EdtorusError,
     MonomialGroupPresentation,
     MonomialRep,
-    PresentationError,
     _is_prime,
     component_group,
     natural_rep,
 )
 
-DEFAULT_FF_BUDGET = 10**8
+DEFAULT_BUDGET = 10**8
 DEFAULT_TRIALS = 50
-
-
-class OracleError(Exception):
-    def __init__(self, code: str, detail: str = ""):
-        self.code = code
-        self.detail = detail
-        super().__init__(f"{code}: {detail}" if detail else code)
 
 
 def _primitive_root(q: int) -> int:
@@ -52,7 +45,7 @@ def _primitive_root(q: int) -> int:
     for g in range(2, q):
         if all(pow(g, order // f, q) != 1 for f in factors):
             return g
-    raise OracleError("BAD_MODULUS", f"no primitive root mod {q}")
+    raise EdtorusError("BAD_MODULUS", f"no primitive root mod {q}")
 
 
 def required_torsion(P: MonomialGroupPresentation, R: MonomialRep) -> int:
@@ -121,7 +114,7 @@ def ff_stabilizer(
     q: int | None = None,
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
-    budget: int = DEFAULT_FF_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> FFStabilizerReport:
     """Empirical generic stabilizer order over F_q by full enumeration.
 
@@ -132,24 +125,26 @@ def ff_stabilizer(
     only enlarge stabilizers, so the minimum over trials converges to the
     generic order from above.
     """
+    if trials < 1:
+        raise EdtorusError("BAD_INPUT", "trials must be >= 1")
     if R is None:
         R = natural_rep(P)
     group = component_group(P)
     if q is None:
         q = choose_modulus(P, R)
     if not _is_prime(q):
-        raise OracleError("BAD_MODULUS", f"q = {q} is not prime")
+        raise EdtorusError("BAD_MODULUS", f"q = {q} is not prime")
     L = required_torsion(P, R)
     if (q - 1) % L != 0:
-        raise OracleError("BAD_MODULUS", f"q - 1 must be divisible by {L}")
+        raise EdtorusError("BAD_MODULUS", f"q - 1 must be divisible by {L}")
     d = P.torus_rank
     if q**d * group.order > budget:
-        raise OracleError(
+        raise EdtorusError(
             "BUDGET_EXCEEDED", f"q^d * |component group| = {q**d * group.order} exceeds {budget}"
         )
     m = R.dim
     if (q - 1) ** d * m > 50_000_000:
-        raise OracleError("BUDGET_EXCEEDED", "torus value table would not fit in memory")
+        raise EdtorusError("BUDGET_EXCEEDED", "torus value table would not fit in memory")
     g0 = _primitive_root(q)
     actions = group.rep_actions(R)
     n = R.modulus
@@ -235,18 +230,21 @@ def _rank_mod_p(vectors, dim: int, p: int) -> int:
     return rank
 
 
-def symrank_bruteforce(L, p: int, B: int, max_orbits: int = 4096) -> int:
+def symrank_bruteforce(L, p: int, B: int, budget: int = DEFAULT_BUDGET) -> int:
     """Exact minimum by enumerating invariant subsets of the bounded box.
 
     An invariant subset is a union of orbits, and in a minimal p-spanning one
     every orbit strictly grows the span mod p (otherwise dropping it keeps the
     set p-spanning and smaller), so minima live among unions of at most `rank`
-    orbits.  All those unions are enumerated; the spanning test is full rank
-    mod p by Gaussian elimination, with no normal forms involved.
+    orbits.  All those unions are enumerated, once their count is checked
+    against `budget`; the spanning test is full rank mod p by Gaussian
+    elimination, with no normal forms involved.
     """
+    if B < 1:
+        raise EdtorusError("BAD_INPUT", "search bound must be >= 1")
     d = L.rank
     if (2 * B + 1) ** d > 100_000:
-        raise OracleError("BUDGET_EXCEEDED", "box too large for exhaustive enumeration")
+        raise EdtorusError("BUDGET_EXCEEDED", "box too large for exhaustive enumeration")
     orbit_map = {}
     for vec in itertools.product(range(-B, B + 1), repeat=d):
         if not any(vec):
@@ -254,10 +252,11 @@ def symrank_bruteforce(L, p: int, B: int, max_orbits: int = 4096) -> int:
         orbit = L.orbit(vec)
         orbit_map[orbit[0]] = orbit
     orbits = sorted(orbit_map.values())
-    if len(orbits) > max_orbits:
-        raise OracleError("BUDGET_EXCEEDED", f"{len(orbits)} orbits exceed the subset budget")
+    subsets = sum(comb(len(orbits), k) for k in range(d + 1))
+    if subsets > budget:
+        raise EdtorusError("BUDGET_EXCEEDED", f"{subsets} unions of orbits exceed the budget {budget}")
     best = None
-    for k in range(1, d + 1):
+    for k in range(d + 1):
         for combo in itertools.combinations(orbits, k):
             vecs = []
             size = 0
@@ -269,7 +268,7 @@ def symrank_bruteforce(L, p: int, B: int, max_orbits: int = 4096) -> int:
             if _rank_mod_p(vecs, d, p) == d:
                 best = size
     if best is None:
-        raise OracleError("BUDGET_EXCEEDED", "no spanning subset within the box")
+        raise EdtorusError("BUDGET_EXCEEDED", "no spanning subset within the box")
     return best
 
 
@@ -341,7 +340,7 @@ def sylow_abelian_bound_check(d: int, p: int) -> SylowBoundReport:
     p-elements.
     """
     if d > 9:
-        raise OracleError("BUDGET_EXCEEDED", "exhaustive search capped at d <= 9")
+        raise EdtorusError("BUDGET_EXCEEDED", "exhaustive search capped at d <= 9")
     sylow = sorted(_closure(_sylow_generators_symmetric(d, p), d))
     # self-check: the Sylow subgroup has the full p-part of d!
     expected = 1
@@ -350,7 +349,7 @@ def sylow_abelian_bound_check(d: int, p: int) -> SylowBoundReport:
         expected *= p ** (d // k)
         k *= p
     if len(sylow) != expected:
-        raise PresentationError("INTERNAL", "Sylow construction has the wrong order")
+        raise EdtorusError("INTERNAL", "Sylow construction has the wrong order")
     ident = tuple(range(d))
     best = {frozenset([ident])}
     seen = set(best)

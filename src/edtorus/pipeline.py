@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 from .monogrp import (
     ComponentGroup,
+    EdtorusError,
     MonomialGroupPresentation,
     MonomialRep,
     Perm,
-    PresentationError,
     RepBlock,
     _is_prime,
     append_character_block,
@@ -38,13 +38,6 @@ from .monogrp import (
 )
 from .stab import StabilizerReport, generic_stabilizer, is_p_faithful, is_p_generically_free
 from .symrank import eta_bounds
-
-
-class PipelineError(Exception):
-    def __init__(self, code: str, detail: str = ""):
-        self.code = code
-        self.detail = detail
-        super().__init__(f"{code}: {detail}" if detail else code)
 
 
 # -- the generically free extension -------------------------------------------
@@ -89,7 +82,7 @@ def _characters_generating_dual(group: ComponentGroup, image: tuple[int, ...]):
             if best is None or n > best[0]:
                 best = (n, chi)
         if best is None or best[0] <= 1:
-            raise PresentationError("INTERNAL", "some character must grow the span of the restrictions")
+            raise EdtorusError("INTERNAL", "some character must grow the span of the restrictions")
         chi = best[1]
         chosen.append(chi)
         val = restriction(chi)
@@ -101,7 +94,7 @@ def _characters_generating_dual(group: ComponentGroup, image: tuple[int, ...]):
                 acc = tuple((a + b) % N for a, b in zip(acc, val))
         span = new_span
     if len(chosen) != r:
-        raise PresentationError("INTERNAL", "one character per invariant factor of the image")
+        raise EdtorusError("INTERNAL", "one character per invariant factor of the image")
     return chosen
 
 
@@ -119,10 +112,10 @@ def build_generically_free_extension(
     appending one character line per invariant factor of the stabilizer image."""
     ok, witness = is_p_faithful(P, V)
     if not ok:
-        raise PipelineError("NOT_P_FAITHFUL", witness or "")
+        raise EdtorusError("NOT_P_FAITHFUL", witness or "")
     group = component_group(P)
     if not group.is_abelian():
-        raise PipelineError("NOT_ABELIAN_COMPONENT", "component group is not abelian")
+        raise EdtorusError("NOT_ABELIAN_COMPONENT", "component group is not abelian")
     report = generic_stabilizer(P, V)
     chars = _characters_generating_dual(group, report.component_image)
     W = V
@@ -130,9 +123,9 @@ def build_generically_free_extension(
         W = append_character_block(W, chi)
     free, free_witness = is_p_generically_free(P, W)
     if not free:
-        raise PipelineError("WITNESS_NOT_FREE", free_witness or "")
+        raise EdtorusError("WITNESS_NOT_FREE", free_witness or "")
     if W.dim - V.dim != report.require_p_rank():
-        raise PresentationError("INTERNAL", "one line per invariant factor")
+        raise EdtorusError("INTERNAL", "one line per invariant factor")
     return ExtensionResult(rep=W, blocks_added=len(chars), stabilizer=report)
 
 
@@ -165,7 +158,7 @@ class EdReport:
         if self.ed_upper is not None and self.ed_lower > self.ed_upper:
             raise ValueError("ed_lower must not exceed ed_upper")
         if self.exact is not None and not self.ed_lower == self.exact == self.ed_upper:
-            raise PresentationError("INTERNAL", "an exact value must equal both bounds")
+            raise EdtorusError("INTERNAL", "an exact value must equal both bounds")
 
 
 def essential_p_dimension(
@@ -216,7 +209,7 @@ def essential_p_dimension(
         ed_lower = exact
         ed_upper = exact
         if dim_free is None or dim_free - d != exact:
-            raise PresentationError("INTERNAL", "the extension must realize the exact value")
+            raise EdtorusError("INTERNAL", "the extension must realize the exact value")
     else:
         ed_lower = max(0, eta.lower - d)
         lower_source = "interval"
@@ -364,9 +357,9 @@ def sl_case_label(n: int, p: int) -> str:
 def sln_case(n: int, p: int) -> SlCase:
     """Case-study presentation for the torus normalizer inside SL_n."""
     if n < 2:
-        raise PipelineError("UNSUPPORTED", "need n >= 2")
+        raise EdtorusError("UNSUPPORTED", "need n >= 2")
     if not _is_prime(p):
-        raise PipelineError("UNSUPPORTED", f"p = {p} is not prime")
+        raise EdtorusError("UNSUPPORTED", f"p = {p} is not prime")
     label = sl_case_label(n, p)
     blocks: tuple[tuple[int, int], ...] = ()
     if label == "a":
@@ -424,7 +417,7 @@ def closed_form_sln(n: int, p: int) -> int:
     """Recorded closed form for the essential p-dimension of the SL_n
     torus normalizer."""
     if n < 2:
-        raise PipelineError("UNSUPPORTED", "need n >= 2")
+        raise EdtorusError("UNSUPPORTED", "need n >= 2")
     label = sl_case_label(n, p)
     if label == "a":
         return n // p + 1
@@ -461,7 +454,7 @@ def closed_form_so(n: int) -> int:
     dimension 6n for a group of dimension 2n; the oracle confirms it at n = 1.
     """
     if n < 1:
-        raise PipelineError("UNSUPPORTED", "need n >= 1")
+        raise EdtorusError("UNSUPPORTED", "need n >= 1")
     return 3 * n
 
 
@@ -519,7 +512,7 @@ def _restricted_natural_block(case: SlCase, keep: int) -> RepBlock:
     for perm, _ in P.generators:
         for i in range(keep, P.num_lines):
             if perm[i] != i and (perm[i] < keep or i < keep):
-                raise PipelineError("UNSUPPORTED", "generators do not preserve the split")
+                raise EdtorusError("UNSUPPORTED", "generators do not preserve the split")
     return RepBlock(
         weights=P.weights[:keep],
         gen_perms=tuple(perm[:keep] for perm, _ in P.generators),
@@ -533,7 +526,7 @@ def upper_witness_sln(n: int, p: int) -> WitnessResult:
     yielding the upper bound floor(n/p) for the essential p-dimension."""
     case = sln_case(n, p)
     if case.label not in ("c", "d"):
-        raise PipelineError("UNSUPPORTED", "witness construction applies to the Sylow cases only")
+        raise EdtorusError("UNSUPPORTED", "witness construction applies to the Sylow cases only")
     P = case.presentation
     faithful_blocks = _faithful_sylow_block_reps(case)
     if case.label == "c" or n % 2 == 1:
@@ -543,7 +536,7 @@ def upper_witness_sln(n: int, p: int) -> WitnessResult:
     rep = MonomialRep(presentation=P, blocks=tuple([first] + faithful_blocks))
     free, witness = is_p_generically_free(P, rep)
     if not free:
-        raise PipelineError("WITNESS_NOT_FREE", witness or "")
+        raise EdtorusError("WITNESS_NOT_FREE", witness or "")
     report = generic_stabilizer(P, rep)
     upper = rep.dim - P.torus_rank
     return WitnessResult(rep=rep, upper_bound=upper, stabilizer=report)
@@ -615,7 +608,7 @@ def so_case(n: int) -> SoCase:
     outside the abelian main theorem and is not computed here.
     """
     if n < 1:
-        raise PipelineError("UNSUPPORTED", "need n >= 1")
+        raise EdtorusError("UNSUPPORTED", "need n >= 1")
     d = 2 * n
     m = 4 * n
     weights = []
@@ -683,14 +676,14 @@ def verify_sl_stabilizer_clauses(n: int, h_generators) -> bool:
     order = len(closure(tuple(range(n)), perms, perm_compose))
     p = next((q for q in (2, 3, 5, 7, 11, 13) if order % q == 0), None)
     if p is None and order != 1:
-        raise PipelineError("UNSUPPORTED", "generators do not generate a p-group")
+        raise EdtorusError("UNSUPPORTED", "generators do not generate a p-group")
     if p is None:
         p = 2
     k = order
     while k % p == 0:
         k //= p
     if k != 1:
-        raise PipelineError("UNSUPPORTED", "generators do not generate a p-group")
+        raise EdtorusError("UNSUPPORTED", "generators do not generate a p-group")
     P = make_sl_presentation(n, p, perms)
     group = component_group(P)
     report = generic_stabilizer(P, natural_rep(P))

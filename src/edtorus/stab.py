@@ -24,22 +24,15 @@ from typing import NamedTuple
 from . import zlat
 from .monogrp import (
     ComponentGroup,
+    EdtorusError,
     MonomialGroupPresentation,
     MonomialRep,
-    PresentationError,
     check_rep_compatible,
     component_group,
     natural_rep,
     perm_cycles,
 )
 from .zlat import FiniteAbelianStructure
-
-
-class StabError(Exception):
-    def __init__(self, code: str, detail: str = ""):
-        self.code = code
-        self.detail = detail
-        super().__init__(f"{code}: {detail}" if detail else code)
 
 
 class StabilizerReport(NamedTuple):
@@ -55,7 +48,7 @@ class StabilizerReport(NamedTuple):
 
     def require_p_rank(self) -> int:
         if self.p_rank is None:
-            raise StabError(
+            raise EdtorusError(
                 "NOT_P_FAITHFUL_FOR_RANK",
                 "p-rank of the stabilizer is only defined for p-faithful representations",
             )
@@ -87,7 +80,7 @@ def _class_passes(perm, coeff, kernel_basis, n: int) -> bool:
 def _torus_part(R: MonomialRep) -> FiniteAbelianStructure:
     structure = zlat.cokernel_structure(R.weight_matrix().transpose())
     if structure.free_rank > 0:
-        raise StabError(
+        raise EdtorusError(
             "RANK_DEFICIENT_WEIGHTS",
             "weights span a proper sublattice: the torus stabilizer is infinite",
         )
@@ -146,7 +139,7 @@ def generic_stabilizer(P: MonomialGroupPresentation, R: MonomialRep | None = Non
         )
     )
     if not group.is_subgroup(image):
-        raise PresentationError("INTERNAL", "cycle criterion must cut out a subgroup")
+        raise EdtorusError("INTERNAL", "cycle criterion must cut out a subgroup")
     faithful = is_p_faithful(P, R)
     prank = group.elementary_rank(image, P.p) if faithful.ok else None
     free = faithful.ok and len(image) == 1

@@ -22,18 +22,10 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import zlat
-from .monogrp import PresentationError, closure
+from .monogrp import EdtorusError, closure
 
 DEFAULT_BOX_BUDGET = 50_000_000
 DEFAULT_NODE_BUDGET = 100_000_000
-
-
-class SearchBudgetExceeded(Exception):
-    pass
-
-
-class Inconclusive(Exception):
-    """No invariant p-spanning union of orbits exists within the bound."""
 
 
 @dataclass(frozen=True)
@@ -144,6 +136,14 @@ def default_search_bound(L: FLattice) -> int:
     return 2 * m + 1
 
 
+def _search_bound(L: FLattice, B: int | None) -> int:
+    if B is None:
+        return default_search_bound(L)
+    if B < 1:
+        raise EdtorusError("BAD_INPUT", "search bound must be >= 1")
+    return B
+
+
 # -- F_p linear algebra (the p-spanning test is full rank mod p) --------------
 
 
@@ -178,8 +178,8 @@ def _enumerate_orbits(L: FLattice, B: int, box_budget: int) -> list[tuple[tuple[
     (so its first member is its smallest), sorted by (size, smallest member)."""
     total = (2 * B + 1) ** L.rank
     if total > box_budget:
-        raise SearchBudgetExceeded(
-            f"box of {total} vectors exceeds the search budget {box_budget}"
+        raise EdtorusError(
+            "BUDGET_EXCEEDED", f"box of {total} vectors exceeds the search budget {box_budget}"
         )
     seen: set[tuple[int, ...]] = set()
     orbits = []
@@ -206,10 +206,7 @@ def symrank(
     incumbent; the search then only looks for something strictly smaller.
     Status is EXACT exactly when the certified lower bound meets the result.
     """
-    if B is None:
-        B = default_search_bound(L)
-    if B < 1:
-        raise ValueError("search bound must be >= 1")
+    B = _search_bound(L, B)
     d = L.rank
     bound = perm_lower_bound(L, p)
     lower = bound.value if bound.hypotheses_ok else d
@@ -236,8 +233,8 @@ def symrank(
         for i in range(len(orbits) - 1, -1, -1):
             suffix[i] = _span(suffix[i + 1], spans[i], p)
         if len(suffix[0]) < d and best_size is None:
-            raise Inconclusive(
-                f"no invariant p-spanning union of orbits with sup-norm <= {B}"
+            raise EdtorusError(
+                "INCONCLUSIVE", f"no invariant p-spanning union of orbits with sup-norm <= {B}"
             )
 
         nodes = 0
@@ -263,7 +260,7 @@ def symrank(
             while i < len(orbits):
                 nodes += 1
                 if nodes > node_budget:
-                    raise SearchBudgetExceeded("branch-and-bound node budget exhausted")
+                    raise EdtorusError("BUDGET_EXCEEDED", "branch-and-bound node budget exhausted")
                 if best_size is not None and best_size <= lower:
                     return
                 # a completion adds d - rank vectors at least, and one orbit
@@ -287,9 +284,9 @@ def symrank(
         dfs(0, 0, ())
 
     if best_size is None:
-        raise Inconclusive(f"no invariant p-spanning union of orbits with sup-norm <= {B}")
+        raise EdtorusError("INCONCLUSIVE", f"no invariant p-spanning union of orbits with sup-norm <= {B}")
     if best_witness is None:
-        raise PresentationError("INTERNAL", "a best size comes with a witness")
+        raise EdtorusError("INTERNAL", "a best size comes with a witness")
     _check_invariant_spanning(L, p, best_witness)
     status = "EXACT" if best_size == lower else "UPPER_ONLY"
     return SymRankResult(
@@ -312,13 +309,6 @@ def _check_invariant_spanning(L: FLattice, p: int, vecs) -> None:
 
 
 # -- minimal p-faithful dimension ---------------------------------------------
-
-
-class EtaError(Exception):
-    def __init__(self, code: str, detail: str = ""):
-        self.code = code
-        self.detail = detail
-        super().__init__(f"{code}: {detail}" if detail else code)
 
 
 @dataclass(frozen=True)
@@ -348,6 +338,7 @@ def eta_bounds(P, V=None, B: int | None = None, run_search: bool = True, max_ste
 
     report = ensure_valid(P)
     L = character_lattice_action(P)
+    B = _search_bound(L, B)
     p = P.p
     bound = perm_lower_bound(L, p)
     lower = bound.value if bound.hypotheses_ok else L.rank
@@ -357,7 +348,7 @@ def eta_bounds(P, V=None, B: int | None = None, run_search: bool = True, max_ste
     if V is not None:
         ok, witness = is_p_faithful(P, V)
         if not ok:
-            raise EtaError("V_NOT_P_FAITHFUL", witness or "")
+            raise EdtorusError("V_NOT_P_FAITHFUL", witness or "")
         v_dim = V.dim
         candidate = tuple(sorted({w for w in V.weights if any(w)}))
 
@@ -371,13 +362,15 @@ def eta_bounds(P, V=None, B: int | None = None, run_search: bool = True, max_ste
             witness=candidate,
             status="EXACT",
             lower_bound_used=lower,
-            search_bound=B if B is not None else default_search_bound(L),
+            search_bound=B,
         )
     elif run_search:
         try:
             budgets = {} if max_steps is None else {"box_budget": max_steps, "node_budget": max_steps}
             sr = symrank(L, p, B=B, initial_witness=candidate, **budgets)
-        except (SearchBudgetExceeded, Inconclusive):
+        except EdtorusError as exc:
+            if exc.code not in ("BUDGET_EXCEEDED", "INCONCLUSIVE"):
+                raise
             sr = None
 
     split = report.split_witness

@@ -1,14 +1,17 @@
 """Front-end behavior: schema, report formats, round-trips, exit codes."""
 
+import contextlib
 import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from edtorus.cli import EXIT_BUDGET, EXIT_INCONCLUSIVE, EXIT_INVALID, EXIT_OK, main
 
 GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
+SO_2 = str(GOLDEN_INPUTS / "so_2.json")
 
 SL2_NORMALIZER = {
     "p": 2,
@@ -137,6 +140,27 @@ class TestRepresentationCheck:
         assert "do not define a representation" in diagnostic["detail"]
         # without the block the presentation itself is fine
         assert run(["stabilizer", path, "--rep", "natural"], capsys)[0] == EXIT_OK
+
+
+class TestCommandLineNumbers:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["symrank", SO_2, "-B", "0"],
+            ["symrank", SO_2, "-B", "-1"],
+            ["eta", SO_2, "--rep", "none", "-B", "0"],
+            ["oracle", "stab", SO_2, "--trials", "0"],
+            ["oracle", "stab", SO_2, "--trials", "-2"],
+            ["ed", "case", "sl", "x", "2"],
+            ["ed", "case", "so", "1x"],
+            ["oracle", "symrank", SO_2, "-B", "0"],
+        ],
+    )
+    def test_rejected_with_a_diagnostic(self, argv, capsys):
+        code, out, err = run(argv + ["--format", "json"], capsys)
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert json.loads(err)["error"] == "BAD_INPUT"
 
 
 class TestRoundTrip:
@@ -291,9 +315,67 @@ class TestBudgets:
         assert (doc["eta_lower"], doc["eta_upper"]) == (6, 7)
         assert doc["hypotheses"]["eta_certificate"] is None
 
+    def test_oracle_symrank_obeys_max_steps(self, capsys):
+        # 1,666,980 unions of at most two orbits at B = 2
+        code, out, err = run(["oracle", "symrank", SO_2, "-B", "2", "--max-steps", "1000"], capsys)
+        assert code == EXIT_BUDGET
+        assert out == ""
+        assert json.loads(err)["error"] == "BUDGET_EXCEEDED"
+
     def test_env_var_budget(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("EDTORUS_MAX_STEPS", "1")
         code, _, err = run(
             ["oracle", "stab", write_json(tmp_path, SL2_NORMALIZER)], capsys
         )
         assert code == EXIT_BUDGET
+
+
+# -- random documents never end in a traceback ------------------------------------
+
+GOLDEN_DOCS = [json.loads(path.read_text(encoding="utf-8")) for path in sorted(GOLDEN_INPUTS.glob("*.json"))]
+
+# Small integers and short arrays: no valid document can grow a big group.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats(-3, 12) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(doc, prefix=()):
+    """The key path to every value nested inside a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated_golden(draw):
+    """A golden input with one key or element dropped, or one value replaced."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(GOLDEN_DOCS))))
+    path = draw(st.sampled_from(list(_paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(st.integers(-3, 12) | json_values)
+    return doc
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(doc=json_values | mutated_golden(), command=st.sampled_from(["validate", "stabilizer"]))
+def test_random_documents_exit_with_a_code(tmp_path_factory, doc, command):
+    path = tmp_path_factory.mktemp("doc") / "input.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, str(path), "--format", "json"])
+    assert code in (EXIT_OK, EXIT_INVALID, EXIT_INCONCLUSIVE, EXIT_BUDGET)
+    if code != EXIT_OK:
+        # a diagnostic on stderr, or validate's failed report on stdout
+        lines = (out.getvalue() + err.getvalue()).splitlines()
+        assert len(lines) == 1
+        assert isinstance(json.loads(lines[0])["error"], str)

@@ -20,3 +20,22 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_one_exception_class():
+    """Every failure is an EdtorusError carrying its code, and `cli.main` maps
+    that code to an exit status in its one handler."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    classes = [
+        node.name
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(base, ast.Name) and base.id.endswith(("Exception", "Error")) for base in node.bases)
+    ]
+    assert classes == ["EdtorusError"]
+    main = next(
+        node for node in trees["cli.py"].body if isinstance(node, ast.FunctionDef) and node.name == "main"
+    )
+    handlers = [ast.unparse(node.type) for node in ast.walk(main) if isinstance(node, ast.ExceptHandler)]
+    assert handlers == ["EdtorusError"]

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from edtorus.monogrp import (
+    EdtorusError,
     MonomialGroupPresentation,
     MonomialRep,
-    PresentationError,
     RepBlock,
     append_character_block,
     character_lattice_action,
@@ -153,7 +153,7 @@ class TestValidate:
             assert report.diagnostics == ()
 
     def test_coefficient_denominator_must_divide_e(self):
-        from edtorus.cli import InputError, presentation_from_json
+        from edtorus.cli import presentation_from_json
 
         doc = {
             "p": 2,
@@ -162,12 +162,13 @@ class TestValidate:
             "weights": [[1], [-1]],
             "generators": [{"perm": [2, 1], "coeff_num": [0, 1], "coeff_den": [1, 3]}],
         }
-        with pytest.raises(InputError, match="coefficient denominator 3 does not divide e = 2"):
+        with pytest.raises(EdtorusError, match="coefficient denominator 3 does not divide e = 2") as err:
             presentation_from_json(doc)
+        assert err.value.code == "BAD_INPUT"
 
     @pytest.mark.parametrize("c", [-1, 2, Fraction(1, 2)])
     def test_coefficients_must_be_reduced_modulo_e(self, c):
-        with pytest.raises(PresentationError, match="integers reduced modulo e"):
+        with pytest.raises(EdtorusError, match="integers reduced modulo e") as err:
             MonomialGroupPresentation(
                 p=2,
                 torus_rank=1,
@@ -175,6 +176,7 @@ class TestValidate:
                 weights=((1,), (-1,)),
                 generators=(((1, 0), (0, c)),),
             )
+        assert err.value.code == "BAD_INPUT"
 
 
 class TestComponentGroup:
@@ -227,6 +229,25 @@ class TestComponentGroup:
         assert group.right == [[row[g] for g in gens] for row in literal]
         n = group.order
         assert group.is_abelian() == all(literal[i][j] == literal[j][i] for i in range(n) for j in range(n))
+
+    def test_each_cayley_edge_canonicalised_once(self, monkeypatch):
+        from edtorus.monogrp import _CoeffCanon
+
+        P = sln_case(16, 2).presentation
+        calls = 0
+        canon = _CoeffCanon.canon
+
+        def counting(self, coeff):
+            nonlocal calls
+            calls += 1
+            return canon(self, coeff)
+
+        monkeypatch.setattr(_CoeffCanon, "canon", counting)
+        # a cap no other caller passes, so neither validate nor the group is cached yet
+        group = component_group(P, cap=4099)
+        assert group.order == 256
+        # the identity once, then one canonical form per edge, shared by validate
+        assert calls <= group.order * len(P.generators) + 1 == 2049
 
     @pytest.mark.parametrize(
         "maker",
@@ -434,7 +455,7 @@ class TestCharacterBlocks:
         group = component_group(sl3_three_cycle)
         bogus = [0] * group.order
         bogus[1] = 1  # 1/3 on one class alone is not additive on a group of order 3
-        with pytest.raises(PresentationError) as err:
+        with pytest.raises(EdtorusError) as err:
             append_character_block(natural_rep(sl3_three_cycle), tuple(bogus))
         assert err.value.code == "NOT_A_CHARACTER"
 
@@ -474,15 +495,16 @@ class TestRepCompatibility:
             weights=((1,), (-1,)),
             generators=(((1, 0), (0, 2)),),
         )
-        with pytest.raises(PresentationError, match="do not define a representation") as err:
+        with pytest.raises(EdtorusError, match="do not define a representation") as err:
             check_rep_compatible(P, self.with_line(P, (1,), 4))
         assert err.value.code == "BAD_INPUT"
         check_rep_compatible(P, self.with_line(P, (2,), 4))
 
     @pytest.mark.parametrize("c", [2, Fraction(1, 2)])
     def test_unreduced_block_coefficient_rejected(self, so4_presentation, c):
-        with pytest.raises(PresentationError, match="integers reduced modulo its modulus"):
+        with pytest.raises(EdtorusError, match="integers reduced modulo its modulus") as err:
             check_rep_compatible(so4_presentation, self.with_line(so4_presentation, (c, 0), 2))
+        assert err.value.code == "BAD_INPUT"
 
 
 class TestAbelianDecomposition:

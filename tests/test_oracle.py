@@ -3,6 +3,7 @@
 import pytest
 
 from edtorus.monogrp import (
+    EdtorusError,
     MonomialGroupPresentation,
     MonomialRep,
     RepBlock,
@@ -11,7 +12,6 @@ from edtorus.monogrp import (
     natural_rep,
 )
 from edtorus.oracle import (
-    OracleError,
     choose_modulus,
     ff_stabilizer,
     required_torsion,
@@ -48,19 +48,20 @@ class TestFFStabilizer:
         ext = build_generically_free_extension(sl3_three_cycle, natural_rep(sl3_three_cycle))
         # the appended character has denominator 3, so q = 1 (mod 3) is forced
         assert required_torsion(sl3_three_cycle, ext.rep) == 3
-        with pytest.raises(OracleError) as err:
+        with pytest.raises(EdtorusError) as err:
             ff_stabilizer(sl3_three_cycle, ext.rep, q=5, trials=5)
         assert err.value.code == "BAD_MODULUS"
         assert choose_modulus(sl3_three_cycle, ext.rep) == 7
 
     def test_budget(self, sl3_three_cycle):
-        with pytest.raises(OracleError) as err:
+        with pytest.raises(EdtorusError) as err:
             ff_stabilizer(sl3_three_cycle, q=7, trials=5, budget=10)
         assert err.value.code == "BUDGET_EXCEEDED"
 
     def test_nonprime_q_rejected(self, sl3_three_cycle):
-        with pytest.raises(OracleError):
+        with pytest.raises(EdtorusError) as err:
             ff_stabilizer(sl3_three_cycle, q=9, trials=5)
+        assert err.value.code == "BAD_MODULUS"
 
 
 class TestOrthogonalReading:
@@ -139,5 +140,6 @@ class TestSylowAbelianBound:
                 assert mul(a, b) == mul(b, a)
 
     def test_budget_cap(self):
-        with pytest.raises(OracleError):
+        with pytest.raises(EdtorusError) as err:
             sylow_abelian_bound_check(10, 2)
+        assert err.value.code == "BUDGET_EXCEEDED"

@@ -2,9 +2,8 @@
 
 import pytest
 
-from edtorus.monogrp import component_group, natural_rep
+from edtorus.monogrp import EdtorusError, component_group, natural_rep
 from edtorus.pipeline import (
-    PipelineError,
     build_generically_free_extension,
     closed_form_sln,
     closed_form_so,
@@ -57,13 +56,13 @@ class TestBuilder:
             assert ext.rep.dim - V.dim == report.p_rank
 
     def test_not_p_faithful(self, weight_two_line):
-        with pytest.raises(PipelineError) as err:
+        with pytest.raises(EdtorusError) as err:
             build_generically_free_extension(weight_two_line, natural_rep(weight_two_line))
         assert err.value.code == "NOT_P_FAITHFUL"
 
     def test_not_abelian(self):
         P = sln_case(6, 2).presentation
-        with pytest.raises(PipelineError) as err:
+        with pytest.raises(EdtorusError) as err:
             build_generically_free_extension(P, natural_rep(P))
         assert err.value.code == "NOT_ABELIAN_COMPONENT"
 
@@ -89,12 +88,10 @@ class TestCaseConstructors:
         assert sorted(group.orders) == [1, 2, 2, 2]
 
     def test_unsupported(self):
-        with pytest.raises(PipelineError):
-            sln_case(1, 2)
-        with pytest.raises(PipelineError):
-            sln_case(4, 4)
-        with pytest.raises(PipelineError):
-            so_case(0)
+        for make in (lambda: sln_case(1, 2), lambda: sln_case(4, 4), lambda: so_case(0)):
+            with pytest.raises(EdtorusError) as err:
+                make()
+            assert err.value.code == "UNSUPPORTED"
 
     def test_so_orders(self):
         assert component_group(so_case(1).presentation).order == 4
@@ -207,8 +204,9 @@ class TestWitnesses:
         assert w53.rep.blocks[0].dim == 4
 
     def test_unsupported_for_exact_cases(self):
-        with pytest.raises(PipelineError):
+        with pytest.raises(EdtorusError) as err:
             upper_witness_sln(6, 3)
+        assert err.value.code == "UNSUPPORTED"
 
 
 class TestStabilizerClauses:

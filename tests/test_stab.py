@@ -3,6 +3,7 @@
 import pytest
 
 from edtorus.monogrp import (
+    EdtorusError,
     MonomialGroupPresentation,
     append_character_block,
     component_group,
@@ -10,12 +11,7 @@ from edtorus.monogrp import (
 )
 from edtorus.oracle import ff_stabilizer
 from edtorus.pipeline import sln_case, so_case
-from edtorus.stab import (
-    StabError,
-    generic_stabilizer,
-    is_p_faithful,
-    is_p_generically_free,
-)
+from edtorus.stab import generic_stabilizer, is_p_faithful, is_p_generically_free
 
 
 class TestGenericStabilizer:
@@ -39,7 +35,7 @@ class TestGenericStabilizer:
         assert report.torus_part.invariant_factors == (2,)
         assert len(report.component_image) == 1
         assert report.p_rank is None  # not 2-faithful
-        with pytest.raises(StabError) as err:
+        with pytest.raises(EdtorusError) as err:
             report.require_p_rank()
         assert err.value.code == "NOT_P_FAITHFUL_FOR_RANK"
 
@@ -53,7 +49,7 @@ class TestGenericStabilizer:
             modulus=1,
         )
         rep = MonomialRep(presentation=sl3_three_cycle, blocks=(zero_block,))
-        with pytest.raises(StabError) as err:
+        with pytest.raises(EdtorusError) as err:
             generic_stabilizer(sl3_three_cycle, rep)
         assert err.value.code == "RANK_DEFICIENT_WEIGHTS"
 

@@ -4,11 +4,16 @@ import random
 
 import pytest
 
-from edtorus.monogrp import character_lattice_action, closure, natural_rep
+from edtorus.monogrp import (
+    EdtorusError,
+    MonomialGroupPresentation,
+    character_lattice_action,
+    closure,
+    natural_rep,
+)
 from edtorus.oracle import symrank_bruteforce
 from edtorus.pipeline import sln_case, so_case
 from edtorus.symrank import (
-    EtaError,
     FLattice,
     _enumerate_orbits,
     _mat_mul,
@@ -171,18 +176,16 @@ class TestSymrankValues:
 
 class TestBudgets:
     def test_node_budget(self, so4_presentation):
-        from edtorus.symrank import SearchBudgetExceeded
-
         L = character_lattice_action(so4_presentation)
-        with pytest.raises(SearchBudgetExceeded):
+        with pytest.raises(EdtorusError) as err:
             symrank(L, 2, node_budget=1)
+        assert err.value.code == "BUDGET_EXCEEDED"
 
     def test_box_budget(self, so4_presentation):
-        from edtorus.symrank import SearchBudgetExceeded
-
         L = character_lattice_action(so4_presentation)
-        with pytest.raises(SearchBudgetExceeded):
+        with pytest.raises(EdtorusError) as err:
             symrank(L, 2, B=3, box_budget=10)
+        assert err.value.code == "BUDGET_EXCEEDED"
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_sl7_search_within_node_budget(self, p):
@@ -283,6 +286,11 @@ class TestAgainstBruteforce:
         assert checked == 20
 
 
+RANK_ZERO = MonomialGroupPresentation(
+    p=2, torus_rank=0, root_of_unity_exponent=2, weights=((), ()), generators=(((1, 0), (0, 1)),)
+)
+
+
 class TestDifferential:
     @pytest.mark.parametrize(
         "maker,p,B",
@@ -292,8 +300,10 @@ class TestDifferential:
             (lambda: character_lattice_action(so_case(1).presentation), 2, 2),
             (lambda: character_lattice_action(sln_case(4, 3).presentation), 3, 2),
             (lambda: FLattice(rank=1, matrices=(((1,),), ((-1,),))), 2, 3),
+            # rank 0: two lines swapped with a sign; the empty set spans
+            (lambda: character_lattice_action(RANK_ZERO), 2, 1),
         ],
-        ids=["sl_4_2", "sl_5_2", "so_1", "sl_4_3", "negation"],
+        ids=["sl_4_2", "sl_5_2", "so_1", "sl_4_3", "negation", "rank_0"],
     )
     def test_search_matches_bruteforce(self, maker, p, B):
         L = maker()
@@ -334,7 +344,7 @@ class TestEta:
         assert res.upper is None
 
     def test_v_not_p_faithful(self, weight_two_line):
-        with pytest.raises(EtaError) as err:
+        with pytest.raises(EdtorusError) as err:
             eta_bounds(weight_two_line, natural_rep(weight_two_line))
         assert err.value.code == "V_NOT_P_FAITHFUL"
 
