@@ -436,7 +436,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="essential p-dimension of torus extensions presented by monomial generators",
     )
     env_steps = os.environ.get(MAX_STEPS_ENV)
-    default_steps = int(env_steps) if env_steps else 10**8
+    try:
+        default_steps = int(env_steps) if env_steps else 10**8
+    except ValueError:
+        raise EdtorusError("BAD_INPUT", f"{MAX_STEPS_ENV} must be an integer, got {env_steps!r}") from None
 
     def common(sub):
         sub.add_argument("--format", choices=("table", "json"), default="table")
@@ -527,9 +530,10 @@ def _diagnostic(code: str, detail: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+        if args.max_steps < 0:
+            raise EdtorusError("BAD_INPUT", f"the step budget (--max-steps or {MAX_STEPS_ENV}) must be >= 0")
         return args.fn(args, sys.stdout)
     except EdtorusError as exc:
         _diagnostic(exc.code, exc.detail)

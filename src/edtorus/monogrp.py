@@ -30,7 +30,7 @@ from .zlat import IntMatrix
 Perm = tuple[int, ...]
 Coeff = tuple[int, ...]  # c_i modulo a modulus n, standing for c_i/n in Q/Z
 
-DEFAULT_ELEMENT_CAP = 10**6
+ELEMENT_CAP = 10**6  # largest component group `validate` enumerates
 
 
 class EdtorusError(Exception):
@@ -55,11 +55,11 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def closure(identity, gens, mul, cap: int | None = None) -> list | None:
+def closure(identity, gens, mul, limit: int | None = None) -> list | None:
     """Elements of the monoid generated by `gens`, in breadth-first discovery order.
 
     Each new element is found as mul(x, g) for an earlier element x and a
-    generator g.  Returns None as soon as more than `cap` elements would be
+    generator g.  Returns None as soon as more than `limit` elements would be
     needed; for a finite group the monoid is the group itself.
     """
     seen = {identity: None}  # insertion-ordered: the discovery order
@@ -70,7 +70,7 @@ def closure(identity, gens, mul, cap: int | None = None) -> list | None:
             for g in gens:
                 y = mul(x, g)
                 if y not in seen:
-                    if cap is not None and len(seen) >= cap:
+                    if limit is not None and len(seen) >= limit:
                         return None
                     seen[y] = None
                     nxt.append(y)
@@ -238,20 +238,26 @@ class _CoeffCanon:
     Two coefficient vectors describe the same coset of the torus exactly when
     their difference lies in the image of (Q/Z)^d under the weight rows W.
     Coefficients are integers modulo n, so the quotient is by the full-rank
-    integer lattice U^-1 (Z^rank + n Z^(m - rank)), U from the Smith form of W.
+    integer lattice U^-1 (Z^rank + n Z^(m - rank)), U from the Smith form
+    `dec` of W: c lies in it when (U c)_i = 0 (mod n) beyond the rank.
     """
 
     def __init__(self, W: IntMatrix, n: int):
-        m = W.rows
-        dec = zlat.smith_normal_form(W)
+        self.dec = zlat.smith_normal_form(W)
+        self.n = n
+
+    @cached_property
+    def hnf(self) -> list[list[int]]:
+        dec = self.dec
+        m = dec.U.rows
         if m == 0:
-            self.hnf = []
-            return
+            return []
         uinv = zlat.unimodular_inverse(dec.U)
-        basis = [[(1 if i < dec.rank else n) * x for x in uinv.column(i)] for i in range(m)]
-        self.hnf = zlat.hermite_normal_form(basis, m)
-        if len(self.hnf) != m:
+        basis = [[(1 if i < dec.rank else self.n) * x for x in uinv.column(i)] for i in range(m)]
+        hnf = zlat.hermite_normal_form(basis, m)
+        if len(hnf) != m:
             raise EdtorusError("INTERNAL", "torsion-image lattice must have full rank")
+        return hnf
 
     def canon(self, coeff: Coeff) -> tuple[int, ...]:
         if not coeff:
@@ -259,7 +265,8 @@ class _CoeffCanon:
         return zlat.reduce_mod_row_lattice(coeff, self.hnf)
 
     def is_torsion_image(self, coeff: Coeff) -> bool:
-        return all(x == 0 for x in self.canon(coeff))
+        U = self.dec.U
+        return all(sum(a * c for a, c in zip(U.row(i), coeff)) % self.n == 0 for i in range(self.dec.rank, U.rows))
 
 
 @dataclass
@@ -286,8 +293,7 @@ class ComponentGroup:
         self._canon = canon
         self.identity = 0
         self.right: list[list[int]] = right
-        self._rep_actions: dict[MonomialRep, list[tuple[Perm, Coeff]]] = {}
-        self._checked_reps: set[MonomialRep] = set()
+        self._reps: dict[MonomialRep, RepRecord] = {}
         self._decompositions: dict[tuple[int, ...], tuple] = {}
 
     @cached_property
@@ -308,16 +314,13 @@ class ComponentGroup:
     def orders(self) -> list[int]:
         return [self._order(i) for i in range(len(self.elements))]
 
-    def _lookup(self, pair: tuple[Perm, Coeff]) -> int:
+    def class_of(self, pair: tuple[Perm, Coeff]) -> int:
+        """Class index of a literal monomial pair (perm, coefficients)."""
         key = (pair[0], self._canon.canon(pair[1]))
         try:
             return self._index[key]
         except KeyError:
             raise ValueError("monomial pair is not an element of the presented group") from None
-
-    def class_of(self, pair: tuple[Perm, Coeff]) -> int:
-        """Class index of a literal monomial pair (perm, coefficients)."""
-        return self._lookup(pair)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -358,46 +361,16 @@ class ComponentGroup:
         s = set(indices)
         return self.identity in s and set(self.subgroup_closure(self._generators(sorted(s)))) == s
 
+    def rep_record(self, R: MonomialRep) -> RepRecord:
+        """R checked against the group and analysed, once per rep (see `RepRecord`)."""
+        rec = self._reps.get(R)
+        if rec is None:
+            rec = self._reps[R] = RepRecord(self, R)
+        return rec
+
     def rep_actions(self, R: MonomialRep) -> list[tuple[Perm, Coeff]]:
         """Action of each class representative on all lines of R, modulo R.modulus."""
-        cached = self._rep_actions.get(R)
-        if cached is not None:
-            return cached
-        n = R.modulus
-        gens = [R.generator_action(j) for j in range(len(self.presentation.generators))]
-        out = []
-        for el in self.elements:
-            act = (tuple(range(R.dim)), (0,) * R.dim)
-            for j in el.word:
-                act = monomial_mul(act, gens[j], n)
-            out.append(act)
-        self._rep_actions[R] = out
-        return out
-
-    def check_relations(self, R: MonomialRep) -> None:
-        """Reject R unless it respects the relations of the component group.
-
-        On every Cayley edge (x, g), R(x) R(g) must permute the lines as
-        R(x g) does, and their coefficients must differ by the action of a
-        torus point through the weights of R.  Checked once per rep.
-        """
-        if R in self._checked_reps:
-            return
-        n = R.modulus
-        actions = self.rep_actions(R)
-        gens = [R.generator_action(j) for j in range(len(self.presentation.generators))]
-        canon = _CoeffCanon(R.weight_matrix(), n)
-        for x, row in enumerate(self.right):
-            for g, y in enumerate(row):
-                perm, coeff = monomial_mul(actions[x], gens[g], n)
-                diff = tuple(a - b for a, b in zip(coeff, actions[y][1]))
-                if perm != actions[y][0] or (any(diff) and not canon.is_torsion_image(diff)):
-                    raise EdtorusError(
-                        "BAD_INPUT",
-                        f"blocks do not define a representation: class {x} times generator {g} "
-                        f"does not act as class {y}",
-                    )
-        self._checked_reps.add(R)
+        return self.rep_record(R).actions
 
     # -- abelian structure ---------------------------------------------------
 
@@ -538,13 +511,62 @@ class ComponentGroup:
         return best
 
 
-def _induced_matrix(P: MonomialGroupPresentation, perm: Perm) -> IntMatrix:
-    """The unique A in GL_d(Z) with w_{perm(i)} = A w_i, if it exists."""
+class RepRecord:
+    """A representation checked against its component group, with what the
+    stabilizer reads from it.
+
+    Every block must transform by the induced lattice matrices of the
+    presentation, and the blocks together must respect the relations of the
+    component group: on every Cayley edge (x, g), R(x) R(g) must permute the
+    lines as R(x g) does, and their coefficients must differ by the action of
+    a torus point through the weights of R.  `actions` holds the action of
+    each class representative; `canon.dec` is the Smith form of the weights.
+    """
+
+    def __init__(self, group: ComponentGroup, R: MonomialRep):
+        matrices = validate(group.presentation).induced_matrices
+        for b, block in enumerate(R.blocks):
+            for j, A in enumerate(matrices):
+                perm = block.gen_perms[j]
+                if sorted(perm) != list(range(block.dim)):
+                    raise EdtorusError("BAD_INPUT", f"block {b}: generator {j} is not a permutation")
+                if len(block.gen_coeffs[j]) != block.dim:
+                    raise EdtorusError("BAD_INPUT", f"block {b}: coefficient length mismatch")
+                if any(type(c) is not int or not 0 <= c < block.modulus for c in block.gen_coeffs[j]):
+                    raise EdtorusError(
+                        "BAD_INPUT", f"block {b}: coefficients must be integers reduced modulo its modulus"
+                    )
+                for i in range(block.dim):
+                    if A.apply(block.weights[i]) != tuple(block.weights[perm[i]]):
+                        raise EdtorusError(
+                            "BAD_INPUT",
+                            f"block {b}: weights are not permuted compatibly with the torus action",
+                        )
+        n = R.modulus
+        gens = [R.generator_action(j) for j in range(len(group.presentation.generators))]
+        self.actions: list[tuple[Perm, Coeff]] = []
+        for el in group.elements:
+            act = (tuple(range(R.dim)), (0,) * R.dim)
+            for j in el.word:
+                act = monomial_mul(act, gens[j], n)
+            self.actions.append(act)
+        self.canon = _CoeffCanon(R.weight_matrix(), n)
+        for x, row in enumerate(group.right):
+            for g, y in enumerate(row):
+                perm, coeff = monomial_mul(self.actions[x], gens[g], n)
+                diff = tuple(a - b for a, b in zip(coeff, self.actions[y][1]))
+                if perm != self.actions[y][0] or (any(diff) and not self.canon.is_torsion_image(diff)):
+                    raise EdtorusError(
+                        "BAD_INPUT",
+                        f"blocks do not define a representation: class {x} times generator {g} "
+                        f"does not act as class {y}",
+                    )
+
+
+def _induced_matrix(P: MonomialGroupPresentation, dec: zlat.SmithDecomposition, perm: Perm) -> IntMatrix:
+    """The unique A in GL_d(Z) with w_{perm(i)} = A w_i, if it exists; `dec` is
+    the Smith form of the d x m matrix whose columns are the weights, of rank d."""
     d = P.torus_rank
-    Wcols = P.weight_matrix().transpose()  # d x m, columns are weights
-    dec = zlat.smith_normal_form(Wcols)
-    if dec.rank < d:
-        raise EdtorusError("RANK_DEFICIENT", "weights span a proper subspace")
     m = P.num_lines
     # d x m with columns w_{perm(i)}; shaped explicitly, as d may be 0
     target = IntMatrix(d, m, tuple(P.weights[perm[i]][r] for r in range(d) for i in range(m)))
@@ -579,7 +601,7 @@ def _induced_matrix(P: MonomialGroupPresentation, perm: Perm) -> IntMatrix:
 
 
 @lru_cache(maxsize=None)
-def _enumerate_group(P: MonomialGroupPresentation, cap: int) -> ComponentGroup:
+def _enumerate_group(P: MonomialGroupPresentation) -> ComponentGroup:
     """Breadth-first enumeration of the component group, shared by `validate`
     and `component_group`: each Cayley edge is canonicalised once, and an edge
     to a class first met on this level is resolved once the level is sorted."""
@@ -610,9 +632,9 @@ def _enumerate_group(P: MonomialGroupPresentation, cap: int) -> ComponentGroup:
                 pending.append((row, j, key))
         level = []
         for key in sorted(fresh):
-            if len(elements) >= cap:
+            if len(elements) >= ELEMENT_CAP:
                 raise EdtorusError(
-                    "LIMIT_EXCEEDED", f"component group exceeds the cap of {cap} elements"
+                    "LIMIT_EXCEEDED", f"component group exceeds the cap of {ELEMENT_CAP} elements"
                 )
             index[key] = len(elements)
             level.append(len(elements))
@@ -623,7 +645,7 @@ def _enumerate_group(P: MonomialGroupPresentation, cap: int) -> ComponentGroup:
 
 
 @lru_cache(maxsize=None)
-def validate(P: MonomialGroupPresentation, cap: int = DEFAULT_ELEMENT_CAP) -> ValidationReport:
+def validate(P: MonomialGroupPresentation) -> ValidationReport:
     """Certify that the presentation realizes a torus-by-p-group extension."""
     diagnostics: list[str] = []
 
@@ -638,17 +660,17 @@ def validate(P: MonomialGroupPresentation, cap: int = DEFAULT_ELEMENT_CAP) -> Va
             diagnostics=tuple(diagnostics),
         )
 
-    W = P.weight_matrix()
-    if zlat.smith_normal_form(W).rank < P.torus_rank:
+    dec = zlat.smith_normal_form(P.weight_matrix().transpose())  # d x m, columns are weights
+    if dec.rank < P.torus_rank:
         return failure("RANK_DEFICIENT", "weights span rank < torus rank; the torus would act with infinite kernel")
 
     try:
-        matrices = tuple(_induced_matrix(P, perm) for perm, _ in P.generators)
+        matrices = tuple(_induced_matrix(P, dec, perm) for perm, _ in P.generators)
     except EdtorusError as exc:
         return failure(exc.code, exc.detail)
 
     try:
-        order = len(_enumerate_group(P, cap))
+        order = len(_enumerate_group(P))
     except EdtorusError as exc:
         return failure(exc.code, exc.detail)
 
@@ -662,7 +684,7 @@ def validate(P: MonomialGroupPresentation, cap: int = DEFAULT_ELEMENT_CAP) -> Va
     # complement exactly when it has no more than |F| elements.
     e = P.root_of_unity_exponent
     ident = (tuple(range(P.num_lines)), (0,) * P.num_lines)
-    split_witness = closure(ident, P.generators, lambda a, b: monomial_mul(a, b, e), cap=order) is not None
+    split_witness = closure(ident, P.generators, lambda a, b: monomial_mul(a, b, e), limit=order) is not None
     if P.split_claim is True and not split_witness:
         diagnostics.append("split claim rejected: literal generators do not close up to a complement")
     if P.split_claim is False and split_witness:
@@ -679,28 +701,28 @@ def validate(P: MonomialGroupPresentation, cap: int = DEFAULT_ELEMENT_CAP) -> Va
     )
 
 
-def ensure_valid(P: MonomialGroupPresentation, cap: int = DEFAULT_ELEMENT_CAP) -> ValidationReport:
-    report = validate(P, cap)
+def ensure_valid(P: MonomialGroupPresentation) -> ValidationReport:
+    report = validate(P)
     if not report.ok:
         raise EdtorusError(report.error or "INVALID", report.detail)
     return report
 
 
-def component_group(P: MonomialGroupPresentation, cap: int = DEFAULT_ELEMENT_CAP) -> ComponentGroup:
+def component_group(P: MonomialGroupPresentation) -> ComponentGroup:
     """Complete enumeration of the component group with multiplication table."""
-    ensure_valid(P, cap)
-    return _enumerate_group(P, cap)
+    ensure_valid(P)
+    return _enumerate_group(P)
 
 
 @lru_cache(maxsize=None)
-def character_lattice_action(P: MonomialGroupPresentation, cap: int = DEFAULT_ELEMENT_CAP):
+def character_lattice_action(P: MonomialGroupPresentation):
     """The rank-d lattice with the matrix group F induces on it, cached as `validate` is.
     The weights span, so a matrix is fixed by how it permutes the distinct weight values:
     the image is closed as permutations, with one product A_y = A_x A_g per image element."""
     from .symrank import FLattice, _mat_mul
 
-    report = ensure_valid(P, cap)
-    group_order = component_group(P, cap).order
+    group_order = component_group(P).order
+    report = validate(P)
     d = P.torus_rank
     values = sorted(set(P.weights))
     pos = {w: k for k, w in enumerate(values)}
@@ -717,7 +739,7 @@ def character_lattice_action(P: MonomialGroupPresentation, cap: int = DEFAULT_EL
         return y
 
     # the matrix group is the image of F, so it never needs more than |F| elements
-    image = closure(ident, gens, mul, cap=group_order)
+    image = closure(ident, gens, mul, limit=group_order)
     if image is None or group_order % len(image) != 0:
         raise EdtorusError("INTERNAL", "lattice action order must divide the component order")
     return FLattice(rank=d, matrices=tuple(sorted(mats.values())), generators=tuple(mats[g] for g in gens))
@@ -759,28 +781,9 @@ def append_character_block(R: MonomialRep, chi) -> MonomialRep:
     return MonomialRep(presentation=P, blocks=R.blocks + (block,))
 
 
-def check_rep_compatible(P: MonomialGroupPresentation, R: MonomialRep) -> None:
-    """Every block must transform by the same induced lattice matrices as the
-    defining representation, and the blocks together must respect the
-    relations of the component group."""
+def check_rep_compatible(P: MonomialGroupPresentation, R: MonomialRep) -> RepRecord:
+    """Reject R unless it is a representation of the group P presents (see
+    `RepRecord`); the checks run once per rep."""
     if R.presentation != P:
         raise EdtorusError("BAD_INPUT", "representation belongs to a different presentation")
-    report = ensure_valid(P)
-    for b, block in enumerate(R.blocks):
-        for j, A in enumerate(report.induced_matrices):
-            perm = block.gen_perms[j]
-            if sorted(perm) != list(range(block.dim)):
-                raise EdtorusError("BAD_INPUT", f"block {b}: generator {j} is not a permutation")
-            if len(block.gen_coeffs[j]) != block.dim:
-                raise EdtorusError("BAD_INPUT", f"block {b}: coefficient length mismatch")
-            if any(type(c) is not int or not 0 <= c < block.modulus for c in block.gen_coeffs[j]):
-                raise EdtorusError(
-                    "BAD_INPUT", f"block {b}: coefficients must be integers reduced modulo its modulus"
-                )
-            for i in range(block.dim):
-                if A.apply(block.weights[i]) != tuple(block.weights[perm[i]]):
-                    raise EdtorusError(
-                        "BAD_INPUT",
-                        f"block {b}: weights are not permuted compatibly with the torus action",
-                    )
-    component_group(P).check_relations(R)
+    return component_group(P).rep_record(R)

@@ -44,57 +44,26 @@ from .symrank import eta_bounds
 
 
 def _characters_generating_dual(group: ComponentGroup, image: tuple[int, ...]):
-    """Characters of the component group whose restrictions generate the
-    character group of the given subgroup; one per invariant factor.
+    """Characters of the component group whose restrictions to the subgroup
+    form the dual basis of its cyclic decomposition; one per invariant factor.
 
-    Greedy maximal-order selection in the quotient realizes the adapted
-    decomposition: the first character restricts to an element of maximal
-    order, the next to maximal order modulo the first, and so on.
+    On the basis b_i of order d_i the i-th character is 1/d_i at b_i and 0 at
+    the others.  Such a character of the subgroup extends to the group (Q/Z
+    is injective); the first extension in `group.characters()` is taken.
     """
-    basis, orders, coords = group.abelian_decomposition(image)
-    r = len(orders)
-    if r == 0:
+    basis, orders, _ = group.abelian_decomposition(image)
+    if not orders:
         return []
-    all_chars = group.characters()
     N = group.order  # characters take values c/N
-
-    def restriction(chi):
-        return tuple(chi[b] for b in basis)
-
-    def order_in_quotient(chi, span: set):
-        val = restriction(chi)
-        n = 1
-        acc = val
-        while acc not in span:
-            acc = tuple((a + b) % N for a, b in zip(acc, val))
-            n += 1
-        return n
-
+    by_restriction = {}
+    for chi in group.characters():
+        by_restriction.setdefault(tuple(chi[b] for b in basis), chi)
     chosen = []
-    span = {(0,) * len(basis)}
-    target = 1
-    for d in orders:
-        target *= d
-    while len(span) < target:
-        best = None
-        for chi in all_chars:
-            n = order_in_quotient(chi, span)
-            if best is None or n > best[0]:
-                best = (n, chi)
-        if best is None or best[0] <= 1:
-            raise EdtorusError("INTERNAL", "some character must grow the span of the restrictions")
-        chi = best[1]
-        chosen.append(chi)
-        val = restriction(chi)
-        new_span = set()
-        for s in span:
-            acc = s
-            for _ in range(best[0]):
-                new_span.add(acc)
-                acc = tuple((a + b) % N for a, b in zip(acc, val))
-        span = new_span
-    if len(chosen) != r:
-        raise EdtorusError("INTERNAL", "one character per invariant factor of the image")
+    for i, d in enumerate(orders):
+        dual = tuple(N // d if j == i else 0 for j in range(len(basis)))
+        if dual not in by_restriction:
+            raise EdtorusError("INTERNAL", "every character of the subgroup extends to the group")
+        chosen.append(by_restriction[dual])
     return chosen
 
 
@@ -121,9 +90,8 @@ def build_generically_free_extension(
     W = V
     for chi in chars:
         W = append_character_block(W, chi)
-    free, free_witness = is_p_generically_free(P, W)
-    if not free:
-        raise EdtorusError("WITNESS_NOT_FREE", free_witness or "")
+    if not generic_stabilizer(P, W).p_generically_free:
+        raise EdtorusError("WITNESS_NOT_FREE", is_p_generically_free(P, W).witness or "")
     if W.dim - V.dim != report.require_p_rank():
         raise EdtorusError("INTERNAL", "one line per invariant factor")
     return ExtensionResult(rep=W, blocks_added=len(chars), stabilizer=report)
@@ -156,7 +124,7 @@ class EdReport:
 
     def __post_init__(self):
         if self.ed_upper is not None and self.ed_lower > self.ed_upper:
-            raise ValueError("ed_lower must not exceed ed_upper")
+            raise EdtorusError("INTERNAL", "ed_lower must not exceed ed_upper")
         if self.exact is not None and not self.ed_lower == self.exact == self.ed_upper:
             raise EdtorusError("INTERNAL", "an exact value must equal both bounds")
 
@@ -188,15 +156,15 @@ def essential_p_dimension(
     dim_free = None
     ed_upper = None
     if V is not None:
-        srep = generic_stabilizer(P, V)
-        prank = srep.p_rank
         if abelian:
             ext = build_generically_free_extension(P, V)
+            prank = ext.stabilizer.p_rank
             dim_free = ext.rep.dim
             ed_upper = dim_free - d
         else:
-            free, _ = is_p_generically_free(P, V)
-            if free:
+            srep = generic_stabilizer(P, V)
+            prank = srep.p_rank
+            if srep.p_generically_free:
                 dim_free = V.dim
                 ed_upper = dim_free - d
 
@@ -275,13 +243,6 @@ def make_sl_presentation(n: int, p: int, perms: list[Perm]) -> MonomialGroupPres
         weights=tuple(weights),
         generators=tuple(gens),
     )
-
-
-def _cycle_perm(n: int, points: list[int]) -> Perm:
-    perm = list(range(n))
-    for a, b in zip(points, points[1:] + points[:1]):
-        perm[a] = b
-    return tuple(perm)
 
 
 def _product_perm(n: int, cycles: list[list[int]]) -> Perm:
@@ -363,9 +324,7 @@ def sln_case(n: int, p: int) -> SlCase:
     label = sl_case_label(n, p)
     blocks: tuple[tuple[int, int], ...] = ()
     if label == "a":
-        gens = [
-            _cycle_perm(n, list(range(k * p, (k + 1) * p))) for k in range(n // p)
-        ]
+        gens = [_product_perm(n, [list(range(k * p, (k + 1) * p))]) for k in range(n // p)]
         desc = f"elementary abelian, generated by {n // p} disjoint {p}-cycles"
     elif label == "b":
         gens = []
@@ -534,10 +493,9 @@ def upper_witness_sln(n: int, p: int) -> WitnessResult:
     else:
         first = natural_rep(P).blocks[0]
     rep = MonomialRep(presentation=P, blocks=tuple([first] + faithful_blocks))
-    free, witness = is_p_generically_free(P, rep)
-    if not free:
-        raise EdtorusError("WITNESS_NOT_FREE", witness or "")
     report = generic_stabilizer(P, rep)
+    if not report.p_generically_free:
+        raise EdtorusError("WITNESS_NOT_FREE", is_p_generically_free(P, rep).witness or "")
     upper = rep.dim - P.torus_rank
     return WitnessResult(rep=rep, upper_bound=upper, stabilizer=report)
 

@@ -19,14 +19,14 @@ finite-field module provides the independent brute-force check.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
-from . import zlat
 from .monogrp import (
-    ComponentGroup,
     EdtorusError,
     MonomialGroupPresentation,
     MonomialRep,
+    RepRecord,
     check_rep_compatible,
     component_group,
     natural_rep,
@@ -60,11 +60,6 @@ class Witnessed(NamedTuple):
     witness: str | None
 
 
-def _kernel_constraints(R: MonomialRep) -> list[tuple[int, ...]]:
-    """Basis of the saturated kernel of the transposed weight matrix."""
-    return zlat.integer_kernel_basis(R.weight_matrix().transpose())
-
-
 def _class_passes(perm, coeff, kernel_basis, n: int) -> bool:
     cycles = perm_cycles(perm)
     for u in kernel_basis:
@@ -77,48 +72,35 @@ def _class_passes(perm, coeff, kernel_basis, n: int) -> bool:
     return True
 
 
-def _torus_part(R: MonomialRep) -> FiniteAbelianStructure:
-    structure = zlat.cokernel_structure(R.weight_matrix().transpose())
-    if structure.free_rank > 0:
+def _torus_part(P: MonomialGroupPresentation, rec: RepRecord) -> FiniteAbelianStructure:
+    """Z^d modulo the weights of the rep, which must span."""
+    dec = rec.canon.dec
+    if dec.rank < P.torus_rank:
         raise EdtorusError(
             "RANK_DEFICIENT_WEIGHTS",
             "weights span a proper sublattice: the torus stabilizer is infinite",
         )
-    return structure
-
-
-def _kernel_classes(group: ComponentGroup, R: MonomialRep) -> list[int]:
-    """Nontrivial classes acting trivially on R (p-power kernel witnesses)."""
-    actions = group.rep_actions(R)
-    W = R.weight_matrix()
-    ident = tuple(range(R.dim))
-    found = []
-    for idx, (perm, coeff) in enumerate(actions):
-        if idx == group.identity or perm != ident:
-            continue
-        if zlat.torsion_image_membership([-c for c in coeff], W, R.modulus):
-            found.append(idx)
-    return found
+    return FiniteAbelianStructure(tuple(f for f in dec.invariant_factors if f > 1), 0)
 
 
 def is_p_faithful(P: MonomialGroupPresentation, R: MonomialRep | None = None) -> Witnessed:
     """Is the kernel of the representation finite of order prime to p?"""
     if R is None:
         R = natural_rep(P)
-    check_rep_compatible(P, R)
-    dec = zlat.smith_normal_form(R.weight_matrix().transpose())
+    rec = check_rep_compatible(P, R)
+    dec = rec.canon.dec
     if dec.rank < P.torus_rank:
         return Witnessed(False, "torus kernel is infinite (weights span a proper subspace)")
-    index = 1
-    for d in dec.invariant_factors:
-        if d != 0:
-            index *= d
+    index = math.prod(d for d in dec.invariant_factors if d != 0)
     if index % P.p == 0:
         return Witnessed(False, f"mu_{P.p} inside the torus acts trivially (lattice index {index})")
-    group = component_group(P)
-    kernel = _kernel_classes(group, R)
-    if kernel:
-        return Witnessed(False, f"component class {kernel[0]} acts trivially")
+    # a nontrivial class acts trivially when it fixes every line and its
+    # coefficients are the action of a torus point
+    ident = tuple(range(R.dim))
+    identity = component_group(P).identity
+    for idx, (perm, coeff) in enumerate(rec.actions):
+        if idx != identity and perm == ident and rec.canon.is_torsion_image(coeff):
+            return Witnessed(False, f"component class {idx} acts trivially")
     return Witnessed(True, None)
 
 
@@ -126,17 +108,17 @@ def generic_stabilizer(P: MonomialGroupPresentation, R: MonomialRep | None = Non
     """Stabilizer of a point in general position, reported exactly."""
     if R is None:
         R = natural_rep(P)
-    check_rep_compatible(P, R)
-    torus_part = _torus_part(R)
+    rec = check_rep_compatible(P, R)
+    torus_part = _torus_part(P, rec)
     group = component_group(P)
-    kernel_basis = _kernel_constraints(R)
-    actions = group.rep_actions(R)
+    # the saturated kernel of the transposed weight matrix: with U W V = D the
+    # Smith form of the weights, the rows of U beyond the rank
+    dec = rec.canon.dec
+    kernel_basis = [dec.U.row(i) for i in range(dec.rank, dec.U.rows)]
     image = tuple(
-        sorted(
-            idx
-            for idx, (perm, coeff) in enumerate(actions)
-            if _class_passes(perm, coeff, kernel_basis, R.modulus)
-        )
+        idx
+        for idx, (perm, coeff) in enumerate(group.rep_actions(R))
+        if _class_passes(perm, coeff, kernel_basis, R.modulus)
     )
     if not group.is_subgroup(image):
         raise EdtorusError("INTERNAL", "cycle criterion must cut out a subgroup")

@@ -57,7 +57,7 @@ class FLattice:
         for a in self.matrices:
             if a not in reached:
                 gens.append(a)
-                got = closure(ident, gens, _mat_mul, cap=len(mats))
+                got = closure(ident, gens, _mat_mul, limit=len(mats))
                 if got is None:
                     raise ValueError("matrix set is not closed under products")
                 reached = set(got)

@@ -2,7 +2,20 @@
 
 import pytest
 
+from edtorus import monogrp
 from edtorus.monogrp import MonomialGroupPresentation
+
+
+@pytest.fixture
+def fresh_caches():
+    """Empty the per-presentation caches before the test and again after it,
+    so that what it computes, or a patched element cap, stays inside it."""
+    cached = (monogrp.validate, monogrp._enumerate_group, monogrp.character_lattice_action)
+    for fn in cached:
+        fn.cache_clear()
+    yield
+    for fn in cached:
+        fn.cache_clear()
 
 
 @pytest.fixture

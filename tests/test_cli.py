@@ -154,6 +154,8 @@ class TestCommandLineNumbers:
             ["ed", "case", "sl", "x", "2"],
             ["ed", "case", "so", "1x"],
             ["oracle", "symrank", SO_2, "-B", "0"],
+            ["symrank", SO_2, "--max-steps", "-1"],
+            ["ed", SO_2, "--max-steps", "-1"],
         ],
     )
     def test_rejected_with_a_diagnostic(self, argv, capsys):
@@ -328,6 +330,16 @@ class TestBudgets:
             ["oracle", "stab", write_json(tmp_path, SL2_NORMALIZER)], capsys
         )
         assert code == EXIT_BUDGET
+
+    @pytest.mark.parametrize("value", ["abc", "-1"])
+    def test_bad_env_var_budget_rejected(self, value, capsys, monkeypatch):
+        # a malformed default is refused even when --max-steps overrides it
+        monkeypatch.setenv("EDTORUS_MAX_STEPS", value)
+        extra = ["--max-steps", "5"] if value == "abc" else []
+        code, out, err = run(["validate", SO_2] + extra, capsys)
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert json.loads(err)["error"] == "BAD_INPUT"
 
 
 # -- random documents never end in a traceback ------------------------------------

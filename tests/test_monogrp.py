@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from edtorus import monogrp
 from edtorus.monogrp import (
     EdtorusError,
     MonomialGroupPresentation,
@@ -68,9 +69,9 @@ class TestClosure:
         assert closure(0, [2, 3], self.add6) == [0, 2, 3, 4, 5, 1]
 
     def test_cap(self):
-        assert closure(0, [1], self.add6, cap=5) is None
-        assert closure(0, [1], self.add6, cap=6) == [0, 1, 2, 3, 4, 5]
-        assert closure(0, [], self.add6, cap=1) == [0]
+        assert closure(0, [1], self.add6, limit=5) is None
+        assert closure(0, [1], self.add6, limit=6) == [0, 1, 2, 3, 4, 5]
+        assert closure(0, [], self.add6, limit=1) == [0]
 
 
 class TestValidate:
@@ -123,15 +124,16 @@ class TestValidate:
     def test_split_witness_for_permutation_lifts(self, sl3_three_cycle):
         assert validate(sl3_three_cycle).split_witness
 
-    def test_limit_exceeded(self, sl3_three_cycle):
-        report = validate(sl3_three_cycle, cap=2)
+    def test_limit_exceeded(self, sl3_three_cycle, fresh_caches, monkeypatch):
+        monkeypatch.setattr(monogrp, "ELEMENT_CAP", 2)
+        report = validate(sl3_three_cycle)
         assert not report.ok
         assert report.error == "LIMIT_EXCEEDED"
 
     @pytest.mark.parametrize("split", [None, True])
     def test_literal_closure_past_cap_is_no_witness(self, split):
         # the generator is a torus point of order e, so F is trivial while the
-        # literal generators close up to e > cap elements: no split witness
+        # literal generators close up to e > |F| elements: no split witness
         e = 2**11
         P = MonomialGroupPresentation(
             p=2,
@@ -141,7 +143,7 @@ class TestValidate:
             generators=(((0, 1), (1, e - 1)),),  # (1/e, (e-1)/e)
             split_claim=split,
         )
-        report = validate(P, cap=1000)
+        report = validate(P)
         assert report.ok
         assert report.component_order == 1
         assert report.split_witness is False
@@ -230,7 +232,7 @@ class TestComponentGroup:
         n = group.order
         assert group.is_abelian() == all(literal[i][j] == literal[j][i] for i in range(n) for j in range(n))
 
-    def test_each_cayley_edge_canonicalised_once(self, monkeypatch):
+    def test_each_cayley_edge_canonicalised_once(self, fresh_caches, monkeypatch):
         from edtorus.monogrp import _CoeffCanon
 
         P = sln_case(16, 2).presentation
@@ -243,8 +245,8 @@ class TestComponentGroup:
             return canon(self, coeff)
 
         monkeypatch.setattr(_CoeffCanon, "canon", counting)
-        # a cap no other caller passes, so neither validate nor the group is cached yet
-        group = component_group(P, cap=4099)
+        # with fresh caches neither validate nor the group is cached yet
+        group = component_group(P)
         assert group.order == 256
         # the identity once, then one canonical form per edge, shared by validate
         assert calls <= group.order * len(P.generators) + 1 == 2049
@@ -359,6 +361,20 @@ class TestComponentGroup:
                 # extension element, not a member of the presented group
                 with pytest.raises(ValueError):
                     group.class_of((perm, coeff))
+
+    def test_torsion_image_predicate_matches_reference(self):
+        from edtorus.monogrp import _CoeffCanon
+        from edtorus.zlat import torsion_image_membership
+
+        rng = random.Random(7)
+        for _ in range(200):
+            m, d, n = rng.randint(1, 4), rng.randint(1, 3), rng.randint(1, 6)
+            W = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(d)] for _ in range(m)])
+            canon = _CoeffCanon(W, n)
+            v = tuple(rng.randrange(n) for _ in range(m))
+            expected = torsion_image_membership(v, W, n)
+            assert canon.is_torsion_image(v) == expected
+            assert (not any(canon.canon(v))) == expected
 
 
 class TestCharacterLattice:

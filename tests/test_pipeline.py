@@ -1,9 +1,17 @@
 """Case studies, the extension builder, closed forms, and witnesses."""
 
+import contextlib
+import dataclasses
+import io
+from pathlib import Path
+
 import pytest
+
+from edtorus import cli, monogrp, stab, zlat
 
 from edtorus.monogrp import EdtorusError, component_group, natural_rep
 from edtorus.pipeline import (
+    _characters_generating_dual,
     build_generically_free_extension,
     closed_form_sln,
     closed_form_so,
@@ -65,6 +73,68 @@ class TestBuilder:
         with pytest.raises(EdtorusError) as err:
             build_generically_free_extension(P, natural_rep(P))
         assert err.value.code == "NOT_ABELIAN_COMPONENT"
+
+
+class TestCharactersGeneratingDual:
+    @pytest.mark.parametrize(
+        "maker,count",
+        [
+            (lambda: so_case(2).presentation, 51),
+            (lambda: sln_case(9, 3).presentation, 27),
+            (lambda: sln_case(8, 2).presentation, 51),
+        ],
+        ids=["so_2", "sl_9_3", "sl_8_2"],
+    )
+    def test_dual_basis_on_two_generated_subgroups(self, maker, count):
+        group = component_group(maker())
+        N = group.order
+        table = group.table
+        subgroups = {group.subgroup_closure([a, b]) for a in range(N) for b in range(N)}
+        assert len(subgroups) == count
+        for H in subgroups:
+            basis, orders, _ = group.abelian_decomposition(H)
+            chars = _characters_generating_dual(group, H)
+            assert len(chars) == len(orders)
+            for i, chi in enumerate(chars):
+                assert all(chi[table[x][y]] == (chi[x] + chi[y]) % N for x in range(N) for y in range(N))
+                assert [chi[b] for b in basis] == [N // d if j == i else 0 for j, d in enumerate(orders)]
+            assert [h for h in H if all(chi[h] == 0 for chi in chars)] == [group.identity]
+
+
+class TestOnePass:
+    SO_2 = str(Path(__file__).parent / "golden" / "inputs" / "so_2.json")
+
+    @staticmethod
+    def count_calls(monkeypatch, owners, name, counts):
+        """Count the calls of `name` through every owner that binds it."""
+        orig = getattr(owners[0], name)
+
+        def counting(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return orig(*args, **kwargs)
+
+        for owner in owners:
+            monkeypatch.setattr(owner, name, counting)
+
+    def test_ed_computes_each_object_once(self, fresh_caches, monkeypatch):
+        import edtorus.pipeline as pipeline
+
+        counts = {}
+        self.count_calls(monkeypatch, [stab, pipeline, cli], "generic_stabilizer", counts)
+        self.count_calls(monkeypatch, [zlat], "smith_normal_form", counts)
+        self.count_calls(monkeypatch, [monogrp.RepRecord], "__init__", counts)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["ed", self.SO_2, "--format", "json"]) == 0
+        assert counts["generic_stabilizer"] <= 2
+        assert counts["smith_normal_form"] <= 18
+        # the block and relation checks run once per representation: V and its extension
+        assert counts["__init__"] == 2
+
+    def test_one_validation_per_presentation(self, fresh_caches):
+        with contextlib.redirect_stdout(io.StringIO()):
+            for command in ("validate", "stabilizer", "ed"):
+                cli.main([command, self.SO_2, "--format", "json"])
+        assert monogrp.validate.cache_info().currsize == 1
 
 
 class TestCaseConstructors:
@@ -179,6 +249,12 @@ class TestEdReports:
         report = ed_case_so(1)
         assert report.exact == 3 == closed_form_so(1)
         assert not any("differs from the closed form" in note for note in report.notes)
+
+    def test_crossed_bounds_are_an_internal_error(self):
+        report = ed_case_so(1)
+        with pytest.raises(EdtorusError) as err:
+            dataclasses.replace(report, ed_lower=report.ed_upper + 1, exact=None)
+        assert err.value.code == "INTERNAL"
 
     def test_never_fabricates_exactness(self, sl2_normalizer):
         # without a representation there is no upper bound and no exact value
