@@ -430,8 +430,15 @@ def _cmd_oracle(args, out) -> int:
     raise EdtorusError("BAD_INPUT", "unknown oracle kind")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line is BAD_INPUT (exit 1): argparse's exit 2 reads as INCONCLUSIVE."""
+
+    def error(self, message):
+        raise EdtorusError("BAD_INPUT", f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="edtorus",
         description="essential p-dimension of torus extensions presented by monomial generators",
     )
@@ -525,10 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _diagnostic(code: str, detail: str) -> None:
-    sys.stderr.write(json.dumps({"error": code, "detail": detail}, sort_keys=True) + "\n")
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -536,7 +539,7 @@ def main(argv=None) -> int:
             raise EdtorusError("BAD_INPUT", f"the step budget (--max-steps or {MAX_STEPS_ENV}) must be >= 0")
         return args.fn(args, sys.stdout)
     except EdtorusError as exc:
-        _diagnostic(exc.code, exc.detail)
+        sys.stderr.write(json.dumps({"error": exc.code, "detail": exc.detail}, sort_keys=True) + "\n")
         return _EXIT_CODES.get(exc.code, EXIT_INVALID)
 
 if __name__ == "__main__":

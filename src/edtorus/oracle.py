@@ -2,17 +2,17 @@
 
 Three checkers that share no algorithmic machinery with the symbolic engine:
 stabilizer orders by exhaustive enumeration over a finite field, symmetric
-p-rank by full subset enumeration at tiny bounds (p-spanning tested by
-Gaussian elimination mod p, not by normal forms), and the abelian-subgroup
-order bound in symmetric groups by exhaustive closure search inside a Sylow
-subgroup.
+p-rank over every union of orbits (computed here) at tiny bounds, each one
+rank-tested by Gaussian elimination mod p, not by normal forms, or skipped by
+size, and the abelian-subgroup order bound in symmetric groups by exhaustive
+closure search inside a Sylow subgroup.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb, gcd, lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -231,42 +231,40 @@ def _rank_mod_p(vectors, dim: int, p: int) -> int:
 
 
 def symrank_bruteforce(L, p: int, B: int, budget: int = DEFAULT_BUDGET) -> int:
-    """Exact minimum by enumerating invariant subsets of the bounded box.
+    """Exact minimum over the invariant subsets of the bounded box.
 
     An invariant subset is a union of orbits, and in a minimal p-spanning one
     every orbit strictly grows the span mod p (otherwise dropping it keeps the
     set p-spanning and smaller), so minima live among unions of at most `rank`
-    orbits.  All those unions are enumerated, once their count is checked
-    against `budget`; the spanning test is full rank mod p by Gaussian
-    elimination, with no normal forms involved.
+    orbits.  They are walked depth first, one step of `budget` per union
+    visited, and each is rank-tested (full rank mod p by Gaussian elimination,
+    no normal forms) or skipped by size: orbits are disjoint, so no extension
+    of a spanning union, or of one as large as the best, can beat the best.
     """
     if B < 1:
         raise EdtorusError("BAD_INPUT", "search bound must be >= 1")
     d = L.rank
     if (2 * B + 1) ** d > 100_000:
         raise EdtorusError("BUDGET_EXCEEDED", "box too large for exhaustive enumeration")
-    orbit_map = {}
+    seen, orbits = set(), []
     for vec in itertools.product(range(-B, B + 1), repeat=d):
-        if not any(vec):
+        if any(vec) and vec not in seen:
+            orbit = {tuple(sum(a * x for a, x in zip(row, vec)) for row in A) for A in L.matrices}
+            seen |= orbit
+            orbits.append(sorted(orbit))
+    orbits.sort()
+    best, steps = None, itertools.count(1)
+    stack = [(0, [], 0)]  # unions: (first orbit index it may add, its vectors, its orbit count)
+    while stack:
+        start, vecs, depth = stack.pop()
+        if next(steps) > budget:
+            raise EdtorusError("BUDGET_EXCEEDED", f"more than {budget} unions of orbits visited")
+        if best is not None and len(vecs) >= best:
             continue
-        orbit = L.orbit(vec)
-        orbit_map[orbit[0]] = orbit
-    orbits = sorted(orbit_map.values())
-    subsets = sum(comb(len(orbits), k) for k in range(d + 1))
-    if subsets > budget:
-        raise EdtorusError("BUDGET_EXCEEDED", f"{subsets} unions of orbits exceed the budget {budget}")
-    best = None
-    for k in range(d + 1):
-        for combo in itertools.combinations(orbits, k):
-            vecs = []
-            size = 0
-            for orbit in combo:
-                vecs.extend(orbit)
-                size += len(set(orbit))
-            if best is not None and size >= best:
-                continue
-            if _rank_mod_p(vecs, d, p) == d:
-                best = size
+        if _rank_mod_p(vecs, d, p) == d:
+            best = len(vecs)
+        elif depth < d:
+            stack.extend((j + 1, vecs + orbits[j], depth + 1) for j in reversed(range(start, len(orbits))))
     if best is None:
         raise EdtorusError("BUDGET_EXCEEDED", "no spanning subset within the box")
     return best

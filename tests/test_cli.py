@@ -156,6 +156,12 @@ class TestCommandLineNumbers:
             ["oracle", "symrank", SO_2, "-B", "0"],
             ["symrank", SO_2, "--max-steps", "-1"],
             ["ed", SO_2, "--max-steps", "-1"],
+            # malformed for argparse itself, whose own exit status 2 reads as INCONCLUSIVE
+            ["symrank", SO_2, "--max-steps", "abc"],
+            ["table", "sl", "x", "2"],
+            ["oracle", "stab", SO_2, "--trials", "x"],
+            ["oracle", "symrank", SO_2, "--no-such-flag"],
+            ["frobnicate"],
         ],
     )
     def test_rejected_with_a_diagnostic(self, argv, capsys):
@@ -163,6 +169,13 @@ class TestCommandLineNumbers:
         assert code == EXIT_INVALID
         assert out == ""
         assert json.loads(err)["error"] == "BAD_INPUT"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["oracle", "symrank", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
 
 
 class TestRoundTrip:
@@ -318,7 +331,7 @@ class TestBudgets:
         assert doc["hypotheses"]["eta_certificate"] is None
 
     def test_oracle_symrank_obeys_max_steps(self, capsys):
-        # 1,666,980 unions of at most two orbits at B = 2
+        # the walk visits 22,143 unions of at most four orbits at B = 2
         code, out, err = run(["oracle", "symrank", SO_2, "-B", "2", "--max-steps", "1000"], capsys)
         assert code == EXIT_BUDGET
         assert out == ""

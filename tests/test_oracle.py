@@ -1,7 +1,12 @@
 """Brute-force oracles: determinism, modulus handling, and frozen counts."""
 
+import ast
+import inspect
+import itertools
+
 import pytest
 
+from edtorus import oracle
 from edtorus.monogrp import (
     EdtorusError,
     MonomialGroupPresentation,
@@ -12,13 +17,15 @@ from edtorus.monogrp import (
     natural_rep,
 )
 from edtorus.oracle import (
+    _rank_mod_p,
     choose_modulus,
     ff_stabilizer,
     required_torsion,
     sylow_abelian_bound_check,
     symrank_bruteforce,
 )
-from edtorus.pipeline import build_generically_free_extension
+from edtorus.pipeline import build_generically_free_extension, sln_case, so_case
+from edtorus.symrank import FLattice
 
 
 class TestFFStabilizer:
@@ -100,14 +107,60 @@ class TestSymrankBruteforce:
         assert symrank_bruteforce(negation_lattice, 2, 3) == 2
 
     def test_trivial_rank_two(self):
-        from edtorus.symrank import FLattice
-
         L = FLattice(rank=2, matrices=(((1, 0), (0, 1)),))
         assert symrank_bruteforce(L, 5, 1) == 2
 
     def test_so4_lattice(self, so4_presentation):
         L = character_lattice_action(so4_presentation)
         assert symrank_bruteforce(L, 2, 2) == 4
+
+    @pytest.mark.parametrize(
+        "maker,p,B",
+        [
+            (lambda: FLattice(rank=1, matrices=(((1,),), ((-1,),))), 2, 2),
+            (lambda: character_lattice_action(so_case(1).presentation), 2, 2),
+            (lambda: character_lattice_action(sln_case(5, 2).presentation), 2, 1),
+        ],
+        ids=["negation", "so_1", "sl_5_2"],
+    )
+    def test_pruned_walk_equals_every_union(self, maker, p, B):
+        L = maker()
+        box = itertools.product(range(-B, B + 1), repeat=L.rank)
+        orbits = sorted({L.orbit(v) for v in box if any(v)})
+        sizes = [
+            sum(len(o) for o in combo)
+            for k in range(L.rank + 1)
+            for combo in itertools.combinations(orbits, k)
+            if _rank_mod_p([v for o in combo for v in o], L.rank, p) == L.rank
+        ]
+        assert symrank_bruteforce(L, p, B) == min(sizes)
+
+    def test_walk_charges_each_visited_union(self):
+        # so_2 at B = 2: 80 orbits, so 1,666,981 unions of at most four, of
+        # which the walk visits 22,143 and rank-tests 2,655
+        L = character_lattice_action(so_case(2).presentation)
+        assert symrank_bruteforce(L, 2, 2, budget=22_143) == 8
+        with pytest.raises(EdtorusError) as err:
+            symrank_bruteforce(L, 2, 2, budget=22_142)
+        assert err.value.code == "BUDGET_EXCEEDED"
+
+    def test_independent_of_the_engine_search(self):
+        # the oracle imports nothing of the engine's search, and its walk
+        # computes orbits itself rather than through FLattice.orbit
+        tree = ast.parse(inspect.getsource(oracle))
+        imported = [
+            name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for name in [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]
+        ]
+        assert not any("symrank" in name.split(".") for name in imported)
+        methods = {
+            node.func.attr
+            for node in ast.walk(ast.parse(inspect.getsource(symrank_bruteforce)))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        }
+        assert "orbit" not in methods
 
 
 class TestSylowAbelianBound:

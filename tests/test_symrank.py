@@ -302,8 +302,11 @@ class TestDifferential:
             (lambda: FLattice(rank=1, matrices=(((1,),), ((-1,),))), 2, 3),
             # rank 0: two lines swapped with a sign; the empty set spans
             (lambda: character_lattice_action(RANK_ZERO), 2, 1),
+            (lambda: character_lattice_action(so_case(2).presentation), 2, 2),
+            (lambda: character_lattice_action(sln_case(7, 2).presentation), 2, 1),
+            (lambda: character_lattice_action(sln_case(7, 3).presentation), 3, 1),
         ],
-        ids=["sl_4_2", "sl_5_2", "so_1", "sl_4_3", "negation", "rank_0"],
+        ids=["sl_4_2", "sl_5_2", "so_1", "sl_4_3", "negation", "rank_0", "so_2", "sl_7_2", "sl_7_3"],
     )
     def test_search_matches_bruteforce(self, maker, p, B):
         L = maker()
