@@ -35,8 +35,10 @@ GOLDEN = {
     "ed_case_sl_7_2": ["ed", "case", "sl", "7", "2"],
     "ed_case_so_1": ["ed", "case", "so", "1"],
     "ed_case_so_2": ["ed", "case", "so", "2"],
-    # |F| = 256: the largest component group among the goldens
+    # |F| = 256
     "ed_case_sl_16_2": ["ed", "case", "sl", "16", "2"],
+    # |F| = 1024: the pipeline at the size of the Weyl-group Sylow cases
+    "ed_case_so_5": ["ed", "case", "so", "5"],
     "table_sl_8_2": ["table", "sl", "8", "2"],
     "case_sl_9_2": ["case", "sl", "9", "2"],
     "case_so_2": ["case", "so", "2"],
