@@ -337,29 +337,22 @@ class ComponentGroup:
             n += 1
         return n
 
-    def inverse(self, i: int) -> int:
-        row = self.table[i]
-        return row.index(self.identity)
-
     def is_abelian(self) -> bool:
         return self._commute(set(self.right[self.identity]))
 
     def power(self, i: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inverse(i), -k)
         acc = self.identity
         for _ in range(k):
             acc = self.table[acc][i]
         return acc
 
     def subgroup_closure(self, indices) -> tuple[int, ...]:
-        table = self.table
-        return tuple(sorted(closure(self.identity, sorted(set(indices)), lambda x, g: table[x][g])))
+        return tuple(sorted(self._generators(sorted(set(indices)))[1]))
 
     def is_subgroup(self, indices) -> bool:
         """Holds the identity and equals the closure of its greedy generating set."""
         s = set(indices)
-        return self.identity in s and set(self.subgroup_closure(self._generators(sorted(s)))) == s
+        return self.identity in s and self._generators(sorted(s))[1] == s
 
     def rep_record(self, R: MonomialRep) -> RepRecord:
         """R checked against the group and analysed, once per rep (see `RepRecord`)."""
@@ -374,9 +367,12 @@ class ComponentGroup:
 
     # -- abelian structure ---------------------------------------------------
 
-    def _generators(self, members) -> list[int]:
-        """Greedy generating set of a subgroup: each member, in increasing
-        order, that the earlier picks do not yet generate."""
+    def _generators(self, members) -> tuple[list[int], set[int]]:
+        """Greedy generating set of the subgroup the members generate, and
+        that subgroup: each member, in increasing order, that the earlier
+        picks do not yet generate.  Each pick at least doubles the subgroup,
+        so closing the s picks costs at most 2s|H| products, against
+        |members|·|H| for closing all the members at once."""
         table = self.table
         gens: list[int] = []
         reached = {self.identity}
@@ -384,7 +380,7 @@ class ComponentGroup:
             if h not in reached:
                 gens.append(h)
                 reached = set(closure(self.identity, gens, lambda x, g: table[x][g]))
-        return gens
+        return gens, reached
 
     def _commute(self, gens) -> bool:
         table = self.table
@@ -406,17 +402,19 @@ class ComponentGroup:
         return self._decompositions[members]
 
     def _decompose(self, members: tuple[int, ...]):
-        hs = self._generators(members)
+        hs, _ = self._generators(members)
         if not self._commute(hs):
             raise ValueError("subgroup is not abelian")
         s = len(hs)
         if s == 0:
             return (), (), {self.identity: ()}
         # exponent-vector representative per element (a spanning tree of the
-        # Cayley graph) plus one relation vector per edge outside the tree
+        # Cayley graph) plus one relation vector per edge outside the tree;
+        # the relations are folded into their Hermite basis as they come, so
+        # no normal form sees more than s + 64 rows
         vec = {self.identity: (0,) * s}
         queue = [self.identity]
-        relations = []
+        relations: list[list[int]] = []
         for x in queue:
             vx = vec[x]
             for t, h in enumerate(hs):
@@ -425,11 +423,13 @@ class ComponentGroup:
                 cand[t] += 1
                 if y in vec:
                     relations.append([a - b for a, b in zip(cand, vec[y])])
+                    if len(relations) == s + 64:
+                        relations = zlat.hermite_normal_form(relations, s)
                 else:
                     vec[y] = tuple(cand)
                     queue.append(y)
-        rel_matrix = IntMatrix.from_rows(relations).transpose()  # columns are relations
-        dec = zlat.smith_normal_form(rel_matrix)
+        relations = zlat.hermite_normal_form(relations, s)
+        dec = zlat.smith_normal_form(IntMatrix.from_rows(relations).transpose())  # columns are relations
         if dec.rank != s:
             raise EdtorusError("INTERNAL", "relation lattice of a finite group must have full rank")
         uinv = zlat.unimodular_inverse(dec.U)
@@ -455,24 +455,6 @@ class ComponentGroup:
             raise EdtorusError("INTERNAL", "decomposition must enumerate the subgroup")
         return tuple(basis), tuple(orders), coords
 
-    def characters(self):
-        """All homomorphisms of an abelian group to Q/Z, as value tuples.
-
-        Each character is a tuple chi of integers modulo n = |F|, chi[i]/n the
-        value on element i.  Ordered lexicographically by the defining
-        exponent tuple.
-        """
-        basis, orders, coords = self.abelian_decomposition()
-        n = len(self.elements)
-        out = []
-        for a in itertools.product(*[range(d) for d in orders]):
-            scaled = [ai * (n // di) for ai, di in zip(a, orders)]
-            values = [0] * n
-            for g, expo in coords.items():
-                values[g] = sum(s * b for s, b in zip(scaled, expo)) % n
-            out.append(tuple(values))
-        return out
-
     def elementary_rank(self, indices, p: int) -> int:
         """Largest r with an elementary abelian p-subgroup of rank r inside.
 
@@ -482,7 +464,7 @@ class ComponentGroup:
         """
         indices = set(indices)
         members = self.subgroup_closure(indices)
-        if len(members) == len(indices) and self._commute(self._generators(members)):
+        if len(members) == len(indices) and self._commute(self._generators(members)[0]):
             _, orders, _ = self.abelian_decomposition(members)
             return sum(1 for d in orders if d % p == 0)
         return self._elementary_rank_search(indices, p)
@@ -709,7 +691,8 @@ def ensure_valid(P: MonomialGroupPresentation) -> ValidationReport:
 
 
 def component_group(P: MonomialGroupPresentation) -> ComponentGroup:
-    """Complete enumeration of the component group with multiplication table."""
+    """Complete enumeration of the component group with its right Cayley graph;
+    the multiplication table is built on first use."""
     ensure_valid(P)
     return _enumerate_group(P)
 

@@ -18,6 +18,7 @@ the computed values against closed forms.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .monogrp import (
@@ -49,22 +50,32 @@ def _characters_generating_dual(group: ComponentGroup, image: tuple[int, ...]):
 
     On the basis b_i of order d_i the i-th character is 1/d_i at b_i and 0 at
     the others.  Such a character of the subgroup extends to the group (Q/Z
-    is injective); the first extension in `group.characters()` is taken.
+    is injective).  The characters of F = sum Z/e_j are walked in the
+    lexicographic order of their exponent tuples a (the value at an element of
+    coordinates c is sum a_j c_j / e_j), reading only the values at the b_i;
+    the first extension of each dual vector is taken, and only the chosen
+    characters are evaluated on all of F.
     """
     basis, orders, _ = group.abelian_decomposition(image)
     if not orders:
         return []
+    _, exponents, coords = group.abelian_decomposition()
     N = group.order  # characters take values c/N
-    by_restriction = {}
-    for chi in group.characters():
-        by_restriction.setdefault(tuple(chi[b] for b in basis), chi)
-    chosen = []
-    for i, d in enumerate(orders):
-        dual = tuple(N // d if j == i else 0 for j in range(len(basis)))
-        if dual not in by_restriction:
-            raise EdtorusError("INTERNAL", "every character of the subgroup extends to the group")
-        chosen.append(by_restriction[dual])
-    return chosen
+    wanted = {tuple(N // d if j == i else 0 for j in range(len(basis))): i for i, d in enumerate(orders)}
+    at_basis = [coords[b] for b in basis]
+    found: dict[int, list[int]] = {}
+    for a in itertools.product(*[range(e) for e in exponents]):
+        scaled = [ai * (N // e) for ai, e in zip(a, exponents)]
+        i = wanted.get(tuple(sum(x * c for x, c in zip(scaled, cb)) % N for cb in at_basis))
+        if i is not None and i not in found:
+            found[i] = scaled
+            if len(found) == len(wanted):
+                break
+    if len(found) != len(wanted):
+        raise EdtorusError("INTERNAL", "every character of the subgroup extends to the group")
+    return [
+        tuple(sum(x * c for x, c in zip(found[i], coords[g])) % N for g in range(N)) for i in range(len(orders))
+    ]
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Presentation validation, component groups, lattice actions, character blocks."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from edtorus.monogrp import (
     m_as_tuple,
     validate,
 )
-from edtorus.pipeline import sln_case, so_case
+from edtorus.pipeline import _characters_generating_dual, sln_case, so_case
 from edtorus.symrank import _mat_mul
 from edtorus.zlat import IntMatrix
 
@@ -475,14 +476,41 @@ class TestCharacterBlocks:
             append_character_block(natural_rep(sl3_three_cycle), tuple(bogus))
         assert err.value.code == "NOT_A_CHARACTER"
 
-    def test_characters_enumeration(self, so4_presentation):
-        group = component_group(so4_presentation)
-        chars = group.characters()
-        assert len(chars) == 4
-        for chi in chars:
-            for i in range(4):
-                for j in range(4):
-                    assert (chi[i] + chi[j]) % 4 == chi[group.table[i][j]]
+    @staticmethod
+    def all_characters(group):
+        """Every character of the abelian group, in the lexicographic order of
+        its exponent tuple a over the cyclic decomposition: the listing the
+        dual-basis pick must agree with."""
+        _, orders, coords = group.abelian_decomposition()
+        n = group.order
+        out = []
+        for a in itertools.product(*[range(d) for d in orders]):
+            scaled = [ai * (n // di) for ai, di in zip(a, orders)]
+            values = [0] * n
+            for g, expo in coords.items():
+                values[g] = sum(s * b for s, b in zip(scaled, expo)) % n
+            out.append(tuple(values))
+        return out
+
+    def test_characters_generating_dual(self, so4_presentation):
+        for P in (so4_presentation, so_case(2).presentation, sln_case(9, 3).presentation):
+            group = component_group(P)
+            N = group.order
+            reference = self.all_characters(group)
+            assert len(reference) == N
+            for chi in reference:
+                assert all((chi[i] + chi[j]) % N == chi[group.table[i][j]] for i in range(N) for j in range(N))
+            # the whole group and every cyclic subgroup as the image
+            images = {group.subgroup_closure([g]) for g in range(N)} | {tuple(range(N))}
+            for H in images:
+                basis, orders, _ = group.abelian_decomposition(H)
+                chosen = _characters_generating_dual(group, H)
+                assert len(chosen) == len(orders)
+                for i, chi in enumerate(chosen):
+                    dual = [N // d if j == i else 0 for j, d in enumerate(orders)]
+                    assert [chi[b] for b in basis] == dual
+                    assert chi == next(ref for ref in reference if [ref[b] for b in basis] == dual)
+                    assert append_character_block(natural_rep(P), chi).dim == natural_rep(P).dim + 1
 
 
 class TestRepCompatibility:

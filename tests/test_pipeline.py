@@ -130,6 +130,26 @@ class TestOnePass:
         # the block and relation checks run once per representation: V and its extension
         assert counts["__init__"] == 2
 
+    def test_normal_forms_stay_small(self, fresh_caches, monkeypatch):
+        # the component-group relations are folded to a Hermite basis, so no
+        # normal form is handed a matrix that grows with |F| (here 256)
+        largest = {"smith_cells": 0, "hermite_rows": 0}
+        smith, hermite = zlat.smith_normal_form, zlat.hermite_normal_form
+
+        def sized_smith(M):
+            largest["smith_cells"] = max(largest["smith_cells"], M.rows * M.cols)
+            return smith(M)
+
+        def sized_hermite(rows, ncols):
+            largest["hermite_rows"] = max(largest["hermite_rows"], len(rows))
+            return hermite(rows, ncols)
+
+        monkeypatch.setattr(zlat, "smith_normal_form", sized_smith)
+        monkeypatch.setattr(zlat, "hermite_normal_form", sized_hermite)
+        assert ed_case_sl(16, 2).exact == closed_form_sln(16, 2)
+        assert largest["smith_cells"] < 1000
+        assert largest["hermite_rows"] < 100
+
     def test_one_validation_per_presentation(self, fresh_caches):
         with contextlib.redirect_stdout(io.StringIO()):
             for command in ("validate", "stabilizer", "ed"):
@@ -226,7 +246,7 @@ class TestEdReports:
         assert report.exact == closed_form_sln(n, p)
 
     def test_so_three_blocks(self):
-        # F = (Z/2)^6: characters() decomposes all 64 elements
+        # F = (Z/2)^6: the dual-basis characters are picked from its 64
         report = ed_case_so(3)
         assert report.exact == closed_form_so(3) == 9
 
