@@ -282,8 +282,8 @@ class ComponentGroup:
     Elements are stored in deterministic breadth-first order (lexicographic
     tie-break inside each level); element 0 is the identity.  `right[x][g]` is
     the class of x times generator g (the right Cayley graph), recorded by the
-    enumeration; the full multiplication table is filled from it along the
-    breadth-first words when it is first needed.
+    enumeration; a product x y walks y's breadth-first word through it, so no
+    multiplication table is stored.
     """
 
     def __init__(self, P: MonomialGroupPresentation, elements, index, canon, right):
@@ -296,23 +296,12 @@ class ComponentGroup:
         self._reps: dict[MonomialRep, RepRecord] = {}
         self._decompositions: dict[tuple[int, ...], tuple] = {}
 
-    @cached_property
-    def table(self) -> list[list[int]]:
-        # rep(j) = rep(parent(j)) * gen_last(j), so x * rep(j) = (x * rep(parent(j))) * gen_last(j)
+    def mul(self, x: int, y: int) -> int:
+        """Class of x times y."""
         right = self.right
-        word_index = {el.word: j for j, el in enumerate(self.elements)}
-        steps = [(word_index[el.word[:-1]], el.word[-1]) for el in self.elements[1:]]
-        table = []
-        for i in range(len(self.elements)):
-            row = [i]
-            for parent, g in steps:
-                row.append(right[row[parent]][g])
-            table.append(row)
-        return table
-
-    @cached_property
-    def orders(self) -> list[int]:
-        return [self._order(i) for i in range(len(self.elements))]
+        for g in self.elements[y].word:
+            x = right[x][g]
+        return x
 
     def class_of(self, pair: tuple[Perm, Coeff]) -> int:
         """Class index of a literal monomial pair (perm, coefficients)."""
@@ -322,18 +311,15 @@ class ComponentGroup:
         except KeyError:
             raise ValueError("monomial pair is not an element of the presented group") from None
 
-    def __len__(self) -> int:
-        return len(self.elements)
-
     @property
     def order(self) -> int:
         return len(self.elements)
 
-    def _order(self, i: int) -> int:
+    def element_order(self, i: int) -> int:
         n = 1
         x = i
         while x != self.identity:
-            x = self.table[x][i]
+            x = self.mul(x, i)
             n += 1
         return n
 
@@ -343,7 +329,7 @@ class ComponentGroup:
     def power(self, i: int, k: int) -> int:
         acc = self.identity
         for _ in range(k):
-            acc = self.table[acc][i]
+            acc = self.mul(acc, i)
         return acc
 
     def subgroup_closure(self, indices) -> tuple[int, ...]:
@@ -373,18 +359,16 @@ class ComponentGroup:
         picks do not yet generate.  Each pick at least doubles the subgroup,
         so closing the s picks costs at most 2s|H| products, against
         |members|·|H| for closing all the members at once."""
-        table = self.table
         gens: list[int] = []
         reached = {self.identity}
         for h in members:
             if h not in reached:
                 gens.append(h)
-                reached = set(closure(self.identity, gens, lambda x, g: table[x][g]))
+                reached = set(closure(self.identity, gens, self.mul))
         return gens, reached
 
     def _commute(self, gens) -> bool:
-        table = self.table
-        return all(table[a][b] == table[b][a] for a, b in itertools.combinations(gens, 2))
+        return all(self.mul(a, b) == self.mul(b, a) for a, b in itertools.combinations(gens, 2))
 
     def abelian_decomposition(self, indices=None):
         """Cyclic decomposition of an abelian subgroup.
@@ -396,7 +380,7 @@ class ComponentGroup:
         subgroup is presented by a greedy generating set and the relations
         read off its Cayley graph; results are memoized per member set.
         """
-        members = self.subgroup_closure(indices if indices is not None else range(len(self)))
+        members = self.subgroup_closure(indices if indices is not None else range(self.order))
         if members not in self._decompositions:
             self._decompositions[members] = self._decompose(members)
         return self._decompositions[members]
@@ -418,7 +402,7 @@ class ComponentGroup:
         for x in queue:
             vx = vec[x]
             for t, h in enumerate(hs):
-                y = self.table[x][h]
+                y = self.mul(x, h)
                 cand = list(vx)
                 cand[t] += 1
                 if y in vec:
@@ -433,6 +417,7 @@ class ComponentGroup:
         if dec.rank != s:
             raise EdtorusError("INTERNAL", "relation lattice of a finite group must have full rank")
         uinv = zlat.unimodular_inverse(dec.U)
+        h_orders = [self.element_order(h) for h in hs]
         basis = []
         orders = []
         for i in range(s):
@@ -442,15 +427,18 @@ class ComponentGroup:
             col = uinv.column(i)
             g = self.identity
             for t, exp in enumerate(col):
-                g = self.table[g][self.power(hs[t], exp % self.orders[hs[t]])]
+                g = self.mul(g, self.power(hs[t], exp % h_orders[t]))
             basis.append(g)
             orders.append(d)
-        coords = {}
-        for expo in itertools.product(*[range(d) for d in orders]):
-            g = self.identity
-            for b, k in zip(basis, expo):
-                g = self.table[g][self.power(b, k)]
-            coords[g] = expo
+        # exponent tuples in lexicographic order, one product per element
+        coords = {self.identity: ()}
+        for b, d in zip(basis, orders):
+            grown = {}
+            for g, expo in coords.items():
+                for k in range(d):
+                    grown[g] = expo + (k,)
+                    g = self.mul(g, b)
+            coords = grown
         if len(coords) != len(members):
             raise EdtorusError("INTERNAL", "decomposition must enumerate the subgroup")
         return tuple(basis), tuple(orders), coords
@@ -470,8 +458,7 @@ class ComponentGroup:
         return self._elementary_rank_search(indices, p)
 
     def _elementary_rank_search(self, indices, p: int) -> int:
-        table = self.table
-        order_p = [i for i in sorted(indices) if i != self.identity and self.orders[i] == p]
+        order_p = [i for i in sorted(indices) if i != self.identity and self.power(i, p) == self.identity]
         best = 0
         visited: set[frozenset[int]] = set()
 
@@ -480,7 +467,7 @@ class ComponentGroup:
             # generators is commuting with all of it
             nonlocal best
             best = max(best, len(gens))
-            cands = [g for g in order_p if g not in span and all(table[g][h] == table[h][g] for h in gens)]
+            cands = [g for g in order_p if g not in span and all(self.mul(g, h) == self.mul(h, g) for h in gens)]
             if len(gens) + len(cands) <= best:
                 return
             for g in cands:
@@ -652,7 +639,7 @@ def validate(P: MonomialGroupPresentation) -> ValidationReport:
         return failure(exc.code, exc.detail)
 
     try:
-        order = len(_enumerate_group(P))
+        order = _enumerate_group(P).order
     except EdtorusError as exc:
         return failure(exc.code, exc.detail)
 
@@ -691,8 +678,7 @@ def ensure_valid(P: MonomialGroupPresentation) -> ValidationReport:
 
 
 def component_group(P: MonomialGroupPresentation) -> ComponentGroup:
-    """Complete enumeration of the component group with its right Cayley graph;
-    the multiplication table is built on first use."""
+    """Complete enumeration of the component group with its right Cayley graph."""
     ensure_valid(P)
     return _enumerate_group(P)
 
@@ -701,31 +687,26 @@ def component_group(P: MonomialGroupPresentation) -> ComponentGroup:
 def character_lattice_action(P: MonomialGroupPresentation):
     """The rank-d lattice with the matrix group F induces on it, cached as `validate` is.
     The weights span, so a matrix is fixed by how it permutes the distinct weight values:
-    the image is closed as permutations, with one product A_y = A_x A_g per image element."""
-    from .symrank import FLattice, _mat_mul
+    the image is closed as permutations, and its Cayley graph hands the lattice its order
+    and commutativity; the matrices are multiplied out only when they are read."""
+    from .symrank import FLattice
 
     group_order = component_group(P).order
     report = validate(P)
-    d = P.torus_rank
     values = sorted(set(P.weights))
     pos = {w: k for k, w in enumerate(values)}
     ident = tuple(range(len(values)))
-    mats = {ident: m_as_tuple(IntMatrix.identity(d))}
+    mats = {}
     for A in report.induced_matrices:
         mats.setdefault(tuple(pos[A.apply(w)] for w in values), m_as_tuple(A))
     gens = sorted(g for g in mats if g != ident)
-
-    def mul(x, g):
-        y = perm_compose(x, g)
-        if y not in mats:
-            mats[y] = _mat_mul(mats[x], mats[g])
-        return y
-
     # the matrix group is the image of F, so it never needs more than |F| elements
-    image = closure(ident, gens, mul, limit=group_order)
+    image = closure(ident, gens, perm_compose, limit=group_order)
     if image is None or group_order % len(image) != 0:
         raise EdtorusError("INTERNAL", "lattice action order must divide the component order")
-    return FLattice(rank=d, matrices=tuple(sorted(mats.values())), generators=tuple(mats[g] for g in gens))
+    index = {x: i for i, x in enumerate(image)}
+    right = [[index[perm_compose(x, g)] for g in gens] for x in image]
+    return FLattice(rank=P.torus_rank, generators=tuple(mats[g] for g in gens), right=right)
 
 
 def m_as_tuple(A: IntMatrix) -> tuple[tuple[int, ...], ...]:

@@ -18,7 +18,8 @@ entry per node.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from . import zlat
@@ -28,27 +29,29 @@ DEFAULT_BOX_BUDGET = 50_000_000
 DEFAULT_NODE_BUDGET = 100_000_000
 
 
-@dataclass(frozen=True)
 class FLattice:
-    """Z^rank with a finite group of unimodular matrices acting on it.  A caller
-    that closed the group itself passes its non-identity generators, and the
-    closure check is skipped; otherwise the check picks them."""
+    """Z^rank with a finite group of unimodular matrices acting on it.  Given its
+    `matrices`, the closure check picks non-identity `generators` unless they are
+    passed.  A caller that closed the group itself may pass the generators and the
+    right Cayley graph instead (element 0 the identity, breadth-first order,
+    right[x][g] = x times generator g): the matrices are built on first read."""
 
-    rank: int
-    matrices: tuple[tuple[tuple[int, ...], ...], ...]
-    generators: tuple | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        mats = set(self.matrices)
-        ident = tuple(tuple(1 if i == j else 0 for j in range(self.rank)) for i in range(self.rank))
+    def __init__(self, rank: int, matrices=None, generators=None, right=None):
+        self.rank = rank
+        self.right = right
+        ident = _identity(rank)
+        if matrices is not None:
+            self.matrices = tuple(matrices)
+        mats = set(self.matrices) if matrices is not None else {ident, *generators}
         if ident not in mats:
             raise ValueError("matrix set must contain the identity")
-        for a in self.matrices:
-            if len(a) != self.rank or any(len(r) != self.rank for r in a):
+        for a in mats:
+            if len(a) != rank or any(len(r) != rank for r in a):
                 raise ValueError("matrix shape mismatch")
-        if self.generators is not None:
-            if not set(self.generators) <= mats - {ident}:
+        if generators is not None:
+            if not set(generators) <= mats - {ident}:
                 raise ValueError("generators must be non-identity members of the matrix set")
+            self.generators = tuple(generators)
             return
         # A finite set is closed under products iff it equals the monoid it
         # generates; each matrix not yet reached joins the generators.
@@ -63,21 +66,39 @@ class FLattice:
                 reached = set(got)
         if reached != mats:
             raise ValueError("matrix set is not closed under products")
-        object.__setattr__(self, "generators", tuple(gens))
+        self.generators = tuple(gens)
+
+    @cached_property
+    def matrices(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        mats = [_identity(self.rank)] + [None] * (len(self.right) - 1)
+        for x, row in enumerate(self.right):
+            for g, y in enumerate(row):
+                if mats[y] is None:
+                    mats[y] = _mat_mul(mats[x], self.generators[g])
+        if len(set(mats)) != len(mats):
+            raise EdtorusError("INTERNAL", "lattice matrices must be as many as the elements of the graph")
+        return tuple(sorted(mats))
 
     @property
     def order(self) -> int:
-        return len(self.matrices)
+        return len(self.matrices) if self.right is None else len(self.right)
 
     def is_abelian(self) -> bool:
-        return all(
-            _mat_mul(a, b) == _mat_mul(b, a) for a, b in itertools.combinations(self.generators, 2)
-        )
+        pairs = itertools.combinations(range(len(self.generators)), 2)
+        if self.right is None:
+            gens = self.generators
+            return all(_mat_mul(gens[i], gens[j]) == _mat_mul(gens[j], gens[i]) for i, j in pairs)
+        first = self.right[0]  # generator g is element first[g]
+        return all(self.right[first[i]][j] == self.right[first[j]][i] for i, j in pairs)
 
     def orbit(self, vec) -> tuple[tuple[int, ...], ...]:
         v = tuple(int(x) for x in vec)
         out = {tuple(sum(row[j] * v[j] for j in range(self.rank)) for row in a) for a in self.matrices}
         return tuple(sorted(out))
+
+
+def _identity(rank: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank))
 
 
 def _mat_mul(a, b):
@@ -128,17 +149,13 @@ class SymRankResult:
     witness: tuple[tuple[int, ...], ...]
     status: str  # "EXACT" | "UPPER_ONLY"
     lower_bound_used: int
-    search_bound: int
-
-
-def default_search_bound(L: FLattice) -> int:
-    m = max((abs(x) for a in L.matrices for row in a for x in row), default=0)
-    return 2 * m + 1
+    search_bound: int | None  # the box a search used; None when no box was searched
 
 
 def _search_bound(L: FLattice, B: int | None) -> int:
+    """B, checked, or by default 2m + 1 for the largest entry m of a matrix."""
     if B is None:
-        return default_search_bound(L)
+        return 2 * max((abs(x) for a in L.matrices for row in a for x in row), default=0) + 1
     if B < 1:
         raise EdtorusError("BAD_INPUT", "search bound must be >= 1")
     return B
@@ -338,7 +355,8 @@ def eta_bounds(P, V=None, B: int | None = None, run_search: bool = True, max_ste
 
     report = ensure_valid(P)
     L = character_lattice_action(P)
-    B = _search_bound(L, B)
+    if B is not None:
+        _search_bound(L, B)  # an explicit bound is checked even where no search runs
     p = P.p
     bound = perm_lower_bound(L, p)
     lower = bound.value if bound.hypotheses_ok else L.rank
@@ -362,7 +380,7 @@ def eta_bounds(P, V=None, B: int | None = None, run_search: bool = True, max_ste
             witness=candidate,
             status="EXACT",
             lower_bound_used=lower,
-            search_bound=B,
+            search_bound=None,
         )
     elif run_search:
         try:

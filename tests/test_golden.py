@@ -7,14 +7,17 @@ name.json.  For the names in INPUTS that file is the `presentation` field of
 `case so 1` presentation plus one weight-zero line on which generator 1 acts
 by 1/2 and generator 2 by 0, a block whose denominator does not divide e = 1.
 
-Regenerate (only for a deliberate output change, noted in CHANGES.md):
+Regenerate (only for a deliberate output change, noted in CHANGES.md) every
+input and golden file, or only the named golden files:
 
     PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py eta_so_2 eta_sl_9_3
 """
 
 import contextlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -76,16 +79,21 @@ def test_golden_output(name):
     assert _stdout(GOLDEN[name]) == expected
 
 
-def _regenerate():
-    (GOLDEN_DIR / "inputs").mkdir(parents=True, exist_ok=True)
-    for name, case in INPUTS.items():
-        doc = json.loads(_stdout(["case", *case]))["presentation"]
-        (GOLDEN_DIR / "inputs" / f"{name}.json").write_text(
-            json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8"
-        )
-    for name, argv in GOLDEN.items():
-        (GOLDEN_DIR / f"{name}.json").write_text(_stdout(argv), encoding="utf-8")
+def _regenerate(names):
+    unknown = [name for name in names if name not in GOLDEN]
+    if unknown:
+        sys.exit(f"unknown golden file: {' '.join(unknown)}")
+    if not names:
+        (GOLDEN_DIR / "inputs").mkdir(parents=True, exist_ok=True)
+        for name, case in INPUTS.items():
+            doc = json.loads(_stdout(["case", *case]))["presentation"]
+            (GOLDEN_DIR / "inputs" / f"{name}.json").write_text(
+                json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8"
+            )
+        names = list(GOLDEN)
+    for name in names:
+        (GOLDEN_DIR / f"{name}.json").write_text(_stdout(GOLDEN[name]), encoding="utf-8")
 
 
 if __name__ == "__main__":
-    _regenerate()
+    _regenerate(sys.argv[1:])

@@ -84,7 +84,7 @@ class TestValidate:
         assert not report.split_witness  # the literal swap closes to order 4
         group = component_group(sl2_normalizer)
         g = group.class_of(sl2_normalizer.generators[0])
-        assert group.table[g][g] == group.identity
+        assert group.mul(g, g) == group.identity
 
     def test_no_induced_action(self):
         P = MonomialGroupPresentation(
@@ -193,7 +193,7 @@ class TestComponentGroup:
         group = component_group(so4_presentation)
         assert group.order == 4
         assert group.is_abelian()
-        assert sorted(group.orders) == [1, 2, 2, 2]
+        assert sorted(group.element_order(i) for i in range(group.order)) == [1, 2, 2, 2]
 
     @pytest.mark.parametrize(
         "maker",
@@ -207,12 +207,12 @@ class TestComponentGroup:
     def test_associativity_and_p_power_orders(self, maker):
         P = maker()
         group = component_group(P)
-        table = np.array(group.table, dtype=np.int32)
-        n = len(table)
+        n = group.order
+        table = np.array([[group.mul(a, b) for b in range(n)] for a in range(n)], dtype=np.int32)
         left = table[table[:, :, None], np.arange(n)[None, None, :]]
         right = table[np.arange(n)[:, None, None], table[None, :, :]]
         assert np.array_equal(left, right)
-        for o in group.orders:
+        for o in map(group.element_order, range(n)):
             while o % P.p == 0:
                 o //= P.p
             assert o == 1
@@ -227,10 +227,10 @@ class TestComponentGroup:
         reps = [(el.perm, el.coeff) for el in group.elements]
         e = group.presentation.root_of_unity_exponent
         literal = [[group.class_of(monomial_mul(a, b, e)) for b in reps] for a in reps]
-        assert group.table == literal
+        n = group.order
+        assert [[group.mul(x, y) for y in range(n)] for x in range(n)] == literal
         gens = group.right[group.identity]
         assert group.right == [[row[g] for g in gens] for row in literal]
-        n = group.order
         assert group.is_abelian() == all(literal[i][j] == literal[j][i] for i in range(n) for j in range(n))
 
     def test_each_cayley_edge_canonicalised_once(self, fresh_caches, monkeypatch):
@@ -259,10 +259,9 @@ class TestComponentGroup:
     )
     def test_is_subgroup_matches_all_pairs(self, maker):
         group = component_group(maker())
-        table = group.table
 
         def all_pairs(s):
-            return group.identity in s and all(table[a][b] in s for a in s for b in s)
+            return group.identity in s and all(group.mul(a, b) in s for a in s for b in s)
 
         # every subgroup, grown from the trivial one an element at a time;
         # <H, x> = <H, x h> for h in H, so one x per coset x H is enough
@@ -275,7 +274,7 @@ class TestComponentGroup:
                 for x in range(group.order):
                     if x in done:
                         continue
-                    done.update(table[x][h] for h in H)
+                    done.update(group.mul(x, h) for h in H)
                     K = group.subgroup_closure(gens_of[H] + [x])
                     if K not in gens_of:
                         gens_of[K] = gens_of[H] + [x]
@@ -305,7 +304,7 @@ class TestComponentGroup:
         A = report.induced_matrices[0]
         # the induced map factors through the component group: A^3 = identity
         assert (A @ A @ A).is_identity()
-        assert group.orders[group.class_of(sl3_three_cycle.generators[0])] == 3
+        assert group.element_order(group.class_of(sl3_three_cycle.generators[0])) == 3
 
     def test_representative_invariance(self):
         base = sln_case(6, 3).presentation
@@ -325,7 +324,7 @@ class TestComponentGroup:
         g1 = component_group(base)
         g2 = component_group(P2)
         assert g1.order == g2.order
-        assert sorted(g1.orders) == sorted(g2.orders)
+        assert sorted(map(g1.element_order, range(g1.order))) == sorted(map(g2.element_order, range(g2.order)))
 
     def test_torsion_shifted_representative_same_class(self, sl3_three_cycle):
         perm, coeff = sl3_three_cycle.generators[0]
@@ -440,6 +439,7 @@ class TestCharacterLattice:
         monkeypatch.setattr(symrank_module, "_mat_mul", counting_mul)
         L = character_lattice_action.__wrapped__(P)  # past the cache: a fresh build
         assert L.order == 256
+        assert len(L.matrices) == L.order
         assert calls <= L.order
 
     def test_cached_per_presentation(self, so4_presentation):
@@ -463,7 +463,7 @@ class TestCharacterBlocks:
         g = group.class_of(sl3_three_cycle.generators[0])
         chi = [0] * group.order  # values modulo |F| = 3
         chi[g] = 1
-        chi[group.table[g][g]] = 2
+        chi[group.mul(g, g)] = 2
         R = append_character_block(natural_rep(sl3_three_cycle), tuple(chi))
         assert R.blocks[-1].gen_coeffs == ((1,),)
         assert R.blocks[-1].modulus == 3
@@ -499,7 +499,7 @@ class TestCharacterBlocks:
             reference = self.all_characters(group)
             assert len(reference) == N
             for chi in reference:
-                assert all((chi[i] + chi[j]) % N == chi[group.table[i][j]] for i in range(N) for j in range(N))
+                assert all((chi[i] + chi[j]) % N == chi[group.mul(i, j)] for i in range(N) for j in range(N))
             # the whole group and every cyclic subgroup as the image
             images = {group.subgroup_closure([g]) for g in range(N)} | {tuple(range(N))}
             for H in images:
@@ -565,14 +565,13 @@ class TestAbelianDecomposition:
 
     def test_proper_subgroup_coords_are_a_homomorphism(self):
         group = component_group(sln_case(9, 2).presentation)
-        table = group.table
         # an element of order 4 and one commuting with it outside its span
         x, y = next(
             (x, y)
             for x in range(group.order)
-            if group.orders[x] == 4
+            if group.element_order(x) == 4
             for y in range(group.order)
-            if table[x][y] == table[y][x] and y not in group.subgroup_closure([x])
+            if group.mul(x, y) == group.mul(y, x) and y not in group.subgroup_closure([x])
         )
         members = group.subgroup_closure([x, y])
         assert len(members) < group.order
@@ -585,7 +584,7 @@ class TestAbelianDecomposition:
         for a in members:
             for b in members:
                 expected = tuple((u + v) % d for u, v, d in zip(coords[a], coords[b], orders))
-                assert coords[table[a][b]] == expected
+                assert coords[group.mul(a, b)] == expected
         assert group.abelian_decomposition([y, x]) is group.abelian_decomposition(members)
 
     def test_non_abelian_subgroup_rejected(self):
@@ -618,14 +617,13 @@ class TestElementaryRank:
         from itertools import combinations
 
         group = component_group(sln_case(n, 2).presentation)
-        table = group.table
-        involutions = [i for i in range(group.order) if group.orders[i] == 2]
+        involutions = [i for i in range(group.order) if group.element_order(i) == 2]
         # k pairwise commuting involutions generating 2^k elements
         brute = max(
             k
             for k in range(len(involutions) + 1)
             for combo in combinations(involutions, k)
-            if all(table[a][b] == table[b][a] for a, b in combinations(combo, 2))
+            if all(group.mul(a, b) == group.mul(b, a) for a, b in combinations(combo, 2))
             and len(group.subgroup_closure(combo)) == 2**k
         )
         assert not group.is_abelian()

@@ -88,7 +88,6 @@ class TestCharactersGeneratingDual:
     def test_dual_basis_on_two_generated_subgroups(self, maker, count):
         group = component_group(maker())
         N = group.order
-        table = group.table
         subgroups = {group.subgroup_closure([a, b]) for a in range(N) for b in range(N)}
         assert len(subgroups) == count
         for H in subgroups:
@@ -96,7 +95,7 @@ class TestCharactersGeneratingDual:
             chars = _characters_generating_dual(group, H)
             assert len(chars) == len(orders)
             for i, chi in enumerate(chars):
-                assert all(chi[table[x][y]] == (chi[x] + chi[y]) % N for x in range(N) for y in range(N))
+                assert all(chi[group.mul(x, y)] == (chi[x] + chi[y]) % N for x in range(N) for y in range(N))
                 assert [chi[b] for b in basis] == [N // d if j == i else 0 for j, d in enumerate(orders)]
             assert [h for h in H if all(chi[h] == 0 for chi in chars)] == [group.identity]
 
@@ -175,7 +174,7 @@ class TestCaseConstructors:
         case = sln_case(4, 2)
         group = component_group(case.presentation)
         assert group.order == 4
-        assert sorted(group.orders) == [1, 2, 2, 2]
+        assert sorted(group.element_order(i) for i in range(group.order)) == [1, 2, 2, 2]
 
     def test_unsupported(self):
         for make in (lambda: sln_case(1, 2), lambda: sln_case(4, 4), lambda: so_case(0)):

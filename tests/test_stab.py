@@ -149,7 +149,7 @@ class TestPGenericallyFree:
         g = group.class_of(sl3_three_cycle.generators[0])
         chi = [0] * group.order  # values modulo |F| = 3
         chi[g] = 1
-        chi[group.table[g][g]] = 2
+        chi[group.mul(g, g)] = 2
         rep = append_character_block(natural_rep(sl3_three_cycle), tuple(chi))
         assert is_p_generically_free(sl3_three_cycle, rep).ok
 
@@ -171,7 +171,7 @@ class TestMonotonicity:
         g = group.class_of(sl3_three_cycle.generators[0])
         chi = [0] * group.order  # values modulo |F| = 3
         chi[g] = 1
-        chi[group.table[g][g]] = 2
+        chi[group.mul(g, g)] = 2
         rep2 = append_character_block(natural_rep(sl3_three_cycle), tuple(chi))
         smaller = generic_stabilizer(sl3_three_cycle, rep2)
         assert set(smaller.component_image) < set(base.component_image)
