@@ -162,6 +162,8 @@ class TestCommandLineNumbers:
             ["oracle", "stab", SO_2, "--trials", "x"],
             ["oracle", "symrank", SO_2, "--no-such-flag"],
             ["frobnicate"],
+            # the pinch answers without a search, but an explicit bound is still checked
+            ["eta", SO_2, "-B", "0"],
         ],
     )
     def test_rejected_with_a_diagnostic(self, argv, capsys):

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import importlib
 import io
 from pathlib import Path
 
@@ -148,6 +149,38 @@ class TestOnePass:
         assert ed_case_sl(16, 2).exact == closed_form_sln(16, 2)
         assert largest["smith_cells"] < 1000
         assert largest["hermite_rows"] < 100
+
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            lambda: ed_case_sl(9, 2),
+            lambda: ed_case_sl(16, 2),
+            lambda: cli.main(["ed", TestOnePass.SO_2, "--format", "json"]),
+        ],
+        ids=["case_sl_9_2", "case_sl_16_2", "so_2"],
+    )
+    def test_ed_builds_no_lattice_matrix(self, request_, fresh_caches, monkeypatch):
+        # no answer of ed reads a lattice matrix: order and commutativity come
+        # from the permutation closure, and a pinch searches no box
+        calls = self.count_mat_mul(monkeypatch)
+        with contextlib.redirect_stdout(io.StringIO()):
+            request_()
+        assert calls["_mat_mul"] == 0
+
+    def test_eta_search_builds_the_matrices(self, fresh_caches, monkeypatch):
+        calls = self.count_mat_mul(monkeypatch)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["eta", self.SO_2, "--rep", "none", "-B", "2", "--format", "json"]) == 0
+        assert out.getvalue() == (Path(self.SO_2).parents[1] / "eta_so_2_norep.json").read_text(encoding="utf-8")
+        # one product per element of the lattice image but the identity
+        L = monogrp.character_lattice_action(cli.load_presentation(self.SO_2, "natural")[0])
+        assert calls["_mat_mul"] == L.order - 1 == 15
+
+    def count_mat_mul(self, monkeypatch) -> dict:
+        calls = {"_mat_mul": 0}
+        self.count_calls(monkeypatch, [importlib.import_module("edtorus.symrank")], "_mat_mul", calls)
+        return calls
 
     def test_one_validation_per_presentation(self, fresh_caches):
         with contextlib.redirect_stdout(io.StringIO()):
