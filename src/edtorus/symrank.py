@@ -76,7 +76,7 @@ class FLattice:
                 if mats[y] is None:
                     mats[y] = _mat_mul(mats[x], self.generators[g])
         if len(set(mats)) != len(mats):
-            raise EdtorusError("INTERNAL", "lattice matrices must be as many as the elements of the graph")
+            raise EdtorusError("INTERNAL", "the matrices of the Cayley graph's elements must be distinct")
         return tuple(sorted(mats))
 
     @property
@@ -373,7 +373,7 @@ def eta_bounds(P, V=None, B: int | None = None, run_search: bool = True, max_ste
     sr = None
     certificate = None
     # Pinch: the weight set of V is invariant and p-spanning, so SymRank is
-    # caught between the certified bound and its size.
+    # caught between the certified bound and its size; no box is searched.
     if candidate is not None and len(candidate) == lower:
         sr = SymRankResult(
             value=lower,

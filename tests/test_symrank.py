@@ -101,6 +101,20 @@ class TestFLatticeChecks:
         with pytest.raises(ValueError, match="generators"):
             FLattice(rank=1, matrices=(((1,),), ((-1,),)), generators=gens)
 
+    def test_cayley_graph_builds_matrices_on_first_read(self):
+        neg = ((-1,),)
+        L = FLattice(rank=1, generators=(neg,), right=[[1], [0]])
+        assert "matrices" not in vars(L)
+        assert (L.order, L.is_abelian()) == (2, True)
+        assert L.matrices == (neg, ((1,),))
+        with pytest.raises(ValueError, match="generators"):
+            FLattice(rank=1, generators=(((1,),),), right=[[0]])
+        with pytest.raises(ValueError, match="shape"):
+            FLattice(rank=1, generators=(((1, 0), (0, 1)),), right=[[1], [0]])
+        # a graph of three elements over a group of two: the build finds a repeat
+        with pytest.raises(EdtorusError, match="distinct"):
+            FLattice(rank=1, generators=(neg,), right=[[1], [2], [0]]).matrices
+
 
 class TestFLatticeAbelian:
     @staticmethod
