@@ -18,6 +18,7 @@ stderr, its exit code read from the error code:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -437,20 +438,26 @@ class _Parser(argparse.ArgumentParser):
         raise EdtorusError("BAD_INPUT", f"{self.prog}: {message}")
 
 
+def _env_max_steps() -> int:
+    """The default step budget: EDTORUS_MAX_STEPS, read afresh at every call, else 10^8."""
+    env_steps = os.environ.get(MAX_STEPS_ENV)
+    try:
+        return int(env_steps) if env_steps else 10**8
+    except ValueError:
+        raise EdtorusError("BAD_INPUT", f"{MAX_STEPS_ENV} must be an integer, got {env_steps!r}") from None
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built at the first call and shared by every later one, so it holds no per-request state."""
     parser = _Parser(
         prog="edtorus",
         description="essential p-dimension of torus extensions presented by monomial generators",
     )
-    env_steps = os.environ.get(MAX_STEPS_ENV)
-    try:
-        default_steps = int(env_steps) if env_steps else 10**8
-    except ValueError:
-        raise EdtorusError("BAD_INPUT", f"{MAX_STEPS_ENV} must be an integer, got {env_steps!r}") from None
 
     def common(sub):
         sub.add_argument("--format", choices=("table", "json"), default="table")
-        sub.add_argument("--max-steps", type=int, default=default_steps, dest="max_steps")
+        sub.add_argument("--max-steps", type=int, default=None, dest="max_steps")
 
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -534,7 +541,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
+        default_steps = _env_max_steps()
         args = build_parser().parse_args(argv)
+        args.max_steps = default_steps if args.max_steps is None else args.max_steps
         if args.max_steps < 0:
             raise EdtorusError("BAD_INPUT", f"the step budget (--max-steps or {MAX_STEPS_ENV}) must be >= 0")
         return args.fn(args, sys.stdout)

@@ -232,7 +232,7 @@ def symrank(
     best_witness = None
     if initial_witness is not None:
         vecs = tuple(sorted({tuple(int(x) for x in v) for v in initial_witness}))
-        _check_invariant_spanning(L, p, vecs)
+        _check_invariant_spanning(L, p, vecs, "BAD_INPUT")
         best_size = len(vecs)
         best_witness = vecs
 
@@ -304,7 +304,7 @@ def symrank(
         raise EdtorusError("INCONCLUSIVE", f"no invariant p-spanning union of orbits with sup-norm <= {B}")
     if best_witness is None:
         raise EdtorusError("INTERNAL", "a best size comes with a witness")
-    _check_invariant_spanning(L, p, best_witness)
+    _check_invariant_spanning(L, p, best_witness, "INTERNAL")
     status = "EXACT" if best_size == lower else "UPPER_ONLY"
     return SymRankResult(
         value=best_size,
@@ -315,14 +315,16 @@ def symrank(
     )
 
 
-def _check_invariant_spanning(L: FLattice, p: int, vecs) -> None:
+def _check_invariant_spanning(L: FLattice, p: int, vecs, code: str) -> None:
+    """EdtorusError(code) unless vecs is invariant and p-spanning.  A finite set
+    that each generator maps into itself is invariant under the whole group."""
     vset = set(vecs)
-    for v in vecs:
-        for w in L.orbit(v):
-            if w not in vset:
-                raise ValueError("witness is not invariant under the group")
+    for a in L.generators:
+        for v in vecs:
+            if tuple(sum(x * y for x, y in zip(row, v)) for row in a) not in vset:
+                raise EdtorusError(code, "witness is not invariant under the group")
     if zlat.sublattice_p_index(vecs, L.rank, p) != 0:
-        raise ValueError("witness is not p-spanning")
+        raise EdtorusError(code, "witness is not p-spanning")
 
 
 # -- minimal p-faithful dimension ---------------------------------------------

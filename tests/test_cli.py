@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edtorus.cli import EXIT_BUDGET, EXIT_INCONCLUSIVE, EXIT_INVALID, EXIT_OK, main
+from edtorus.cli import EXIT_BUDGET, EXIT_INCONCLUSIVE, EXIT_INVALID, EXIT_OK, build_parser, main
 
 GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
 SO_2 = str(GOLDEN_INPUTS / "so_2.json")
@@ -355,6 +355,49 @@ class TestBudgets:
         assert code == EXIT_INVALID
         assert out == ""
         assert json.loads(err)["error"] == "BAD_INPUT"
+
+
+class TestParserReuse:
+    """One parser serves every `main` call of a process; no option of one
+    request, nor the budget of the environment it ran in, reaches the next."""
+
+    def test_parser_built_once(self):
+        build_parser.cache_clear()
+        for _ in range(5):
+            assert main(["validate", SO_2, "--format", "json"]) == EXIT_OK
+            assert main(["case", "so", "1", "--format", "json"]) == EXIT_OK
+        assert (build_parser.cache_info().misses, build_parser.cache_info().hits) == (1, 9)
+
+    def test_options_do_not_carry_over(self, capsys):
+        golden = GOLDEN_INPUTS.parent
+        for argv, name in [
+            (["eta", SO_2, "-B", "2"], "eta_so_2"),
+            (["eta", SO_2], "eta_so_2"),
+            (["eta", SO_2, "--rep", "none", "-B", "2"], "eta_so_2_norep"),
+        ]:
+            code, out, _ = run(argv + ["--format", "json"], capsys)
+            assert (code, out) == (EXIT_OK, (golden / f"{name}.json").read_text(encoding="utf-8"))
+        # without -B the search takes its default box again, not the last call's
+        code, out, _ = run(["eta", SO_2, "--rep", "none", "--format", "json"], capsys)
+        assert json.loads(out)["symrank"]["search_bound"] == 3
+
+    def test_max_steps_does_not_carry_over(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("EDTORUS_MAX_STEPS", raising=False)
+        argv = ["oracle", "stab", write_json(tmp_path, SL2_NORMALIZER)]
+        assert run(argv + ["--max-steps", "1"], capsys)[0] == EXIT_BUDGET
+        assert run(argv, capsys)[0] == EXIT_OK
+
+    def test_env_var_read_at_every_call(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("EDTORUS_MAX_STEPS", raising=False)
+        argv = ["oracle", "stab", write_json(tmp_path, SL2_NORMALIZER)]
+        assert run(argv, capsys)[0] == EXIT_OK
+        monkeypatch.setenv("EDTORUS_MAX_STEPS", "1")
+        assert run(argv, capsys)[0] == EXIT_BUDGET
+        monkeypatch.setenv("EDTORUS_MAX_STEPS", "abc")
+        code, _, err = run(argv, capsys)
+        assert (code, json.loads(err)["error"]) == (EXIT_INVALID, "BAD_INPUT")
+        monkeypatch.delenv("EDTORUS_MAX_STEPS")
+        assert run(argv, capsys)[0] == EXIT_OK
 
 
 # -- random documents never end in a traceback ------------------------------------

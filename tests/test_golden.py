@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from edtorus.cli import EXIT_OK, main
+from edtorus.cli import EXIT_OK, build_parser, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 INPUTS = {
@@ -77,6 +77,17 @@ def _stdout(argv) -> str:
 def test_golden_output(name):
     expected = (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
     assert _stdout(GOLDEN[name]) == expected
+
+
+def test_one_process_many_requests(fresh_caches):
+    """The shape of a benchmark pass: many requests through one process, from
+    cold caches, twice over.  What the process keeps between requests (the
+    parser, the per-presentation caches) never changes an answer."""
+    build_parser.cache_clear()
+    names = [f"{cmd}_{name}" for name in ("sl_9_3", "so_2") for cmd in ("validate", "stabilizer", "eta", "ed")]
+    for _ in range(2):
+        for name in names:
+            assert _stdout(GOLDEN[name]) == (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8"), name
 
 
 def _regenerate(names):

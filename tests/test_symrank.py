@@ -1,5 +1,6 @@
 """Symmetric p-rank search, lower bounds, and minimal faithful dimension."""
 
+import importlib
 import random
 
 import pytest
@@ -208,6 +209,48 @@ class TestBudgets:
         res = symrank(L, p, B=1, node_budget=5_000)
         assert res.value == 6
         assert res.status == "EXACT"
+
+
+class TestWitnessCheck:
+    """A caller's witness is checked on the group's generators only: a finite
+    set each generator maps into itself is invariant under the whole group."""
+
+    FLIPS = FLattice(
+        rank=2, matrices=(((1, 0), (0, 1)), ((-1, 0), (0, 1)), ((1, 0), (0, -1)), ((-1, 0), (0, -1)))
+    )
+
+    def test_generators_picked_by_closure(self):
+        assert self.FLIPS.generators == (((-1, 0), (0, 1)), ((1, 0), (0, -1)))
+
+    @pytest.mark.parametrize(
+        "witness,reason",
+        [
+            # invariant under the first generator, not under the second
+            (((1, 0), (-1, 0), (0, 1)), "invariant"),
+            # invariant, but its span has index 2
+            (((2, 0), (-2, 0), (0, 1), (0, -1)), "p-spanning"),
+        ],
+        ids=["second_generator", "not_p_spanning"],
+    )
+    def test_bad_initial_witness_rejected(self, witness, reason):
+        with pytest.raises(EdtorusError, match=reason) as err:
+            symrank(self.FLIPS, 2, B=1, initial_witness=witness)
+        assert err.value.code == "BAD_INPUT"
+
+    def test_check_builds_no_lattice_matrix(self, fresh_caches, monkeypatch):
+        # the package's `symrank` attribute is the function, not the module
+        symrank_module = importlib.import_module("edtorus.symrank")
+        calls = []
+        mat_mul = symrank_module._mat_mul
+        monkeypatch.setattr(symrank_module, "_mat_mul", lambda a, b: calls.append(1) or mat_mul(a, b))
+        P = sln_case(9, 3).presentation
+        L = character_lattice_action(P)
+        # V's nine weights meet the certified lower bound: the check is all that runs
+        weights = [w for w in natural_rep(P).weights if any(w)]
+        res = symrank(L, 3, B=1, initial_witness=weights)
+        assert (res.value, res.status) == (9, "EXACT")
+        assert calls == []
+        assert "matrices" not in vars(L)
 
 
 class TestPermLowerBound:
