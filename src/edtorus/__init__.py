@@ -17,6 +17,7 @@ from .monogrp import (
     append_character_block,
     character_lattice_action,
     component_group,
+    limit_steps,
     natural_rep,
     validate,
 )
@@ -75,6 +76,7 @@ __all__ = [
     "generic_stabilizer",
     "is_p_faithful",
     "is_p_generically_free",
+    "limit_steps",
     "natural_rep",
     "p_rank",
     "perm_lower_bound",

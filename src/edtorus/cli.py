@@ -27,12 +27,14 @@ from fractions import Fraction
 
 from . import oracle, pipeline
 from .monogrp import (
+    DEFAULT_MAX_STEPS,
     EdtorusError,
     MonomialGroupPresentation,
     MonomialRep,
     RepBlock,
     character_lattice_action,
     check_rep_compatible,
+    limit_steps,
     natural_rep,
     validate,
 )
@@ -322,16 +324,14 @@ def _cmd_stabilizer(args, out) -> int:
 def _cmd_symrank(args, out) -> int:
     P, _ = load_presentation(args.input, "natural")
     L = character_lattice_action(P)
-    res = symrank_search(
-        L, P.p, B=args.bound, node_budget=args.max_steps, box_budget=args.max_steps
-    )
+    res = symrank_search(L, P.p, B=args.bound)
     emit(jsonable_symrank(res), args.format, out)
     return EXIT_OK if res.status == "EXACT" else EXIT_INCONCLUSIVE
 
 
 def _cmd_eta(args, out) -> int:
     P, rep = load_presentation(args.input, args.rep)
-    res = eta_bounds(P, rep if args.rep != "none" else None, B=args.bound, max_steps=args.max_steps)
+    res = eta_bounds(P, rep if args.rep != "none" else None, B=args.bound)
     emit(jsonable_eta(res), args.format, out)
     return EXIT_OK if res.exact is not None else EXIT_INCONCLUSIVE
 
@@ -351,7 +351,7 @@ def _ed_from_args(args):
     if len(args.target) != 1:
         raise EdtorusError("BAD_INPUT", "usage: ed <input.json> | ed case ...")
     P, rep = load_presentation(args.target[0], args.rep)
-    return pipeline.essential_p_dimension(P, rep, max_steps=args.max_steps)
+    return pipeline.essential_p_dimension(P, rep)
 
 
 def _cmd_ed(args, out) -> int:
@@ -398,9 +398,7 @@ def _cmd_oracle(args, out) -> int:
         P, rep = load_presentation(args.input, args.rep)
         # input validation only: the oracle's own computation stays independent
         check_rep_compatible(P, rep)
-        report = oracle.ff_stabilizer(
-            P, rep, q=args.q, trials=args.trials, seed=args.seed, budget=args.max_steps
-        )
+        report = oracle.ff_stabilizer(P, rep, q=args.q, trials=args.trials, seed=args.seed)
         doc = {
             "q": report.q,
             "trials": report.trials,
@@ -415,7 +413,7 @@ def _cmd_oracle(args, out) -> int:
     if args.kind == "symrank":
         P, _ = load_presentation(args.input, "natural")
         L = character_lattice_action(P)
-        value = oracle.symrank_bruteforce(L, P.p, args.bound, budget=args.max_steps)
+        value = oracle.symrank_bruteforce(L, P.p, args.bound)
         emit({"value": value, "search_bound": args.bound}, args.format, out)
         return EXIT_OK
     if args.kind == "sylow":
@@ -439,10 +437,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _env_max_steps() -> int:
-    """The default step budget: EDTORUS_MAX_STEPS, read afresh at every call, else 10^8."""
+    """The default step limit: EDTORUS_MAX_STEPS, read afresh at every call, else DEFAULT_MAX_STEPS."""
     env_steps = os.environ.get(MAX_STEPS_ENV)
     try:
-        return int(env_steps) if env_steps else 10**8
+        return int(env_steps) if env_steps else DEFAULT_MAX_STEPS
     except ValueError:
         raise EdtorusError("BAD_INPUT", f"{MAX_STEPS_ENV} must be an integer, got {env_steps!r}") from None
 
@@ -546,7 +544,8 @@ def main(argv=None) -> int:
         args.max_steps = default_steps if args.max_steps is None else args.max_steps
         if args.max_steps < 0:
             raise EdtorusError("BAD_INPUT", f"the step budget (--max-steps or {MAX_STEPS_ENV}) must be >= 0")
-        return args.fn(args, sys.stdout)
+        with limit_steps(args.max_steps):
+            return args.fn(args, sys.stdout)
     except EdtorusError as exc:
         sys.stderr.write(json.dumps({"error": exc.code, "detail": exc.detail}, sort_keys=True) + "\n")
         return _EXIT_CODES.get(exc.code, EXIT_INVALID)

@@ -19,6 +19,8 @@ Conventions (asserted in tests):
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import itertools
 import math
 from dataclasses import dataclass
@@ -30,7 +32,12 @@ from .zlat import IntMatrix
 Perm = tuple[int, ...]
 Coeff = tuple[int, ...]  # c_i modulo a modulus n, standing for c_i/n in Q/Z
 
-ELEMENT_CAP = 10**6  # largest component group `validate` enumerates
+# Largest component group `validate` enumerates: a fixed cap, not the step limit,
+# since `validate` is cached and would serve one call's refusal to every later call.
+ELEMENT_CAP = 10**6
+DEFAULT_MAX_STEPS = 10**8
+# Steps each search stage may take, read once at its check; no cached function reads it.
+MAX_STEPS = contextvars.ContextVar("MAX_STEPS", default=DEFAULT_MAX_STEPS)
 
 
 class EdtorusError(Exception):
@@ -42,6 +49,16 @@ class EdtorusError(Exception):
         self.code = code
         self.detail = detail
         super().__init__(f"{code}: {detail}" if detail else code)
+
+
+@contextlib.contextmanager
+def limit_steps(n: int):
+    """Bound each search stage run inside the block by n steps."""
+    token = MAX_STEPS.set(n)
+    try:
+        yield
+    finally:
+        MAX_STEPS.reset(token)
 
 
 def _is_prime(n: int) -> bool:
@@ -460,6 +477,7 @@ class ComponentGroup:
     def _elementary_rank_search(self, indices, p: int) -> int:
         order_p = [i for i in sorted(indices) if i != self.identity and self.power(i, p) == self.identity]
         best = 0
+        limit = MAX_STEPS.get()
         visited: set[frozenset[int]] = set()
 
         def dfs(span: frozenset[int], gens: list[int]):
@@ -473,6 +491,8 @@ class ComponentGroup:
             for g in cands:
                 new_span = frozenset(self.subgroup_closure(gens + [g]))
                 if new_span not in visited:
+                    if len(visited) >= limit:
+                        raise EdtorusError("BUDGET_EXCEEDED", f"elementary-rank search exceeds {limit} subgroups")
                     visited.add(new_span)
                     dfs(new_span, gens + [g])
 

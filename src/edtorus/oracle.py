@@ -17,6 +17,7 @@ from math import gcd, lcm
 import numpy as np
 
 from .monogrp import (
+    MAX_STEPS,
     EdtorusError,
     MonomialGroupPresentation,
     MonomialRep,
@@ -25,7 +26,6 @@ from .monogrp import (
     natural_rep,
 )
 
-DEFAULT_BUDGET = 10**8
 DEFAULT_TRIALS = 50
 
 
@@ -114,7 +114,6 @@ def ff_stabilizer(
     q: int | None = None,
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
-    budget: int = DEFAULT_BUDGET,
 ) -> FFStabilizerReport:
     """Empirical generic stabilizer order over F_q by full enumeration.
 
@@ -138,6 +137,7 @@ def ff_stabilizer(
     if (q - 1) % L != 0:
         raise EdtorusError("BAD_MODULUS", f"q - 1 must be divisible by {L}")
     d = P.torus_rank
+    budget = MAX_STEPS.get()
     if q**d * group.order > budget:
         raise EdtorusError(
             "BUDGET_EXCEEDED", f"q^d * |component group| = {q**d * group.order} exceeds {budget}"
@@ -230,13 +230,13 @@ def _rank_mod_p(vectors, dim: int, p: int) -> int:
     return rank
 
 
-def symrank_bruteforce(L, p: int, B: int, budget: int = DEFAULT_BUDGET) -> int:
+def symrank_bruteforce(L, p: int, B: int) -> int:
     """Exact minimum over the invariant subsets of the bounded box.
 
     An invariant subset is a union of orbits, and in a minimal p-spanning one
     every orbit strictly grows the span mod p (otherwise dropping it keeps the
     set p-spanning and smaller), so minima live among unions of at most `rank`
-    orbits.  They are walked depth first, one step of `budget` per union
+    orbits.  They are walked depth first, one step of `MAX_STEPS` per union
     visited, and each is rank-tested (full rank mod p by Gaussian elimination,
     no normal forms) or skipped by size: orbits are disjoint, so no extension
     of a spanning union, or of one as large as the best, can beat the best.
@@ -253,7 +253,7 @@ def symrank_bruteforce(L, p: int, B: int, budget: int = DEFAULT_BUDGET) -> int:
             seen |= orbit
             orbits.append(sorted(orbit))
     orbits.sort()
-    best, steps = None, itertools.count(1)
+    best, steps, budget = None, itertools.count(1), MAX_STEPS.get()
     stack = [(0, [], 0)]  # unions: (first orbit index it may add, its vectors, its orbit count)
     while stack:
         start, vecs, depth = stack.pop()

@@ -146,7 +146,6 @@ def essential_p_dimension(
     cited_lower: int | None = None,
     notes: tuple[str, ...] = (),
     eta_search: bool = True,
-    max_steps: int | None = None,
 ) -> EdReport:
     """Bounds (exact when certified) for the essential dimension at p.
 
@@ -156,13 +155,12 @@ def essential_p_dimension(
     interval from the certified eta bounds and the best p-generically-free
     representation available.  A caller may inject an externally known lower
     bound (flagged as cited, never silently mixed with computed exactness).
-    `max_steps` bounds the symrank search of `eta_bounds`.
     """
     ensure_valid(P)
     group = component_group(P)
     abelian = group.is_abelian()
     d = P.torus_rank
-    eta = eta_bounds(P, V, run_search=eta_search, max_steps=max_steps)
+    eta = eta_bounds(P, V, run_search=eta_search)
     prank = None
     dim_free = None
     ed_upper = None

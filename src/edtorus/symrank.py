@@ -11,8 +11,8 @@ F_p span, reduced once to a canonical reduced echelon form of at most d rows;
 orbits whose span is zero are dropped.  A node joins the current span with
 one such span, at most O(d) row reductions, and a memo cuts every node that
 reaches a (position, span) state already reached at no larger size.  The
-node budget counts branch-and-bound nodes, and the memo holds at most one
-entry per node.
+step limit `MAX_STEPS` bounds the box and, on its own, the branch-and-bound
+nodes; the memo holds at most one entry per node.
 """
 
 from __future__ import annotations
@@ -23,10 +23,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from . import zlat
-from .monogrp import EdtorusError, closure
-
-DEFAULT_BOX_BUDGET = 50_000_000
-DEFAULT_NODE_BUDGET = 100_000_000
+from .monogrp import MAX_STEPS, EdtorusError, closure
 
 
 class FLattice:
@@ -190,14 +187,13 @@ def _span(rows, vecs, p: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in out)
 
 
-def _enumerate_orbits(L: FLattice, B: int, box_budget: int) -> list[tuple[tuple[int, ...], ...]]:
+def _enumerate_orbits(L: FLattice, B: int) -> list[tuple[tuple[int, ...], ...]]:
     """Orbits of the nonzero vectors of sup-norm <= B, each a sorted tuple
     (so its first member is its smallest), sorted by (size, smallest member)."""
     total = (2 * B + 1) ** L.rank
-    if total > box_budget:
-        raise EdtorusError(
-            "BUDGET_EXCEEDED", f"box of {total} vectors exceeds the search budget {box_budget}"
-        )
+    limit = MAX_STEPS.get()
+    if total > limit:
+        raise EdtorusError("BUDGET_EXCEEDED", f"box of {total} vectors exceeds the search budget {limit}")
     seen: set[tuple[int, ...]] = set()
     orbits = []
     for v in itertools.product(range(-B, B + 1), repeat=L.rank):
@@ -209,14 +205,7 @@ def _enumerate_orbits(L: FLattice, B: int, box_budget: int) -> list[tuple[tuple[
     return orbits
 
 
-def symrank(
-    L: FLattice,
-    p: int,
-    B: int | None = None,
-    initial_witness=None,
-    box_budget: int = DEFAULT_BOX_BUDGET,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> SymRankResult:
+def symrank(L: FLattice, p: int, B: int | None = None, initial_witness=None) -> SymRankResult:
     """Minimal invariant p-spanning subset, by branch and bound over orbits.
 
     A caller may hand in a known invariant p-spanning set as the starting
@@ -241,7 +230,7 @@ def symrank(
         # whose span is zero can never help
         orbits = []
         spans = []
-        for orbit in _enumerate_orbits(L, B, box_budget):
+        for orbit in _enumerate_orbits(L, B):
             span = _span((), orbit, p)
             if span:
                 orbits.append(orbit)
@@ -255,6 +244,7 @@ def symrank(
             )
 
         nodes = 0
+        node_limit = MAX_STEPS.get()
         chosen: list[int] = []
         # least size at which the loop reached (i, span): the completions from
         # a state do not depend on how it was reached and the incumbent only
@@ -276,7 +266,7 @@ def symrank(
                 return
             while i < len(orbits):
                 nodes += 1
-                if nodes > node_budget:
+                if nodes > node_limit:
                     raise EdtorusError("BUDGET_EXCEEDED", "branch-and-bound node budget exhausted")
                 if best_size is not None and best_size <= lower:
                     return
@@ -342,15 +332,14 @@ class EtaResult:
     certificate: str | None  # how exactness was certified, if it was
 
 
-def eta_bounds(P, V=None, B: int | None = None, run_search: bool = True, max_steps: int | None = None) -> EtaResult:
+def eta_bounds(P, V=None, B: int | None = None, run_search: bool = True) -> EtaResult:
     """Bounds on the minimal p-faithful dimension from the lattice action.
 
     The symmetric p-rank of the character lattice is always a lower bound; a
     verified splitting makes it exact.  A supplied p-faithful representation
     V bounds from above, and its nonzero weight set is itself an invariant
     p-spanning set, so a matching certified lower bound pins the value with
-    no search at all.  `max_steps`, when given, bounds both the box and the
-    nodes of the symrank search; a search a budget stops reports no symrank.
+    no search at all.  A search the step limit stops reports no symrank.
     """
     from .monogrp import character_lattice_action, ensure_valid
     from .stab import is_p_faithful
@@ -386,8 +375,7 @@ def eta_bounds(P, V=None, B: int | None = None, run_search: bool = True, max_ste
         )
     elif run_search:
         try:
-            budgets = {} if max_steps is None else {"box_budget": max_steps, "node_budget": max_steps}
-            sr = symrank(L, p, B=B, initial_witness=candidate, **budgets)
+            sr = symrank(L, p, B=B, initial_witness=candidate)
         except EdtorusError as exc:
             if exc.code not in ("BUDGET_EXCEEDED", "INCONCLUSIVE"):
                 raise

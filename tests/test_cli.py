@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from edtorus.cli import EXIT_BUDGET, EXIT_INCONCLUSIVE, EXIT_INVALID, EXIT_OK, build_parser, main
+from edtorus.monogrp import DEFAULT_MAX_STEPS, MAX_STEPS, EdtorusError, limit_steps
 
 GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
 SO_2 = str(GOLDEN_INPUTS / "so_2.json")
@@ -346,6 +347,19 @@ class TestBudgets:
         )
         assert code == EXIT_BUDGET
 
+    def test_elementary_rank_search_obeys_max_steps(self, capsys):
+        # the stabilizer image of order 8 is not abelian, so its rank is searched
+        path = str(GOLDEN_INPUTS / "sl_7_2.json")
+        code, out, err = run(["stabilizer", path, "--max-steps", "1"], capsys)
+        assert (code, out) == (EXIT_BUDGET, "")
+        assert json.loads(err) == {
+            "error": "BUDGET_EXCEEDED",
+            "detail": "elementary-rank search exceeds 1 subgroups",
+        }
+        code, out, _ = run(["stabilizer", path, "--format", "json"], capsys)
+        doc = json.loads(out)
+        assert (code, doc["p_rank"], doc["component_image_size"]) == (EXIT_OK, 2, 8)
+
     @pytest.mark.parametrize("value", ["abc", "-1"])
     def test_bad_env_var_budget_rejected(self, value, capsys, monkeypatch):
         # a malformed default is refused even when --max-steps overrides it
@@ -398,6 +412,35 @@ class TestParserReuse:
         assert (code, json.loads(err)["error"]) == (EXIT_INVALID, "BAD_INPUT")
         monkeypatch.delenv("EDTORUS_MAX_STEPS")
         assert run(argv, capsys)[0] == EXIT_OK
+
+
+class TestStepLimit:
+    """The step limit of one request neither outlives it nor poisons a cache."""
+
+    def test_main_restores_the_default(self, capsys):
+        assert run(["oracle", "symrank", SO_2, "-B", "2", "--max-steps", "1"], capsys)[0] == EXIT_BUDGET
+        assert MAX_STEPS.get() == DEFAULT_MAX_STEPS
+
+    def test_block_restores_the_outer_limit(self):
+        with limit_steps(50):
+            with pytest.raises(EdtorusError):
+                with limit_steps(1):
+                    assert MAX_STEPS.get() == 1
+                    raise EdtorusError("BUDGET_EXCEEDED")
+            assert MAX_STEPS.get() == 50
+            with limit_steps(2):
+                assert MAX_STEPS.get() == 2
+            assert MAX_STEPS.get() == 50
+        assert MAX_STEPS.get() == DEFAULT_MAX_STEPS
+
+    def test_stopped_search_is_not_cached(self, capsys):
+        # the reverse order of TestBudgets.test_eta_search_obeys_max_steps
+        path = str(GOLDEN_INPUTS / "sl_7_2.json")
+        code, out, _ = run(["eta", path, "-B", "1", "--max-steps", "1", "--format", "json"], capsys)
+        assert json.loads(out)["symrank"] is None
+        code, out, _ = run(["eta", path, "-B", "1", "--format", "json"], capsys)
+        sr = json.loads(out)["symrank"]
+        assert (sr["value"], sr["status"]) == (6, "EXACT")
 
 
 # -- random documents never end in a traceback ------------------------------------

@@ -39,3 +39,43 @@ def test_one_exception_class():
     )
     handlers = [ast.unparse(node.type) for node in ast.walk(main) if isinstance(node, ast.ExceptHandler)]
     assert handlers == ["EdtorusError"]
+
+
+def test_one_step_limit():
+    """Every search reads the one step limit, `monogrp.MAX_STEPS`, at its check:
+    no function takes a budget parameter, and no module keeps its own limit."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    params = [
+        f"{name}:{node.name}({arg.arg})"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        for arg in ast.walk(node.args)
+        if isinstance(arg, ast.arg) and arg.arg in {"budget", "box_budget", "node_budget", "max_steps"}
+    ]
+    assert params == []
+    context_vars = [
+        name
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("ContextVar")
+    ]
+    assert context_vars == ["monogrp.py"]
+    limits = [
+        f"{name}:{target.id}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and ("BUDGET" in target.id or "STEPS" in target.id)
+        and not target.id.startswith("EXIT_")
+    ]
+    assert limits == ["cli.py:MAX_STEPS_ENV", "monogrp.py:DEFAULT_MAX_STEPS", "monogrp.py:MAX_STEPS"]
+    # the default is spelled once, as DEFAULT_MAX_STEPS
+    spelled = [
+        name
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Constant, ast.BinOp)) and ast.unparse(node) in {"10 ** 8", "100000000"}
+    ]
+    assert spelled == ["monogrp.py"]

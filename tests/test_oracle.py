@@ -14,6 +14,7 @@ from edtorus.monogrp import (
     RepBlock,
     character_lattice_action,
     component_group,
+    limit_steps,
     natural_rep,
 )
 from edtorus.oracle import (
@@ -61,8 +62,8 @@ class TestFFStabilizer:
         assert choose_modulus(sl3_three_cycle, ext.rep) == 7
 
     def test_budget(self, sl3_three_cycle):
-        with pytest.raises(EdtorusError) as err:
-            ff_stabilizer(sl3_three_cycle, q=7, trials=5, budget=10)
+        with limit_steps(10), pytest.raises(EdtorusError) as err:
+            ff_stabilizer(sl3_three_cycle, q=7, trials=5)
         assert err.value.code == "BUDGET_EXCEEDED"
 
     def test_nonprime_q_rejected(self, sl3_three_cycle):
@@ -139,9 +140,10 @@ class TestSymrankBruteforce:
         # so_2 at B = 2: 80 orbits, so 1,666,981 unions of at most four, of
         # which the walk visits 22,143 and rank-tests 2,655
         L = character_lattice_action(so_case(2).presentation)
-        assert symrank_bruteforce(L, 2, 2, budget=22_143) == 8
-        with pytest.raises(EdtorusError) as err:
-            symrank_bruteforce(L, 2, 2, budget=22_142)
+        with limit_steps(22_143):
+            assert symrank_bruteforce(L, 2, 2) == 8
+        with limit_steps(22_142), pytest.raises(EdtorusError) as err:
+            symrank_bruteforce(L, 2, 2)
         assert err.value.code == "BUDGET_EXCEEDED"
 
     def test_independent_of_the_engine_search(self):

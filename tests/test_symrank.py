@@ -10,6 +10,7 @@ from edtorus.monogrp import (
     MonomialGroupPresentation,
     character_lattice_action,
     closure,
+    limit_steps,
     natural_rep,
 )
 from edtorus.oracle import symrank_bruteforce
@@ -190,23 +191,26 @@ class TestSymrankValues:
 
 
 class TestBudgets:
-    def test_node_budget(self, so4_presentation):
-        L = character_lattice_action(so4_presentation)
-        with pytest.raises(EdtorusError) as err:
-            symrank(L, 2, node_budget=1)
-        assert err.value.code == "BUDGET_EXCEEDED"
+    def test_node_budget(self):
+        # the box of 3^7 = 2,187 vectors fits the limit; the search needs 8,208 nodes
+        L = character_lattice_action(sln_case(8, 2).presentation)
+        with limit_steps(2_187), pytest.raises(EdtorusError) as err:
+            symrank(L, 2, B=1)
+        assert (err.value.code, err.value.detail) == ("BUDGET_EXCEEDED", "branch-and-bound node budget exhausted")
 
     def test_box_budget(self, so4_presentation):
         L = character_lattice_action(so4_presentation)
-        with pytest.raises(EdtorusError) as err:
-            symrank(L, 2, B=3, box_budget=10)
+        with limit_steps(10), pytest.raises(EdtorusError) as err:
+            symrank(L, 2, B=3)
         assert err.value.code == "BUDGET_EXCEEDED"
+        assert err.value.detail == f"box of {7 ** L.rank} vectors exceeds the search budget 10"
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_sl7_search_within_node_budget(self, p):
         # pins the span search and its memo (under 1,000 nodes here), not a timing
         L = character_lattice_action(sln_case(7, p).presentation)
-        res = symrank(L, p, B=1, node_budget=5_000)
+        with limit_steps(5_000):
+            res = symrank(L, p, B=1)
         assert res.value == 6
         assert res.status == "EXACT"
 
@@ -372,7 +376,7 @@ class TestDifferential:
     def test_so1_has_orbits_that_vanish_mod_p(self):
         # the search drops these orbits; the so_1 case above covers that path
         L = character_lattice_action(so_case(1).presentation)
-        assert any(not _span((), o, 2) for o in _enumerate_orbits(L, 2, 10**6))
+        assert any(not _span((), o, 2) for o in _enumerate_orbits(L, 2))
 
 
 class TestSpan:
