@@ -1,7 +1,9 @@
 """Canonical `--format json` output, byte-compared against checked-in files.
 
 Each entry of GOLDEN names a file under tests/golden/ and the CLI argv whose
-stdout it holds.  `@name` stands for the presentation tests/golden/inputs/
+stdout it holds: a bare argv runs with `--format json` and must exit 0, and a
+`Golden` entry gives its own format and exit code (a `--format table` file is
+name.txt).  `@name` stands for the presentation tests/golden/inputs/
 name.json.  For the names in INPUTS that file is the `presentation` field of
 `edtorus case ... --format json`; `so_1_char` is written by hand: the
 `case so 1` presentation plus one weight-zero line on which generator 1 acts
@@ -19,10 +21,11 @@ import io
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
-from edtorus.cli import EXIT_OK, build_parser, main
+from edtorus.cli import EXIT_INCONCLUSIVE, EXIT_OK, build_parser, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 INPUTS = {
@@ -31,6 +34,14 @@ INPUTS = {
     "sl_7_2": ["sl", "7", "2"],
     "sl_7_3": ["sl", "7", "3"],
 }
+
+
+
+class Golden(NamedTuple):
+    argv: list
+    fmt: str = "json"
+    code: int = EXIT_OK
+
 
 GOLDEN = {
     "ed_case_sl_9_2": ["ed", "case", "sl", "9", "2"],
@@ -55,28 +66,42 @@ GOLDEN = {
     "symrank_sl_7_3": ["symrank", "@sl_7_3", "-B", "1"],
     "symrank_so_2": ["symrank", "@so_2", "-B", "2"],
     "eta_so_2_norep": ["eta", "@so_2", "--rep", "none", "-B", "2"],
-    # `ed` on so_1_char is inconclusive (exit 2), so it is not listed
     **{f"{cmd}_so_1_char": [cmd, "@so_1_char"] for cmd in ("validate", "stabilizer", "eta")},
+    "ed_so_1_char": Golden(["ed", "@so_1_char"], code=EXIT_INCONCLUSIVE),
     **{f"oracle_stab_{name}": ["oracle", "stab", "@" + name] for name in ("so_2", "sl_9_3", "so_1_char")},
+    "oracle_symrank_so_2": ["oracle", "symrank", "@so_2", "-B", "2"],
+    "oracle_sylow_4_2": ["oracle", "sylow", "4", "2"],
+    "table_so_2": ["table", "so", "2"],
+    # the `--format table` renderer
+    "ed_case_sl_9_2_table": Golden(["ed", "case", "sl", "9", "2"], fmt="table"),
+    "eta_so_2_table": Golden(["eta", "@so_2"], fmt="table"),
 }
+
+
+def _golden(name) -> Golden:
+    entry = GOLDEN[name]
+    return entry if isinstance(entry, Golden) else Golden(entry)
+
+
+def _path(name) -> Path:
+    return GOLDEN_DIR / f"{name}.{'json' if _golden(name).fmt == 'json' else 'txt'}"
 
 
 def _argv(argv):
     return [str(GOLDEN_DIR / "inputs" / f"{a[1:]}.json") if a.startswith("@") else a for a in argv]
 
 
-def _stdout(argv) -> str:
+def _stdout(argv, fmt="json", expected_code=EXIT_OK) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(_argv(argv) + ["--format", "json"])
-    assert code == EXIT_OK
+        code = main(_argv(argv) + ["--format", fmt])
+    assert code == expected_code
     return out.getvalue()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_output(name):
-    expected = (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
-    assert _stdout(GOLDEN[name]) == expected
+    assert _stdout(*_golden(name)) == _path(name).read_text(encoding="utf-8")
 
 
 def test_one_process_many_requests(fresh_caches):
@@ -87,7 +112,7 @@ def test_one_process_many_requests(fresh_caches):
     names = [f"{cmd}_{name}" for name in ("sl_9_3", "so_2") for cmd in ("validate", "stabilizer", "eta", "ed")]
     for _ in range(2):
         for name in names:
-            assert _stdout(GOLDEN[name]) == (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8"), name
+            assert _stdout(*_golden(name)) == _path(name).read_text(encoding="utf-8"), name
 
 
 def _regenerate(names):
@@ -103,7 +128,7 @@ def _regenerate(names):
             )
         names = list(GOLDEN)
     for name in names:
-        (GOLDEN_DIR / f"{name}.json").write_text(_stdout(GOLDEN[name]), encoding="utf-8")
+        _path(name).write_text(_stdout(*_golden(name)), encoding="utf-8")
 
 
 if __name__ == "__main__":
