@@ -18,6 +18,7 @@ stderr, its exit code read from the error code:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -40,6 +41,7 @@ from .monogrp import (
 )
 from .stab import generic_stabilizer
 from .symrank import eta_bounds, symrank as symrank_search
+from .zlat import IntMatrix
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -196,19 +198,19 @@ def load_presentation(path: str, rep_selector: str) -> tuple[MonomialGroupPresen
 # -- report serialization ---------------------------------------------------------
 
 
-def jsonable_validation(report) -> dict:
-    return {
-        "ok": report.ok,
-        "error": report.error,
-        "detail": report.detail,
-        "induced_matrices": [m.to_rows() for m in report.induced_matrices],
-        "component_order": report.component_order,
-        "split_witness": report.split_witness,
-        "diagnostics": list(report.diagnostics),
-    }
+def jsonable(report):
+    """A report as JSON values: a dataclass's field names are its keys, an IntMatrix is its rows."""
+    if isinstance(report, (tuple, list)):
+        return [jsonable(x) for x in report]
+    if isinstance(report, IntMatrix):
+        return report.to_rows()
+    if dataclasses.is_dataclass(report):
+        return {f.name: jsonable(getattr(report, f.name)) for f in dataclasses.fields(report)}
+    return report
 
 
 def jsonable_stabilizer(report) -> dict:
+    """The one flattened report: its keys are computed from StabilizerReport's fields."""
     return {
         "torus_part_invariant_factors": list(report.torus_part.invariant_factors),
         "component_image_size": len(report.component_image),
@@ -217,48 +219,6 @@ def jsonable_stabilizer(report) -> dict:
         "p_faithful": report.p_faithful,
         "p_generically_free": report.p_generically_free,
         "stabilizer_order": report.stabilizer_order,
-    }
-
-
-def jsonable_symrank(res) -> dict:
-    return {
-        "value": res.value,
-        "status": res.status,
-        "lower_bound_used": res.lower_bound_used,
-        "search_bound": res.search_bound,
-        "witness": [list(v) for v in res.witness],
-    }
-
-
-def jsonable_eta(res) -> dict:
-    return {
-        "lower": res.lower,
-        "upper": res.upper,
-        "exact": res.exact,
-        "split_witness": res.split_witness,
-        "certificate": res.certificate,
-        "symrank": jsonable_symrank(res.symrank) if res.symrank else None,
-    }
-
-
-def jsonable_ed(report) -> dict:
-    return {
-        "dim_group": report.dim_group,
-        "eta_lower": report.eta_lower,
-        "eta_upper": report.eta_upper,
-        "stabilizer_p_rank": report.stabilizer_p_rank,
-        "dim_free_rep": report.dim_free_rep,
-        "ed_lower": report.ed_lower,
-        "ed_upper": report.ed_upper,
-        "exact": report.exact,
-        "hypotheses": {
-            "component_abelian": report.hypotheses.component_abelian,
-            "split_witness": report.hypotheses.split_witness,
-            "v_minimal_certified": report.hypotheses.v_minimal_certified,
-            "eta_certificate": report.hypotheses.eta_certificate,
-            "lower_source": report.hypotheses.lower_source,
-        },
-        "notes": list(report.notes),
     }
 
 
@@ -310,7 +270,7 @@ def _scalar(v) -> str:
 def _cmd_validate(args, out) -> int:
     P, _ = load_presentation(args.input, "natural")
     report = validate(P)
-    emit(jsonable_validation(report), args.format, out)
+    emit(jsonable(report), args.format, out)
     return EXIT_OK if report.ok else EXIT_INVALID
 
 
@@ -325,14 +285,14 @@ def _cmd_symrank(args, out) -> int:
     P, _ = load_presentation(args.input, "natural")
     L = character_lattice_action(P)
     res = symrank_search(L, P.p, B=args.bound)
-    emit(jsonable_symrank(res), args.format, out)
+    emit(jsonable(res), args.format, out)
     return EXIT_OK if res.status == "EXACT" else EXIT_INCONCLUSIVE
 
 
 def _cmd_eta(args, out) -> int:
     P, rep = load_presentation(args.input, args.rep)
     res = eta_bounds(P, rep if args.rep != "none" else None, B=args.bound)
-    emit(jsonable_eta(res), args.format, out)
+    emit(jsonable(res), args.format, out)
     return EXIT_OK if res.exact is not None else EXIT_INCONCLUSIVE
 
 
@@ -356,7 +316,7 @@ def _ed_from_args(args):
 
 def _cmd_ed(args, out) -> int:
     report = _ed_from_args(args)
-    emit(jsonable_ed(report), args.format, out)
+    emit(jsonable(report), args.format, out)
     return EXIT_OK if report.exact is not None else EXIT_INCONCLUSIVE
 
 
@@ -399,16 +359,7 @@ def _cmd_oracle(args, out) -> int:
         # input validation only: the oracle's own computation stays independent
         check_rep_compatible(P, rep)
         report = oracle.ff_stabilizer(P, rep, q=args.q, trials=args.trials, seed=args.seed)
-        doc = {
-            "q": report.q,
-            "trials": report.trials,
-            "seed": report.seed,
-            "min_order": report.min_order,
-            "min_torus_order": report.min_torus_order,
-            "min_component_image": list(report.min_component_image),
-            "orders": list(report.orders),
-        }
-        emit(doc, args.format, out)
+        emit(jsonable(report), args.format, out)
         return EXIT_OK
     if args.kind == "symrank":
         P, _ = load_presentation(args.input, "natural")

@@ -665,39 +665,23 @@ def verify_sl_stabilizer_clauses(n: int, h_generators) -> bool:
 # -- tables ---------------------------------------------------------------------
 
 
+def _table_row(report: EdReport, reference: int, **key) -> dict:
+    return {
+        **key,
+        "ed_exact": report.exact,
+        "ed_lower": report.ed_lower,
+        "ed_upper": report.ed_upper,
+        "closed_form": reference,
+        "matches_closed_form": report.exact == reference if report.exact is not None else None,
+    }
+
+
 def table_sl(nmax: int, p: int) -> list[dict]:
-    rows = []
-    for n in range(2, nmax + 1):
-        report = ed_case_sl(n, p)
-        reference = closed_form_sln(n, p)
-        rows.append(
-            {
-                "n": n,
-                "p": p,
-                "case": sl_case_label(n, p),
-                "ed_exact": report.exact,
-                "ed_lower": report.ed_lower,
-                "ed_upper": report.ed_upper,
-                "closed_form": reference,
-                "matches_closed_form": report.exact == reference if report.exact is not None else None,
-            }
-        )
-    return rows
+    return [
+        _table_row(ed_case_sl(n, p), closed_form_sln(n, p), n=n, p=p, case=sl_case_label(n, p))
+        for n in range(2, nmax + 1)
+    ]
 
 
 def table_so(nmax: int) -> list[dict]:
-    rows = []
-    for n in range(1, nmax + 1):
-        report = ed_case_so(n)
-        reference = closed_form_so(n)
-        rows.append(
-            {
-                "n": n,
-                "ed_exact": report.exact,
-                "ed_lower": report.ed_lower,
-                "ed_upper": report.ed_upper,
-                "closed_form": reference,
-                "matches_closed_form": report.exact == reference if report.exact is not None else None,
-            }
-        )
-    return rows
+    return [_table_row(ed_case_so(n), closed_form_so(n), n=n) for n in range(1, nmax + 1)]
