@@ -337,6 +337,8 @@ def sylow_abelian_bound_check(d: int, p: int) -> SylowBoundReport:
     subgroup: breadth-first over abelian subgroups, extending by commuting
     p-elements.
     """
+    if not _is_prime(p) or d < 0:
+        raise EdtorusError("BAD_INPUT", f"need a prime p and d >= 0, got p = {p}, d = {d}")
     if d > 9:
         raise EdtorusError("BUDGET_EXCEEDED", "exhaustive search capped at d <= 9")
     sylow = sorted(_closure(_sylow_generators_symmetric(d, p), d))

@@ -3,6 +3,10 @@
 import ast
 import inspect
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -198,3 +202,22 @@ class TestSylowAbelianBound:
         with pytest.raises(EdtorusError) as err:
             sylow_abelian_bound_check(10, 2)
         assert err.value.code == "BUDGET_EXCEEDED"
+
+    @pytest.mark.parametrize("d, p", [(4, 4), (-1, 2)])
+    def test_bad_input(self, d, p):
+        # p = 4 is not prime; d = -1 letters is no symmetric group
+        with pytest.raises(EdtorusError) as err:
+            sylow_abelian_bound_check(d, p)
+        assert err.value.code == "BAD_INPUT"
+
+    @pytest.mark.parametrize("p", [1, 0])
+    def test_p_below_two_exits_1(self, p):
+        """In a subprocess with a timeout: the Sylow tower loop never ended for p <= 1."""
+        src = str(Path(oracle.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "edtorus.cli", "oracle", "sylow", "4", str(p), "--format", "json"],
+            capture_output=True, text=True, timeout=10, env=env,
+        )
+        assert proc.returncode == 1
+        assert '"BAD_INPUT"' in proc.stderr
