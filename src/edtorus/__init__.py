@@ -40,8 +40,6 @@ from .zlat import (
     FiniteAbelianStructure,
     IntMatrix,
     SmithDecomposition,
-    cokernel_structure,
-    p_rank,
     smith_normal_form,
     sublattice_p_index,
     torsion_image_membership,
@@ -67,7 +65,6 @@ __all__ = [
     "character_lattice_action",
     "closed_form_sln",
     "closed_form_so",
-    "cokernel_structure",
     "component_group",
     "ed_case_sl",
     "ed_case_so",
@@ -78,7 +75,6 @@ __all__ = [
     "is_p_generically_free",
     "limit_steps",
     "natural_rep",
-    "p_rank",
     "perm_lower_bound",
     "smith_normal_form",
     "sln_case",

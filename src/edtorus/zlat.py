@@ -303,18 +303,6 @@ def integer_kernel_basis(M: IntMatrix) -> list[tuple[int, ...]]:
     return [dec.V.column(j) for j in range(r, M.cols)]
 
 
-def cokernel_structure(M: IntMatrix) -> FiniteAbelianStructure:
-    """Invariant factors and free rank of Z^rows / (column lattice of M)."""
-    dec = smith_normal_form(M)
-    factors = tuple(d for d in dec.invariant_factors if d > 1)
-    return FiniteAbelianStructure(invariant_factors=factors, free_rank=M.rows - dec.rank)
-
-
-def p_rank(structure: FiniteAbelianStructure, p: int) -> int:
-    """Number of invariant factors divisible by p (largest embedded mu_p power)."""
-    return sum(1 for f in structure.invariant_factors if f % p == 0)
-
-
 def valuation(n: int, p: int) -> int:
     if n == 0:
         raise ValueError("valuation of zero")

@@ -17,10 +17,8 @@ from edtorus import zlat
 from edtorus.zlat import (
     FiniteAbelianStructure,
     IntMatrix,
-    cokernel_structure,
     hermite_normal_form,
     integer_kernel_basis,
-    p_rank,
     reduce_mod_row_lattice,
     smith_normal_form,
     sublattice_p_index,
@@ -150,35 +148,14 @@ class TestHermite:
 
 
 class TestCokernel:
-    def test_diag_2_3(self):
-        # oracle: enumerate Z^2 / <(2,0),(0,3)> explicitly
-        residues = {(a % 2, b % 3) for a in range(6) for b in range(6)}
-        assert len(residues) == 6
-        s = cokernel_structure(IntMatrix.from_rows([[2, 0], [0, 3]]))
-        assert s.invariant_factors == (6,)
-        assert s.free_rank == 0
-
-    def test_identity(self):
-        s = cokernel_structure(IntMatrix.identity(3))
-        assert s.invariant_factors == ()
-        assert s.free_rank == 0
-        assert s.is_trivial
-
-    def test_single_column(self):
-        s = cokernel_structure(IntMatrix.from_rows([[2], [0]]))
-        assert s.invariant_factors == (2,)
-        assert s.free_rank == 1
+    def test_is_trivial(self):
+        assert FiniteAbelianStructure(invariant_factors=(), free_rank=0).is_trivial
+        assert not FiniteAbelianStructure(invariant_factors=(2,), free_rank=0).is_trivial
+        assert not FiniteAbelianStructure(invariant_factors=(), free_rank=1).is_trivial
 
     def test_divisibility_chain_enforced(self):
         with pytest.raises(ValueError):
             FiniteAbelianStructure(invariant_factors=(4, 2), free_rank=0)
-
-
-class TestPRank:
-    def test_examples(self):
-        assert p_rank(FiniteAbelianStructure((2, 4), 0), 2) == 2
-        assert p_rank(FiniteAbelianStructure((2, 4, 12), 0), 3) == 1
-        assert p_rank(FiniteAbelianStructure((), 0), 5) == 0
 
 
 class TestSublatticeIndex:
