@@ -1,4 +1,4 @@
-"""Canonical `--format json` output, byte-compared against checked-in files.
+"""Canonical CLI output, byte-compared against checked-in files.
 
 Each entry of GOLDEN names a file under tests/golden/ and the CLI argv whose
 stdout it holds: a bare argv runs with `--format json` and must exit 0, and a
@@ -34,7 +34,6 @@ INPUTS = {
     "sl_7_2": ["sl", "7", "2"],
     "sl_7_3": ["sl", "7", "3"],
 }
-
 
 
 class Golden(NamedTuple):
