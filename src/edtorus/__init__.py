@@ -34,7 +34,7 @@ from .pipeline import (
     upper_witness_sln,
     verify_sl_stabilizer_clauses,
 )
-from .stab import StabilizerReport, generic_stabilizer, is_p_faithful, is_p_generically_free
+from .stab import StabilizerReport, generic_stabilizer, is_p_faithful
 from .symrank import FLattice, SymRankResult, eta_bounds, perm_lower_bound, symrank
 from .zlat import (
     FiniteAbelianStructure,
@@ -72,7 +72,6 @@ __all__ = [
     "eta_bounds",
     "generic_stabilizer",
     "is_p_faithful",
-    "is_p_generically_free",
     "limit_steps",
     "natural_rep",
     "perm_lower_bound",

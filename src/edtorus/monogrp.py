@@ -300,11 +300,13 @@ class ComponentGroup:
     tie-break inside each level); element 0 is the identity.  `right[x][g]` is
     the class of x times generator g (the right Cayley graph), recorded by the
     enumeration; a product x y walks y's breadth-first word through it, so no
-    multiplication table is stored.
+    multiplication table is stored.  `split_witness` says whether the literal
+    generators close up to |F| elements, a complement of the torus.
     """
 
-    def __init__(self, P: MonomialGroupPresentation, elements, index, canon, right):
+    def __init__(self, P: MonomialGroupPresentation, elements, index, canon, right, split_witness):
         self.presentation = P
+        self.split_witness: bool = split_witness
         self.elements: list[GroupElement] = elements
         self._index = index
         self._canon = canon
@@ -509,7 +511,10 @@ class RepRecord:
     component group: on every Cayley edge (x, g), R(x) R(g) must permute the
     lines as R(x g) does, and their coefficients must differ by the action of
     a torus point through the weights of R.  `actions` holds the action of
-    each class representative; `canon.dec` is the Smith form of the weights.
+    each class representative, the product along the class's word, read off
+    its breadth-first tree edge; every other edge is checked against it, so
+    the record makes one product per Cayley edge.  `canon.dec` is the Smith
+    form of the weights.
     """
 
     def __init__(self, group: ComponentGroup, R: MonomialRep):
@@ -533,16 +538,17 @@ class RepRecord:
                         )
         n = R.modulus
         gens = [R.generator_action(j) for j in range(len(group.presentation.generators))]
-        self.actions: list[tuple[Perm, Coeff]] = []
-        for el in group.elements:
-            act = (tuple(range(R.dim)), (0,) * R.dim)
-            for j in el.word:
-                act = monomial_mul(act, gens[j], n)
-            self.actions.append(act)
         self.canon = _CoeffCanon(R.weight_matrix(), n)
+        # in breadth-first order a class's first incoming edge is its tree edge,
+        # the last letter of its word: that product is the class's action
+        self.actions: list[tuple[Perm, Coeff] | None] = [None] * group.order
+        self.actions[group.identity] = (tuple(range(R.dim)), (0,) * R.dim)
         for x, row in enumerate(group.right):
             for g, y in enumerate(row):
                 perm, coeff = monomial_mul(self.actions[x], gens[g], n)
+                if self.actions[y] is None:
+                    self.actions[y] = perm, coeff
+                    continue
                 diff = tuple(a - b for a, b in zip(coeff, self.actions[y][1]))
                 if perm != self.actions[y][0] or (any(diff) and not self.canon.is_torsion_image(diff)):
                     raise EdtorusError(
@@ -593,7 +599,14 @@ def _induced_matrix(P: MonomialGroupPresentation, dec: zlat.SmithDecomposition, 
 def _enumerate_group(P: MonomialGroupPresentation) -> ComponentGroup:
     """Breadth-first enumeration of the component group, shared by `validate`
     and `component_group`: each Cayley edge is canonicalised once, and an edge
-    to a class first met on this level is resolved once the level is sorted."""
+    to a class first met on this level is resolved once the level is sorted.
+
+    Each stored representative is the literal product along its word, so the
+    stored set is closed under the literal generators, and they close up to
+    |F| elements, exactly when every edge's literal product is the stored
+    representative of its target class; the walk records that as the split
+    witness.
+    """
     m = P.num_lines
     e = P.root_of_unity_exponent
     canon = _CoeffCanon(P.weight_matrix(), e)
@@ -601,6 +614,7 @@ def _enumerate_group(P: MonomialGroupPresentation) -> ComponentGroup:
     elements = [ident]
     index = {(ident.perm, canon.canon(ident.coeff)): 0}
     right: list[list[int]] = []
+    split = True
     level = [0]
     while level:
         fresh: dict = {}
@@ -615,9 +629,11 @@ def _enumerate_group(P: MonomialGroupPresentation) -> ComponentGroup:
                 y = index.get(key)
                 if y is not None:
                     row[j] = y
+                    split = split and coeff == elements[y].coeff
                     continue
                 if key not in fresh:
                     fresh[key] = GroupElement(perm=perm, coeff=coeff, word=el.word + (j,))
+                split = split and coeff == fresh[key].coeff
                 pending.append((row, j, key))
         level = []
         for key in sorted(fresh):
@@ -630,12 +646,13 @@ def _enumerate_group(P: MonomialGroupPresentation) -> ComponentGroup:
             elements.append(fresh[key])
         for row, j, key in pending:
             row[j] = index[key]
-    return ComponentGroup(P, elements, index, canon, right)
+    return ComponentGroup(P, elements, index, canon, right, split)
 
 
 @lru_cache(maxsize=None)
 def validate(P: MonomialGroupPresentation) -> ValidationReport:
-    """Certify that the presentation realizes a torus-by-p-group extension."""
+    """Certify that the presentation realizes a torus-by-p-group extension.
+    The split witness is the one the enumeration records (`_enumerate_group`)."""
     diagnostics: list[str] = []
 
     def failure(code: str, detail: str) -> ValidationReport:
@@ -659,9 +676,10 @@ def validate(P: MonomialGroupPresentation) -> ValidationReport:
         return failure(exc.code, exc.detail)
 
     try:
-        order = _enumerate_group(P).order
+        group = _enumerate_group(P)
     except EdtorusError as exc:
         return failure(exc.code, exc.detail)
+    order = group.order
 
     n = order
     while n % P.p == 0:
@@ -669,14 +687,9 @@ def validate(P: MonomialGroupPresentation) -> ValidationReport:
     if n != 1:
         return failure("NOT_P_GROUP", f"component group order {order} is not a power of {P.p}")
 
-    # The literal generators generate a group mapping onto F, so it is a
-    # complement exactly when it has no more than |F| elements.
-    e = P.root_of_unity_exponent
-    ident = (tuple(range(P.num_lines)), (0,) * P.num_lines)
-    split_witness = closure(ident, P.generators, lambda a, b: monomial_mul(a, b, e), limit=order) is not None
-    if P.split_claim is True and not split_witness:
+    if P.split_claim is True and not group.split_witness:
         diagnostics.append("split claim rejected: literal generators do not close up to a complement")
-    if P.split_claim is False and split_witness:
+    if P.split_claim is False and group.split_witness:
         diagnostics.append("presentation claims non-split but a splitting witness exists")
 
     return ValidationReport(
@@ -685,7 +698,7 @@ def validate(P: MonomialGroupPresentation) -> ValidationReport:
         detail="",
         induced_matrices=matrices,
         component_order=order,
-        split_witness=split_witness,
+        split_witness=group.split_witness,
         diagnostics=tuple(diagnostics),
     )
 

@@ -18,6 +18,7 @@ the computed values against closed forms.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 
@@ -37,11 +38,19 @@ from .monogrp import (
     perm_compose,
     perm_sign,
 )
-from .stab import StabilizerReport, generic_stabilizer, is_p_faithful, is_p_generically_free
+from .stab import StabilizerReport, generic_stabilizer, is_p_faithful
 from .symrank import eta_bounds
 
 
 # -- the generically free extension -------------------------------------------
+
+
+def _require_free(report: StabilizerReport) -> None:
+    """WITNESS_NOT_FREE unless the witness's stabilizer report says p-generically free."""
+    if not report.p_generically_free:
+        image = report.component_image  # sorted, so the identity class 0 comes first
+        detail = f"component class {image[1]} fixes a generic point" if len(image) > 1 else "not p-faithful"
+        raise EdtorusError("WITNESS_NOT_FREE", detail)
 
 
 def _characters_generating_dual(group: ComponentGroup, image: tuple[int, ...]):
@@ -101,8 +110,7 @@ def build_generically_free_extension(
     W = V
     for chi in chars:
         W = append_character_block(W, chi)
-    if not generic_stabilizer(P, W).p_generically_free:
-        raise EdtorusError("WITNESS_NOT_FREE", is_p_generically_free(P, W).witness or "")
+    _require_free(generic_stabilizer(P, W))
     if W.dim - V.dim != report.require_p_rank():
         raise EdtorusError("INTERNAL", "one line per invariant factor")
     return ExtensionResult(rep=W, blocks_added=len(chars), stabilizer=report)
@@ -140,27 +148,21 @@ class EdReport:
             raise EdtorusError("INTERNAL", "an exact value must equal both bounds")
 
 
-def essential_p_dimension(
-    P: MonomialGroupPresentation,
-    V: MonomialRep | None = None,
-    cited_lower: int | None = None,
-    notes: tuple[str, ...] = (),
-    eta_search: bool = True,
-) -> EdReport:
+def essential_p_dimension(P: MonomialGroupPresentation, V: MonomialRep | None = None) -> EdReport:
     """Bounds (exact when certified) for the essential dimension at p.
 
     Exactness requires an abelian component group, a certified value for the
     minimal p-faithful dimension, and a supplied V realizing it; then the
     value is eta + rank_p(S) - dim T.  Otherwise the report carries the
     interval from the certified eta bounds and the best p-generically-free
-    representation available.  A caller may inject an externally known lower
-    bound (flagged as cited, never silently mixed with computed exactness).
+    representation available.  Lower bounds cited from the literature are
+    the case studies' business (`ed_case_sl`), never mixed in here.
     """
     ensure_valid(P)
     group = component_group(P)
     abelian = group.is_abelian()
     d = P.torus_rank
-    eta = eta_bounds(P, V, run_search=eta_search)
+    eta = eta_bounds(P, V)
     prank = None
     dim_free = None
     ed_upper = None
@@ -178,7 +180,6 @@ def essential_p_dimension(
                 ed_upper = dim_free - d
 
     exact = None
-    certificate = eta.certificate
     v_minimal = V is not None and eta.exact is not None and V.dim == eta.exact
     if abelian and v_minimal and prank is not None:
         exact = eta.exact + prank - d
@@ -190,13 +191,8 @@ def essential_p_dimension(
     else:
         ed_lower = max(0, eta.lower - d)
         lower_source = "interval"
-        if cited_lower is not None and cited_lower > ed_lower:
-            ed_lower = cited_lower
-            lower_source = "cited"
         if ed_upper is not None and ed_lower == ed_upper:
             exact = ed_lower
-            if lower_source == "cited":
-                notes = notes + ("exactness combines a computed witness with a cited lower bound",)
 
     return EdReport(
         dim_group=d,
@@ -211,10 +207,9 @@ def essential_p_dimension(
             component_abelian=abelian,
             split_witness=eta.split_witness,
             v_minimal_certified=v_minimal,
-            eta_certificate=certificate,
-            lower_source=lower_source if exact is not None else "interval",
+            eta_certificate=eta.certificate,
+            lower_source=lower_source,
         ),
-        notes=notes,
     )
 
 
@@ -503,8 +498,7 @@ def upper_witness_sln(n: int, p: int) -> WitnessResult:
         first = natural_rep(P).blocks[0]
     rep = MonomialRep(presentation=P, blocks=tuple([first] + faithful_blocks))
     report = generic_stabilizer(P, rep)
-    if not report.p_generically_free:
-        raise EdtorusError("WITNESS_NOT_FREE", is_p_generically_free(P, rep).witness or "")
+    _require_free(report)
     upper = rep.dim - P.torus_rank
     return WitnessResult(rep=rep, upper_bound=upper, stabilizer=report)
 
@@ -523,23 +517,24 @@ def ed_case_sl(n: int, p: int) -> EdReport:
         return essential_p_dimension(P, vmin)
     witness = upper_witness_sln(n, p)
     cited = n // p
-    base = essential_p_dimension(P, eta_search=False)
+    eta = eta_bounds(P, run_search=False)
+    d = P.torus_rank
     ed_upper = witness.upper_bound
     exact = cited if cited == ed_upper else None
     return EdReport(
-        dim_group=base.dim_group,
-        eta_lower=base.eta_lower,
+        dim_group=d,
+        eta_lower=eta.lower,
         eta_upper=witness.rep.dim,
         stabilizer_p_rank=witness.stabilizer.p_rank,
         dim_free_rep=witness.rep.dim,
-        ed_lower=max(cited, base.ed_lower),
+        ed_lower=max(cited, eta.lower - d),
         ed_upper=ed_upper,
         exact=exact,
         hypotheses=EdHypotheses(
             component_abelian=False,
-            split_witness=base.hypotheses.split_witness,
+            split_witness=eta.split_witness,
             v_minimal_certified=False,
-            eta_certificate=base.hypotheses.eta_certificate,
+            eta_certificate=eta.certificate,
             lower_source="cited" if exact is not None else "interval",
         ),
         notes=(
@@ -629,7 +624,7 @@ def ed_case_so(n: int) -> EdReport:
     """Full report for the SO_{4n} case study; the case notes say which group it is."""
     case = so_case(n)
     P = case.presentation
-    return essential_p_dimension(P, natural_rep(P), notes=case.notes)
+    return dataclasses.replace(essential_p_dimension(P, natural_rep(P)), notes=case.notes)
 
 
 # -- executable ground truth for the stabilizer clauses ---------------------------

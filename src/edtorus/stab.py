@@ -133,17 +133,3 @@ def generic_stabilizer(P: MonomialGroupPresentation, R: MonomialRep | None = Non
         p_generically_free=free,
     )
 
-
-def is_p_generically_free(P: MonomialGroupPresentation, R: MonomialRep | None = None) -> Witnessed:
-    """Is the stabilizer of a generic point finite of order prime to p?"""
-    if R is None:
-        R = natural_rep(P)
-    faithful = is_p_faithful(P, R)
-    if not faithful.ok:
-        return Witnessed(False, faithful.witness)
-    report = generic_stabilizer(P, R)
-    if len(report.component_image) > 1:
-        group = component_group(P)
-        nontrivial = next(i for i in report.component_image if i != group.identity)
-        return Witnessed(False, f"component class {nontrivial} fixes a generic point")
-    return Witnessed(True, None)

@@ -40,7 +40,7 @@ from edtorus.pipeline import (
     upper_witness_sln,
     verify_sl_stabilizer_clauses,
 )
-from edtorus.stab import generic_stabilizer, is_p_generically_free
+from edtorus.stab import generic_stabilizer
 from edtorus.symrank import FLattice, perm_lower_bound, symrank
 
 FF_BUDGET_LIMIT = 10**7
@@ -112,7 +112,7 @@ def test_criterion_3_sylow_witnesses():
     for n, p in targets:
         w = upper_witness_sln(n, p)
         case = sln_case(n, p)
-        free = is_p_generically_free(case.presentation, w.rep).ok
+        free = generic_stabilizer(case.presentation, w.rep).p_generically_free
         good = w.upper_bound == n // p == closed_form_sln(n, p) and free
         ok = ok and good
         results.append(f"({n},{p})->{w.upper_bound}")
@@ -163,7 +163,7 @@ def test_criterion_5_extension_builder():
     for name, P in data:
         V = natural_rep(P)
         ext = build_generically_free_extension(P, V)
-        free = is_p_generically_free(P, ext.rep).ok
+        free = generic_stabilizer(P, ext.rep).p_generically_free
         srep = generic_stabilizer(P, V)
         good = free and ext.rep.dim - V.dim == srep.p_rank
         ok = ok and good

@@ -1,5 +1,6 @@
 """Presentation validation, component groups, lattice actions, character blocks."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -180,6 +181,50 @@ class TestValidate:
                 generators=(((1, 0), (0, c)),),
             )
         assert err.value.code == "BAD_INPUT"
+
+
+def _perturbed_case_presentations(count: int, seed: int):
+    """Case-study generators with random coefficients modulo e = p or p^2.  The
+    classes that fix every line then form a p-group, so F stays a p-group and
+    every presentation is valid; some of the lifts split and some do not."""
+    rng = random.Random(seed)
+    bases = [sln_case(n, p).presentation for n, p in ((3, 3), (4, 2), (5, 2), (6, 2), (6, 3))]
+    bases += [so_case(1).presentation, so_case(2).presentation]
+    for _ in range(count):
+        P = rng.choice(bases)
+        e = P.p ** rng.randint(1, 2)
+        gens = tuple((perm, tuple(rng.randrange(e) if rng.random() < 0.3 else 0 for _ in perm)) for perm, _ in P.generators)
+        yield dataclasses.replace(P, root_of_unity_exponent=e, generators=gens)
+
+
+class TestOneWalk:
+    """The enumeration's split witness and a record's actions, against the
+    definitions they replace: the literal closure and the product along each word."""
+
+    PRESENTATIONS = list(_perturbed_case_presentations(120, seed=17))
+
+    def test_split_witness_is_the_literal_closure(self):
+        splits = []
+        for P in self.PRESENTATIONS:
+            report = validate(P)
+            assert report.ok
+            e = P.root_of_unity_exponent
+            ident = (tuple(range(P.num_lines)), (0,) * P.num_lines)
+            literal = closure(ident, P.generators, lambda a, b: monomial_mul(a, b, e), limit=report.component_order)
+            assert report.split_witness == (literal is not None)
+            splits.append(report.split_witness)
+        assert 10 < sum(splits) < len(splits) - 10  # both answers are exercised
+
+    def test_actions_are_the_products_along_the_words(self):
+        for P in self.PRESENTATIONS:
+            R = natural_rep(P)
+            gens = [R.generator_action(j) for j in range(len(P.generators))]
+            actions = check_rep_compatible(P, R).actions
+            for el, action in zip(component_group(P).elements, actions, strict=True):
+                product = (tuple(range(R.dim)), (0,) * R.dim)
+                for j in el.word:
+                    product = monomial_mul(product, gens[j], R.modulus)
+                assert action == product
 
 
 class TestComponentGroup:

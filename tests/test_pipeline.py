@@ -29,7 +29,7 @@ from edtorus.pipeline import (
     verify_sl_stabilizer_clauses,
     wreath_faithful_rep_actions,
 )
-from edtorus.stab import generic_stabilizer, is_p_generically_free
+from edtorus.stab import generic_stabilizer
 
 
 class TestBuilder:
@@ -37,7 +37,7 @@ class TestBuilder:
         ext = build_generically_free_extension(sl3_three_cycle, natural_rep(sl3_three_cycle))
         assert ext.rep.dim == 4
         assert ext.blocks_added == 1
-        assert is_p_generically_free(sl3_three_cycle, ext.rep).ok
+        assert generic_stabilizer(sl3_three_cycle, ext.rep).p_generically_free
 
     def test_so4_one_block(self, so4_presentation):
         # the stabilizer image is the paired-sign line, a single cyclic factor
@@ -129,6 +129,15 @@ class TestOnePass:
         assert counts["smith_normal_form"] <= 18
         # the block and relation checks run once per representation: V and its extension
         assert counts["__init__"] == 2
+
+    def test_one_product_per_cayley_edge_per_object(self, fresh_caches, monkeypatch):
+        counts = {}
+        self.count_calls(monkeypatch, [monogrp], "monomial_mul", counts)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["ed", "case", "so", "2", "--format", "json"]) == 0
+        # |F| = 16 with 4 generators: 64 edges, walked by the enumeration (which
+        # also finds the split witness) and by the records of V and its extension
+        assert counts["monomial_mul"] == 3 * 64
 
     def test_normal_forms_stay_small(self, fresh_caches, monkeypatch):
         # the component-group relations are folded to a Hermite basis, so no
@@ -320,7 +329,7 @@ class TestWitnesses:
     def test_upper_witness_values(self, n, p, value):
         w = upper_witness_sln(n, p)
         assert w.upper_bound == value == closed_form_sln(n, p)
-        assert is_p_generically_free(sln_case(n, p).presentation, w.rep).ok
+        assert generic_stabilizer(sln_case(n, p).presentation, w.rep).p_generically_free
 
     def test_witness_shapes(self):
         w = upper_witness_sln(6, 2)

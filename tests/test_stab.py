@@ -11,7 +11,7 @@ from edtorus.monogrp import (
 )
 from edtorus.oracle import ff_stabilizer
 from edtorus.pipeline import sln_case, so_case
-from edtorus.stab import generic_stabilizer, is_p_faithful, is_p_generically_free
+from edtorus.stab import generic_stabilizer, is_p_faithful
 
 
 class TestGenericStabilizer:
@@ -140,9 +140,9 @@ class TestPFaithful:
 
 class TestPGenericallyFree:
     def test_sl3_natural_not_free(self, sl3_three_cycle):
-        ok, witness = is_p_generically_free(sl3_three_cycle)
-        assert not ok
-        assert "class" in witness
+        report = generic_stabilizer(sl3_three_cycle)
+        assert not report.p_generically_free
+        assert len(report.component_image) > 1  # a component class fixes a generic point
 
     def test_sl3_with_faithful_character_block(self, sl3_three_cycle):
         group = component_group(sl3_three_cycle)
@@ -151,10 +151,10 @@ class TestPGenericallyFree:
         chi[g] = 1
         chi[group.mul(g, g)] = 2
         rep = append_character_block(natural_rep(sl3_three_cycle), tuple(chi))
-        assert is_p_generically_free(sl3_three_cycle, rep).ok
+        assert generic_stabilizer(sl3_three_cycle, rep).p_generically_free
 
     def test_sl2_normalizer_free_with_oracle(self, sl2_normalizer):
-        assert is_p_generically_free(sl2_normalizer).ok
+        assert generic_stabilizer(sl2_normalizer).p_generically_free
         ff = ff_stabilizer(sl2_normalizer, q=5, trials=50, seed=0)
         assert ff.min_order == 1
 
