@@ -336,10 +336,13 @@ def eta_bounds(P, V=None, B: int | None = None, run_search: bool = True) -> EtaR
     """Bounds on the minimal p-faithful dimension from the lattice action.
 
     The symmetric p-rank of the character lattice is always a lower bound; a
-    verified splitting makes it exact.  A supplied p-faithful representation
-    V bounds from above, and its nonzero weight set is itself an invariant
-    p-spanning set, so a matching certified lower bound pins the value with
-    no search at all.  A search the step limit stops reports no symrank.
+    verified splitting makes it exact when F acts faithfully on the lattice
+    (Lötscher-MacDonald-Meyer-Reichstein 2013); without faithfulness it may
+    fall short, as G_m x Z/2 splits with SymRank 1 and eta 2.  A supplied
+    p-faithful representation V bounds from above, and its nonzero weight
+    set is itself an invariant p-spanning set, so a matching certified lower
+    bound pins the value with no search at all.  A search the step limit
+    stops reports no symrank.
     """
     from .monogrp import character_lattice_action, ensure_valid
     from .stab import is_p_faithful
@@ -387,8 +390,8 @@ def eta_bounds(P, V=None, B: int | None = None, run_search: bool = True) -> EtaR
     exact = None
     if sr is not None:
         eta_lower = max(eta_lower, sr.lower_bound_used if sr.status != "EXACT" else sr.value)
-        if split:
-            # split case: the minimal p-faithful dimension equals SymRank
+        if split and L.order == report.component_order:
+            # split case, F faithful on the lattice: the minimal p-faithful dimension equals SymRank
             split_upper = sr.value
             eta_upper = split_upper if eta_upper is None else min(eta_upper, split_upper)
             if sr.status == "EXACT":

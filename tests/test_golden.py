@@ -5,9 +5,11 @@ stdout it holds: a bare argv runs with `--format json` and must exit 0, and a
 `Golden` entry gives its own format and exit code (a `--format table` file is
 name.txt).  `@name` stands for the presentation tests/golden/inputs/
 name.json.  For the names in INPUTS that file is the `presentation` field of
-`edtorus case ... --format json`; `so_1_char` is written by hand: the
-`case so 1` presentation plus one weight-zero line on which generator 1 acts
-by 1/2 and generator 2 by 0, a block whose denominator does not divide e = 1.
+`edtorus case ... --format json`.  Two inputs are written by hand:
+`so_1_char` is the `case so 1` presentation plus one weight-zero line on
+which generator 1 acts by 1/2 and generator 2 by 0, a block whose
+denominator does not divide e = 1; `gm_times_z2` is G_m x Z/2, split, with
+Z/2 acting trivially on the lattice (eta is 2, one above its SymRank).
 
 Regenerate (only for a deliberate output change, noted in CHANGES.md) every
 input and golden file, or only the named golden files:
@@ -67,6 +69,8 @@ GOLDEN = {
     "eta_so_2_norep": ["eta", "@so_2", "--rep", "none", "-B", "2"],
     **{f"{cmd}_so_1_char": [cmd, "@so_1_char"] for cmd in ("validate", "stabilizer", "eta")},
     "ed_so_1_char": Golden(["ed", "@so_1_char"], code=EXIT_INCONCLUSIVE),
+    # a split presentation whose lattice action is not faithful: SymRank does not pin eta
+    **{f"{cmd}_gm_times_z2": Golden([cmd, "@gm_times_z2"], code=EXIT_INCONCLUSIVE) for cmd in ("eta", "ed")},
     **{f"oracle_stab_{name}": ["oracle", "stab", "@" + name] for name in ("so_2", "sl_9_3", "so_1_char")},
     "oracle_symrank_so_2": ["oracle", "symrank", "@so_2", "-B", "2"],
     "oracle_sylow_4_2": ["oracle", "sylow", "4", "2"],
