@@ -241,7 +241,7 @@ def _emit_table(doc, out, indent: str = "") -> None:
                 out.write(f"{indent}{str(k).ljust(width)}  {_scalar(v)}\n")
     elif isinstance(doc, list):
         for item in doc:
-            if isinstance(item, (dict, list)):
+            if isinstance(item, (dict, list)) and not _is_scalar_list(item):
                 _emit_table(item, out, indent + "  ")
                 out.write("\n" if indent == "" else "")
             else:
