@@ -511,10 +511,9 @@ class RepRecord:
     component group: on every Cayley edge (x, g), R(x) R(g) must permute the
     lines as R(x g) does, and their coefficients must differ by the action of
     a torus point through the weights of R.  `actions` holds the action of
-    each class representative, the product along the class's word, read off
-    its breadth-first tree edge; every other edge is checked against it, so
-    the record makes one product per Cayley edge.  `canon.dec` is the Smith
-    form of the weights.
+    each class representative, taken on its breadth-first tree edge (the last
+    letter of its word), so each edge costs one product.  `canon.dec` is the
+    Smith form of the weights.
     """
 
     def __init__(self, group: ComponentGroup, R: MonomialRep):
@@ -539,8 +538,6 @@ class RepRecord:
         n = R.modulus
         gens = [R.generator_action(j) for j in range(len(group.presentation.generators))]
         self.canon = _CoeffCanon(R.weight_matrix(), n)
-        # in breadth-first order a class's first incoming edge is its tree edge,
-        # the last letter of its word: that product is the class's action
         self.actions: list[tuple[Perm, Coeff] | None] = [None] * group.order
         self.actions[group.identity] = (tuple(range(R.dim)), (0,) * R.dim)
         for x, row in enumerate(group.right):
@@ -600,13 +597,9 @@ def _enumerate_group(P: MonomialGroupPresentation) -> ComponentGroup:
     """Breadth-first enumeration of the component group, shared by `validate`
     and `component_group`: each Cayley edge is canonicalised once, and an edge
     to a class first met on this level is resolved once the level is sorted.
-
-    Each stored representative is the literal product along its word, so the
-    stored set is closed under the literal generators, and they close up to
-    |F| elements, exactly when every edge's literal product is the stored
-    representative of its target class; the walk records that as the split
-    witness.
-    """
+    A stored representative is the literal product along its word, so the
+    literal generators close up to |F| elements, the split witness, exactly
+    when each edge's literal product is the stored one of its target class."""
     m = P.num_lines
     e = P.root_of_unity_exponent
     canon = _CoeffCanon(P.weight_matrix(), e)
@@ -679,9 +672,8 @@ def validate(P: MonomialGroupPresentation) -> ValidationReport:
         group = _enumerate_group(P)
     except EdtorusError as exc:
         return failure(exc.code, exc.detail)
-    order = group.order
 
-    n = order
+    n = order = group.order
     while n % P.p == 0:
         n //= P.p
     if n != 1:

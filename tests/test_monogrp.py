@@ -193,7 +193,8 @@ def _perturbed_case_presentations(count: int, seed: int):
     for _ in range(count):
         P = rng.choice(bases)
         e = P.p ** rng.randint(1, 2)
-        gens = tuple((perm, tuple(rng.randrange(e) if rng.random() < 0.3 else 0 for _ in perm)) for perm, _ in P.generators)
+        coeffs = [tuple(rng.randrange(e) if rng.random() < 0.3 else 0 for _ in perm) for perm, _ in P.generators]
+        gens = tuple((perm, c) for (perm, _), c in zip(P.generators, coeffs))
         yield dataclasses.replace(P, root_of_unity_exponent=e, generators=gens)
 
 

@@ -45,6 +45,15 @@ class TestBuilder:
         assert ext.rep.dim == 5
         assert ext.blocks_added == 1
 
+    def test_witness_not_free_names_a_fixing_class(self, sl3_three_cycle):
+        from edtorus.pipeline import _require_free
+
+        report = generic_stabilizer(sl3_three_cycle)
+        fixing = report.component_image[1]
+        with pytest.raises(EdtorusError, match=f"component class {fixing} fixes a generic point") as err:
+            _require_free(report)
+        assert err.value.code == "WITNESS_NOT_FREE"
+
     def test_already_free_is_fixed_point(self, sl2_normalizer):
         ext = build_generically_free_extension(sl2_normalizer, natural_rep(sl2_normalizer))
         assert ext.rep.dim == 2
