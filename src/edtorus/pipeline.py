@@ -18,9 +18,8 @@ the computed values against closed forms.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .monogrp import (
     ComponentGroup,
@@ -624,7 +623,7 @@ def ed_case_so(n: int) -> EdReport:
     """Full report for the SO_{4n} case study; the case notes say which group it is."""
     case = so_case(n)
     P = case.presentation
-    return dataclasses.replace(essential_p_dimension(P, natural_rep(P)), notes=case.notes)
+    return replace(essential_p_dimension(P, natural_rep(P)), notes=case.notes)
 
 
 # -- executable ground truth for the stabilizer clauses ---------------------------
