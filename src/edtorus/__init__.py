@@ -41,8 +41,6 @@ from .zlat import (
     IntMatrix,
     SmithDecomposition,
     smith_normal_form,
-    sublattice_p_index,
-    torsion_image_membership,
 )
 
 __version__ = "0.1.0"
@@ -78,9 +76,7 @@ __all__ = [
     "smith_normal_form",
     "sln_case",
     "so_case",
-    "sublattice_p_index",
     "symrank",
-    "torsion_image_membership",
     "upper_witness_sln",
     "validate",
     "verify_sl_stabilizer_clauses",

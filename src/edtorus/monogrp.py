@@ -24,7 +24,7 @@ import contextvars
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from . import zlat
 from .zlat import IntMatrix
@@ -250,40 +250,30 @@ class ValidationReport:
 
 
 class _CoeffCanon:
-    """Canonical forms for coefficient vectors modulo the torus torsion image.
+    """Coset keys for coefficient vectors modulo the torus torsion image.
 
     Two coefficient vectors describe the same coset of the torus exactly when
     their difference lies in the image of (Q/Z)^d under the weight rows W.
-    Coefficients are integers modulo n, so the quotient is by the full-rank
-    integer lattice U^-1 (Z^rank + n Z^(m - rank)), U from the Smith form
-    `dec` of W: c lies in it when (U c)_i = 0 (mod n) beyond the rank.
+    With U W V = D the Smith form `dec` of W, a vector c of integers mod n lies
+    in that image exactly when (U c)_i = 0 (mod n) for every row i of U past
+    the rank: the nonzero invariant factors act onto the divisible group Q/Z.
+    The key of c is those residues, so two vectors share a key exactly when
+    their difference lies in U^-1 (Z^rank + n Z^(m - rank)): the key is a
+    complete invariant of the coset.
     """
 
     def __init__(self, W: IntMatrix, n: int):
         self.dec = zlat.smith_normal_form(W)
         self.n = n
-
-    @cached_property
-    def hnf(self) -> list[list[int]]:
-        dec = self.dec
-        m = dec.U.rows
-        if m == 0:
-            return []
-        uinv = zlat.unimodular_inverse(dec.U)
-        basis = [[(1 if i < dec.rank else self.n) * x for x in uinv.column(i)] for i in range(m)]
-        hnf = zlat.hermite_normal_form(basis, m)
-        if len(hnf) != m:
-            raise EdtorusError("INTERNAL", "torsion-image lattice must have full rank")
-        return hnf
+        U = self.dec.U
+        self.rows = [U.row(i) for i in range(self.dec.rank, U.rows)]
 
     def canon(self, coeff: Coeff) -> tuple[int, ...]:
-        if not coeff:
-            return ()
-        return zlat.reduce_mod_row_lattice(coeff, self.hnf)
+        n = self.n
+        return tuple(sum(a * c for a, c in zip(u, coeff)) % n for u in self.rows)
 
     def is_torsion_image(self, coeff: Coeff) -> bool:
-        U = self.dec.U
-        return all(sum(a * c for a, c in zip(U.row(i), coeff)) % self.n == 0 for i in range(self.dec.rank, U.rows))
+        return not any(self.canon(coeff))
 
 
 @dataclass
@@ -595,7 +585,7 @@ def _induced_matrix(P: MonomialGroupPresentation, dec: zlat.SmithDecomposition, 
 @lru_cache(maxsize=None)
 def _enumerate_group(P: MonomialGroupPresentation) -> ComponentGroup:
     """Breadth-first enumeration of the component group, shared by `validate`
-    and `component_group`: each Cayley edge is canonicalised once, and an edge
+    and `component_group`: each Cayley edge is keyed once, and an edge
     to a class first met on this level is resolved once the level is sorted.
     A stored representative is the literal product along its word, so the
     literal generators close up to |F| elements, the split witness, exactly

@@ -635,11 +635,7 @@ def verify_sl_stabilizer_clauses(n: int, h_generators) -> bool:
     image equal to the even part of the subgroup."""
     perms = [tuple(g) for g in h_generators]
     order = len(closure(tuple(range(n)), perms, perm_compose))
-    p = next((q for q in (2, 3, 5, 7, 11, 13) if order % q == 0), None)
-    if p is None and order != 1:
-        raise EdtorusError("UNSUPPORTED", "generators do not generate a p-group")
-    if p is None:
-        p = 2
+    p = next((q for q in range(2, order + 1) if order % q == 0), 2)  # smallest prime factor
     k = order
     while k % p == 0:
         k //= p

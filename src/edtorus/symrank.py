@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from . import zlat
 from .monogrp import MAX_STEPS, EdtorusError, closure
 
 
@@ -313,7 +312,7 @@ def _check_invariant_spanning(L: FLattice, p: int, vecs, code: str) -> None:
         for v in vecs:
             if tuple(sum(x * y for x, y in zip(row, v)) for row in a) not in vset:
                 raise EdtorusError(code, "witness is not invariant under the group")
-    if zlat.sublattice_p_index(vecs, L.rank, p) != 0:
+    if len(_span((), vecs, p)) != L.rank:
         raise EdtorusError(code, "witness is not p-spanning")
 
 

@@ -1,9 +1,8 @@
 """Exact integer-lattice engine.
 
-Smith and Hermite normal forms, cokernel torsion invariants, sublattice
-indices, and membership tests in divisible-group images.  Everything here is
-exact: Python integers (arbitrary precision); a value c/n in Q/Z is the
-integer c modulo n.  No floating point.
+Smith and Hermite normal forms, unimodular inverses, integer kernels, and
+finite abelian structures.  Everything here is exact: Python integers
+(arbitrary precision), no floating point.
 """
 
 from __future__ import annotations
@@ -270,24 +269,6 @@ def hermite_normal_form(rows: list[list[int]], ncols: int) -> list[list[int]]:
     return [r for r in h[:r_idx]]
 
 
-def reduce_mod_row_lattice(vec, hnf_rows) -> tuple[int, ...]:
-    """Canonical representative of vec modulo a full-rank HNF row lattice."""
-    v = list(vec)
-    n = len(v)
-    if len(hnf_rows) != n:
-        raise ValueError("lattice must have full rank for canonical reduction")
-    pivots = []
-    for r in hnf_rows:
-        j = next(i for i, x in enumerate(r) if x != 0)
-        pivots.append(j)
-    for r, j in zip(hnf_rows, pivots):
-        q = v[j] // r[j]
-        if q:
-            for t in range(n):
-                v[t] -= q * r[t]
-    return tuple(v)
-
-
 def unimodular_inverse(M: IntMatrix) -> IntMatrix:
     """Exact inverse of a unimodular integer matrix."""
     dec = smith_normal_form(M)
@@ -301,47 +282,3 @@ def integer_kernel_basis(M: IntMatrix) -> list[tuple[int, ...]]:
     dec = smith_normal_form(M)
     r = dec.rank
     return [dec.V.column(j) for j in range(r, M.cols)]
-
-
-def valuation(n: int, p: int) -> int:
-    if n == 0:
-        raise ValueError("valuation of zero")
-    v = 0
-    n = abs(n)
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
-def sublattice_p_index(vectors, dim: int, p: int) -> int | None:
-    """p-adic valuation of [Z^dim : span(vectors)], or None when infinite.
-
-    Zero means the vectors are p-spanning.
-    """
-    vecs = [tuple(int(x) for x in v) for v in vectors]
-    for v in vecs:
-        if len(v) != dim:
-            raise ValueError("vector length mismatch")
-    if not vecs:
-        return None if dim > 0 else 0
-    M = IntMatrix.from_rows(vecs).transpose()
-    dec = smith_normal_form(M)
-    if dec.rank < dim:
-        return None
-    return sum(valuation(d, p) for d in dec.invariant_factors if d != 0)
-
-
-def torsion_image_membership(v, W: IntMatrix, n: int) -> bool:
-    """Is v in the image of (Q/Z)^cols under W, inside (Q/Z)^rows?
-
-    v is an integer vector of length W.rows standing for (v_i / n) in Q/Z.
-    Via Smith form: transform by U and require (U v)_i = 0 (mod n) beyond the
-    rank; the nonzero invariant factors act surjectively on the divisible
-    group Q/Z.
-    """
-    if len(v) != W.rows:
-        raise ValueError("vector length must match row count")
-    dec = smith_normal_form(W)
-    y = dec.U.apply(v)
-    return all(y[i] % n == 0 for i in range(dec.rank, W.rows))

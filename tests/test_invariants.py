@@ -79,3 +79,27 @@ def test_one_step_limit():
         if isinstance(node, (ast.Constant, ast.BinOp)) and ast.unparse(node) in {"10 ** 8", "100000000"}
     ]
     assert spelled == ["monogrp.py"]
+
+
+def test_zlat_has_no_test_only_surface():
+    """Every public top-level function and class of `zlat` is used by another
+    module of the package, not only exported or used by the tests."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    public = {
+        node.name
+        for node in trees["zlat.py"].body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    used = {
+        name
+        for module, tree in trees.items()
+        if module not in {"zlat.py", "__init__.py"}
+        for node in ast.walk(tree)
+        for name in (
+            [node.id] if isinstance(node, ast.Name)
+            else [node.attr] if isinstance(node, ast.Attribute)
+            else [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+            else []
+        )
+    }
+    assert sorted(public - used) == []

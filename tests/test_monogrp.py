@@ -392,7 +392,7 @@ class TestComponentGroup:
     def test_class_equality_matches_torsion_membership(self, sl2_normalizer):
         from itertools import product as iproduct
 
-        from edtorus.zlat import torsion_image_membership
+        from test_zlat import membership_bruteforce
 
         group = component_group(sl2_normalizer)
         W = sl2_normalizer.weight_matrix()
@@ -400,7 +400,7 @@ class TestComponentGroup:
         cls = group.class_of((perm, base))
         for shift in iproduct(range(2), repeat=2):  # (a/2, b/2), modulo e = 2
             coeff = tuple((x + y) % 2 for x, y in zip(base, shift))
-            if torsion_image_membership(shift, W, 2):
+            if membership_bruteforce([Fraction(x, 2) for x in shift], W):
                 assert group.class_of((perm, coeff)) == cls
             else:
                 # a coefficient outside the torsion image is a different
@@ -409,8 +409,9 @@ class TestComponentGroup:
                     group.class_of((perm, coeff))
 
     def test_torsion_image_predicate_matches_reference(self):
+        from test_zlat import membership_bruteforce
+
         from edtorus.monogrp import _CoeffCanon
-        from edtorus.zlat import torsion_image_membership
 
         rng = random.Random(7)
         for _ in range(200):
@@ -418,7 +419,7 @@ class TestComponentGroup:
             W = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(d)] for _ in range(m)])
             canon = _CoeffCanon(W, n)
             v = tuple(rng.randrange(n) for _ in range(m))
-            expected = torsion_image_membership(v, W, n)
+            expected = membership_bruteforce([Fraction(x, n) for x in v], W)
             assert canon.is_torsion_image(v) == expected
             assert (not any(canon.canon(v))) == expected
 

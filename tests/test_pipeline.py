@@ -373,6 +373,15 @@ class TestStabilizerClauses:
             case = sln_case(n, p)
             assert verify_sl_stabilizer_clauses(n, case.h_generators)
 
+    def test_seventeen_cycle(self):
+        # p is the order's smallest prime factor, not one from a fixed list
+        assert verify_sl_stabilizer_clauses(17, [tuple(range(1, 17)) + (0,)])
+
+    def test_not_a_p_group(self):
+        with pytest.raises(EdtorusError) as err:
+            verify_sl_stabilizer_clauses(6, [(1, 2, 3, 4, 5, 0)])
+        assert err.value.code == "UNSUPPORTED"
+
 
 CASE_GRID = [("sl", 3, 3), ("sl", 6, 3), ("sl", 9, 3), ("sl", 4, 2), ("sl", 8, 2),
              ("sl", 5, 3), ("sl", 7, 3), ("sl", 6, 2), ("sl", 10, 2),

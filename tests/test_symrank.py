@@ -169,7 +169,7 @@ class TestSymrankValues:
         assert res.value == 4 and res.status == "EXACT"
 
     def test_witness_properties(self, so4_presentation):
-        from edtorus.zlat import sublattice_p_index
+        from edtorus.oracle import _rank_mod_p
 
         L = character_lattice_action(so4_presentation)
         res = symrank(L, 2)
@@ -177,7 +177,7 @@ class TestSymrankValues:
         vecs = set(res.witness)
         for v in res.witness:
             assert set(L.orbit(v)) <= vecs
-        assert sublattice_p_index(res.witness, L.rank, 2) == 0
+        assert _rank_mod_p(res.witness, L.rank, 2) == L.rank
 
     def test_upper_only_status(self):
         # plus/minus the identity on Z^2: orbits are +/- pairs and two of them

@@ -1,4 +1,5 @@
-"""Exact lattice engine: normal forms, torsion structure, membership tests.
+"""Exact lattice engine: normal forms and torsion structure; the torus coset
+key and the p-spanning test against exhaustive references.
 
 Derived expectations are computed by independent oracles inside this module
 (gcds of minors, cofactor determinants, coset enumeration, exhaustive
@@ -13,16 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edtorus import zlat
+from edtorus.monogrp import _CoeffCanon
+from edtorus.symrank import _span
 from edtorus.zlat import (
     FiniteAbelianStructure,
     IntMatrix,
-    hermite_normal_form,
     integer_kernel_basis,
-    reduce_mod_row_lattice,
     smith_normal_form,
-    sublattice_p_index,
-    torsion_image_membership,
     unimodular_inverse,
 )
 
@@ -123,22 +121,6 @@ class TestSmithNormalForm:
 
 
 class TestHermite:
-    def test_reduction_is_canonical(self):
-        rows = [[2, 1], [0, 3]]
-        hnf = hermite_normal_form(rows, 2)
-        v = (7, -5)
-        red = reduce_mod_row_lattice(v, hnf)
-        assert reduce_mod_row_lattice(red, hnf) == red
-        # difference lies in the lattice: solve small integer combos
-        diff = tuple(a - b for a, b in zip(v, red))
-        combos = [
-            (a, b)
-            for a in range(-10, 11)
-            for b in range(-10, 11)
-            if tuple(a * hnf[0][k] + b * hnf[1][k] for k in range(2)) == diff
-        ]
-        assert combos
-
     def test_unimodular_inverse(self):
         U = IntMatrix.from_rows([[2, 1], [1, 1]])
         Uinv = unimodular_inverse(U)
@@ -159,16 +141,18 @@ class TestCokernel:
 
 
 class TestSublatticeIndex:
+    """p-spanning (index prime to p) is full rank mod p: `symrank._span`."""
+
     def test_standard_basis(self):
-        assert sublattice_p_index([(1, 0), (0, 1)], 2, 2) == 0
+        assert len(_span((), [(1, 0), (0, 1)], 2)) == 2
 
     def test_index_two(self):
         assert abs(det_cofactor([[1, 1], [1, -1]])) == 2
-        assert sublattice_p_index([(1, 1), (1, -1)], 2, 2) == 1
-        assert sublattice_p_index([(1, 1), (1, -1)], 2, 3) == 0
+        assert len(_span((), [(1, 1), (1, -1)], 2)) == 1
+        assert len(_span((), [(1, 1), (1, -1)], 3)) == 2
 
     def test_rank_deficit(self):
-        assert sublattice_p_index([(1, 0)], 2, 2) is None
+        assert len(_span((), [(1, 0)], 2)) == 1
 
     @settings(max_examples=60)
     @given(
@@ -178,56 +162,48 @@ class TestSublatticeIndex:
         st.sampled_from([2, 3, 5]),
     )
     def test_matches_invariant_factor_valuation(self, vecs, p):
-        M = IntMatrix.from_rows([list(v) for v in vecs]).transpose()
-        dec = smith_normal_form(M)
-        got = sublattice_p_index(vecs, 2, p)
-        if dec.rank < 2:
-            assert got is None
-        else:
-            expect = 0
-            for f in dec.invariant_factors:
-                if f:
-                    expect += zlat.valuation(f, p)
-            assert got == expect
-
-
-def mod1(x) -> Fraction:
-    """x modulo the integers, in [0, 1)."""
-    return Fraction(x) % 1
+        # the p-part of the index is zero exactly when the Smith form has full
+        # rank and no invariant factor is divisible by p
+        dec = smith_normal_form(IntMatrix.from_rows([list(v) for v in vecs]).transpose())
+        p_spanning = dec.rank == 2 and all(f % p for f in dec.invariant_factors if f)
+        assert (len(_span((), vecs, p)) == 2) == p_spanning
 
 
 def membership_bruteforce(v, W: IntMatrix) -> bool:
     """Exhaustive oracle: search torus torsion points with denominators
-    dividing lcm(denominators of v) times the largest invariant factor."""
-    lcm = 1
+    dividing lcm(denominators of v) times the largest invariant factor.  A
+    point t = a / N (N that bound) is tried on the numerators: W a = N v mod N."""
+    N = 1
     for x in v:
-        fr = mod1(x)
-        lcm = lcm * fr.denominator // gcd(lcm, fr.denominator)
+        den = Fraction(x).denominator
+        N = N * den // gcd(N, den)
     factors = [f for f in smith_normal_form(W).invariant_factors if f]
     if factors:
-        lcm *= max(factors)
-    target = tuple(mod1(x) for x in v)
-    for nums in itertools.product(range(lcm), repeat=W.cols):
-        t = [Fraction(a, lcm) for a in nums]
-        if tuple(mod1(x) for x in W.apply(t)) == target:
+        N *= max(factors)
+    target = [int(Fraction(x) * N) % N for x in v]
+    rows = W.to_rows()
+    for nums in itertools.product(range(N), repeat=W.cols):
+        if all(sum(w * a for w, a in zip(row, nums)) % N == y for row, y in zip(rows, target)):
             return True
     return False
 
 
 class TestTorsionMembership:
+    """The coset key of `monogrp._CoeffCanon` against the exhaustive search."""
+
     def test_zero_vector(self):
         W = IntMatrix.from_rows([[1], [1]])
-        assert torsion_image_membership([0, 0], W, 2)
+        assert _CoeffCanon(W, 2).is_torsion_image([0, 0])
 
     def test_diagonal_half(self):
         W = IntMatrix.from_rows([[1], [1]])
         assert membership_bruteforce([Fraction(1, 2), Fraction(1, 2)], W)
-        assert torsion_image_membership([1, 1], W, 2)
+        assert _CoeffCanon(W, 2).is_torsion_image([1, 1])
 
     def test_half_zero_not_in_image(self):
         W = IntMatrix.from_rows([[1], [1]])
         assert not membership_bruteforce([Fraction(1, 2), Fraction(0)], W)
-        assert not torsion_image_membership([1, 0], W, 2)
+        assert not _CoeffCanon(W, 2).is_torsion_image([1, 0])
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -249,14 +225,29 @@ class TestTorsionMembership:
         v = [Fraction(a, b) for a, b in zip(nums, dens)]
         n = 24  # a multiple of every denominator drawn; v_i = c_i / n
         c = [a * (n // b) for a, b in zip(nums, dens)]
-        assert torsion_image_membership(c, W, n) == membership_bruteforce(v, W)
+        assert _CoeffCanon(W, n).is_torsion_image(c) == membership_bruteforce(v, W)
 
     def test_three_by_three_grid(self):
         # exhaustive small-denominator sweep at the full allowed shape
         W = IntMatrix.from_rows([[1, 0, 1], [0, 2, 1], [1, 1, 0]])
+        canon = _CoeffCanon(W, 2)
         for nums in itertools.product(range(4), repeat=3):
             v = [Fraction(a, 2) for a in nums]
-            assert torsion_image_membership(list(nums), W, 2) == membership_bruteforce(v, W)
+            assert canon.is_torsion_image(list(nums)) == membership_bruteforce(v, W)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 2), st.integers(1, 3), st.integers(1, 4), st.data())
+    def test_key_separates_cosets(self, d, m, n, data):
+        # one key per coset: a and b share a key exactly when (a - b) / n is
+        # in the torus image
+        rows = data.draw(
+            st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d), min_size=m, max_size=m)
+        )
+        a, b = (data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)) for _ in range(2))
+        W = IntMatrix.from_rows(rows)
+        canon = _CoeffCanon(W, n)
+        diff = [Fraction(x - y, n) for x, y in zip(a, b)]
+        assert (canon.canon(a) == canon.canon(b)) == membership_bruteforce(diff, W)
 
 
 class TestKernelBasis:
