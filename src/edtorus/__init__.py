@@ -32,7 +32,6 @@ from .pipeline import (
     sln_case,
     so_case,
     upper_witness_sln,
-    verify_sl_stabilizer_clauses,
 )
 from .stab import StabilizerReport, generic_stabilizer, is_p_faithful
 from .symrank import FLattice, SymRankResult, eta_bounds, perm_lower_bound, symrank
@@ -79,5 +78,4 @@ __all__ = [
     "symrank",
     "upper_witness_sln",
     "validate",
-    "verify_sl_stabilizer_clauses",
 ]

@@ -294,12 +294,10 @@ class ComponentGroup:
     generators close up to |F| elements, a complement of the torus.
     """
 
-    def __init__(self, P: MonomialGroupPresentation, elements, index, canon, right, split_witness):
+    def __init__(self, P: MonomialGroupPresentation, elements, right, split_witness):
         self.presentation = P
         self.split_witness: bool = split_witness
         self.elements: list[GroupElement] = elements
-        self._index = index
-        self._canon = canon
         self.identity = 0
         self.right: list[list[int]] = right
         self._reps: dict[MonomialRep, RepRecord] = {}
@@ -311,14 +309,6 @@ class ComponentGroup:
         for g in self.elements[y].word:
             x = right[x][g]
         return x
-
-    def class_of(self, pair: tuple[Perm, Coeff]) -> int:
-        """Class index of a literal monomial pair (perm, coefficients)."""
-        key = (pair[0], self._canon.canon(pair[1]))
-        try:
-            return self._index[key]
-        except KeyError:
-            raise ValueError("monomial pair is not an element of the presented group") from None
 
     @property
     def order(self) -> int:
@@ -507,8 +497,13 @@ class RepRecord:
     """
 
     def __init__(self, group: ComponentGroup, R: MonomialRep):
-        matrices = validate(group.presentation).induced_matrices
+        P = group.presentation
+        matrices = validate(P).induced_matrices
         for b, block in enumerate(R.blocks):
+            if len(block.gen_perms) != len(matrices) or len(block.gen_coeffs) != len(matrices):
+                raise EdtorusError("BAD_INPUT", f"block {b}: one action per generator is required")
+            if any(len(w) != P.torus_rank for w in block.weights):
+                raise EdtorusError("BAD_INPUT", f"block {b}: weight length must equal torus rank")
             for j, A in enumerate(matrices):
                 perm = block.gen_perms[j]
                 if sorted(perm) != list(range(block.dim)):
@@ -526,7 +521,7 @@ class RepRecord:
                             f"block {b}: weights are not permuted compatibly with the torus action",
                         )
         n = R.modulus
-        gens = [R.generator_action(j) for j in range(len(group.presentation.generators))]
+        gens = [R.generator_action(j) for j in range(len(P.generators))]
         self.canon = _CoeffCanon(R.weight_matrix(), n)
         self.actions: list[tuple[Perm, Coeff] | None] = [None] * group.order
         self.actions[group.identity] = (tuple(range(R.dim)), (0,) * R.dim)
@@ -629,7 +624,7 @@ def _enumerate_group(P: MonomialGroupPresentation) -> ComponentGroup:
             elements.append(fresh[key])
         for row, j, key in pending:
             row[j] = index[key]
-    return ComponentGroup(P, elements, index, canon, right, split)
+    return ComponentGroup(P, elements, right, split)
 
 
 @lru_cache(maxsize=None)

@@ -30,11 +30,9 @@ from .monogrp import (
     RepBlock,
     _is_prime,
     append_character_block,
-    closure,
     component_group,
     ensure_valid,
     natural_rep,
-    perm_compose,
     perm_sign,
 )
 from .stab import StabilizerReport, generic_stabilizer, is_p_faithful
@@ -256,9 +254,9 @@ def _product_perm(n: int, cycles: list[list[int]]) -> Perm:
     return tuple(perm)
 
 
-def sylow_tower_generators(n: int, p: int, count: int, offset: int = 0) -> list[list[Perm]]:
-    """Generators of a Sylow p-subgroup of the symmetric group on `count`
-    consecutive points starting at `offset`, grouped by p-power block.
+def sylow_tower_generators(n: int, p: int, count: int) -> list[list[Perm]]:
+    """Generators of a Sylow p-subgroup of the symmetric group on the first
+    `count` points, grouped by p-power block.
 
     Each block of size p^j carries the standard tower: the p-cycle on its
     first p points, then for each level l the product of p^(l-1) disjoint
@@ -269,9 +267,7 @@ def sylow_tower_generators(n: int, p: int, count: int, offset: int = 0) -> list[
         level_gens = []
         block = 1
         while block < size:
-            cycles = [
-                [offset + start + i + k * block for k in range(p)] for i in range(block)
-            ]
+            cycles = [[start + i + k * block for k in range(p)] for i in range(block)]
             level_gens.append(_product_perm(n, cycles))
             block *= p
         out.append(level_gens)
@@ -624,32 +620,6 @@ def ed_case_so(n: int) -> EdReport:
     case = so_case(n)
     P = case.presentation
     return replace(essential_p_dimension(P, natural_rep(P)), notes=case.notes)
-
-
-# -- executable ground truth for the stabilizer clauses ---------------------------
-
-
-def verify_sl_stabilizer_clauses(n: int, h_generators) -> bool:
-    """Check both stabilizer clauses for the natural representation of the
-    preimage of a permutation p-group: trivial torus part, and component
-    image equal to the even part of the subgroup."""
-    perms = [tuple(g) for g in h_generators]
-    order = len(closure(tuple(range(n)), perms, perm_compose))
-    p = next((q for q in range(2, order + 1) if order % q == 0), 2)  # smallest prime factor
-    k = order
-    while k % p == 0:
-        k //= p
-    if k != 1:
-        raise EdtorusError("UNSUPPORTED", "generators do not generate a p-group")
-    P = make_sl_presentation(n, p, perms)
-    group = component_group(P)
-    report = generic_stabilizer(P, natural_rep(P))
-    if not report.torus_part.is_trivial:
-        return False
-    even = tuple(
-        sorted(i for i, el in enumerate(group.elements) if perm_sign(el.perm) == 1)
-    )
-    return report.component_image == even
 
 
 # -- tables ---------------------------------------------------------------------

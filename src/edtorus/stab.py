@@ -80,7 +80,7 @@ def _torus_part(P: MonomialGroupPresentation, rec: RepRecord) -> FiniteAbelianSt
             "RANK_DEFICIENT_WEIGHTS",
             "weights span a proper sublattice: the torus stabilizer is infinite",
         )
-    return FiniteAbelianStructure(tuple(f for f in dec.invariant_factors if f > 1), 0)
+    return FiniteAbelianStructure(tuple(f for f in dec.invariant_factors if f > 1))
 
 
 def is_p_faithful(P: MonomialGroupPresentation, R: MonomialRep | None = None) -> Witnessed:
@@ -111,14 +111,12 @@ def generic_stabilizer(P: MonomialGroupPresentation, R: MonomialRep | None = Non
     rec = check_rep_compatible(P, R)
     torus_part = _torus_part(P, rec)
     group = component_group(P)
-    # the saturated kernel of the transposed weight matrix: with U W V = D the
-    # Smith form of the weights, the rows of U beyond the rank
-    dec = rec.canon.dec
-    kernel_basis = [dec.U.row(i) for i in range(dec.rank, dec.U.rows)]
+    # the coset key's rows, the rows of U past the rank for U W V = D the Smith
+    # form of the weights, span the saturated kernel of the transposed weights
     image = tuple(
         idx
         for idx, (perm, coeff) in enumerate(group.rep_actions(R))
-        if _class_passes(perm, coeff, kernel_basis, R.modulus)
+        if _class_passes(perm, coeff, rec.canon.rows, R.modulus)
     )
     if not group.is_subgroup(image):
         raise EdtorusError("INTERNAL", "cycle criterion must cut out a subgroup")

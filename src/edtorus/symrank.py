@@ -22,47 +22,26 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .monogrp import MAX_STEPS, EdtorusError, closure
+from .monogrp import MAX_STEPS, EdtorusError, character_lattice_action, ensure_valid
+from .stab import is_p_faithful
 
 
 class FLattice:
-    """Z^rank with a finite group of unimodular matrices acting on it.  Given its
-    `matrices`, the closure check picks non-identity `generators` unless they are
-    passed.  A caller that closed the group itself may pass the generators and the
-    right Cayley graph instead (element 0 the identity, breadth-first order,
-    right[x][g] = x times generator g): the matrices are built on first read."""
+    """Z^rank with a finite group of unimodular matrices acting on it, given by
+    its non-identity `generators` and its right Cayley graph `right` (element 0
+    the identity, breadth-first order, right[x][g] = x times generator g): the
+    matrices are built on first read."""
 
-    def __init__(self, rank: int, matrices=None, generators=None, right=None):
-        self.rank = rank
-        self.right = right
+    def __init__(self, rank: int, generators, right):
         ident = _identity(rank)
-        if matrices is not None:
-            self.matrices = tuple(matrices)
-        mats = set(self.matrices) if matrices is not None else {ident, *generators}
-        if ident not in mats:
-            raise ValueError("matrix set must contain the identity")
-        for a in mats:
+        for a in generators:
             if len(a) != rank or any(len(r) != rank for r in a):
                 raise ValueError("matrix shape mismatch")
-        if generators is not None:
-            if not set(generators) <= mats - {ident}:
-                raise ValueError("generators must be non-identity members of the matrix set")
-            self.generators = tuple(generators)
-            return
-        # A finite set is closed under products iff it equals the monoid it
-        # generates; each matrix not yet reached joins the generators.
-        gens = []
-        reached = {ident}
-        for a in self.matrices:
-            if a not in reached:
-                gens.append(a)
-                got = closure(ident, gens, _mat_mul, limit=len(mats))
-                if got is None:
-                    raise ValueError("matrix set is not closed under products")
-                reached = set(got)
-        if reached != mats:
-            raise ValueError("matrix set is not closed under products")
-        self.generators = tuple(gens)
+            if a == ident:
+                raise ValueError("generators must not be the identity")
+        self.rank = rank
+        self.generators = tuple(generators)
+        self.right = right
 
     @cached_property
     def matrices(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -77,13 +56,10 @@ class FLattice:
 
     @property
     def order(self) -> int:
-        return len(self.matrices) if self.right is None else len(self.right)
+        return len(self.right)
 
     def is_abelian(self) -> bool:
         pairs = itertools.combinations(range(len(self.generators)), 2)
-        if self.right is None:
-            gens = self.generators
-            return all(_mat_mul(gens[i], gens[j]) == _mat_mul(gens[j], gens[i]) for i, j in pairs)
         first = self.right[0]  # generator g is element first[g]
         return all(self.right[first[i]][j] == self.right[first[j]][i] for i, j in pairs)
 
@@ -122,20 +98,16 @@ def perm_lower_bound(L: FLattice, p: int) -> PermBound:
     """
     d = L.rank
     order = L.order
-    n = order
+    k, n = 0, order
     while n % p == 0:
         n //= p
+        k += 1
     if n != 1:
         return PermBound(d, False, f"group order {order} is not a power of {p}")
     if not L.is_abelian():
         return PermBound(d, False, "matrix group is not abelian")
     # Any nonidentity unimodular matrix fixes a sublattice of rank < d, so the
     # permutation action on an invariant spanning set is automatically faithful.
-    k = 0
-    n = order
-    while n > 1:
-        n //= p
-        k += 1
     return PermBound(max(d, p * k), True, None)
 
 
@@ -343,9 +315,6 @@ def eta_bounds(P, V=None, B: int | None = None, run_search: bool = True) -> EtaR
     bound pins the value with no search at all.  A search the step limit
     stops reports no symrank.
     """
-    from .monogrp import character_lattice_action, ensure_valid
-    from .stab import is_p_faithful
-
     report = ensure_valid(P)
     L = character_lattice_action(P)
     if B is not None:

@@ -102,10 +102,9 @@ class SmithDecomposition:
 
 @dataclass(frozen=True)
 class FiniteAbelianStructure:
-    """Invariant factors (> 1, divisibility chain) plus free rank."""
+    """A finite abelian group by its invariant factors (> 1, divisibility chain)."""
 
     invariant_factors: tuple[int, ...]
-    free_rank: int
 
     def __post_init__(self):
         for a, b in zip(self.invariant_factors, self.invariant_factors[1:]):
@@ -120,10 +119,6 @@ class FiniteAbelianStructure:
         for f in self.invariant_factors:
             n *= f
         return n
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.invariant_factors and self.free_rank == 0
 
 
 def _smallest_pivot(a: list[list[int]], k: int, nrows: int, ncols: int):

@@ -1,9 +1,72 @@
-"""Shared fixture presentations used across the suite."""
+"""Shared fixture presentations and reference helpers used across the suite."""
+
+import functools
 
 import pytest
 
 from edtorus import monogrp
-from edtorus.monogrp import MonomialGroupPresentation
+from edtorus.monogrp import (
+    EdtorusError,
+    MonomialGroupPresentation,
+    _CoeffCanon,
+    closure,
+    component_group,
+    natural_rep,
+    perm_compose,
+    perm_sign,
+)
+from edtorus.pipeline import make_sl_presentation, so_case
+from edtorus.stab import generic_stabilizer
+from edtorus.symrank import FLattice, _identity, _mat_mul
+
+
+def lattice(rank, generators):
+    """The lattice acted on by the matrix group the generators generate, closed
+    here and handed over with its right Cayley graph, as the package builds one."""
+    elements = closure(_identity(rank), generators, _mat_mul)
+    index = {x: i for i, x in enumerate(elements)}
+    right = [[index[_mat_mul(x, g)] for g in generators] for x in elements]
+    return FLattice(rank, generators, right)
+
+
+@functools.lru_cache(maxsize=None)
+def _coset_key(P):
+    return _CoeffCanon(P.weight_matrix(), P.root_of_unity_exponent)
+
+
+def class_of(group, pair):
+    """Index of the class of the literal monomial pair (perm, coefficients):
+    the element with the same permutation and the same torus coset key."""
+    perm, coeff = pair
+    canon = _coset_key(group.presentation)
+    key = canon.canon(coeff)
+    for i, el in enumerate(group.elements):
+        if el.perm == perm and canon.canon(el.coeff) == key:
+            return i
+    raise ValueError("monomial pair is not an element of the presented group")
+
+
+def verify_sl_stabilizer_clauses(n, h_generators):
+    """Check both stabilizer clauses for the natural representation of the
+    preimage of a permutation p-group: trivial torus part, and component
+    image equal to the even part of the subgroup."""
+    perms = [tuple(g) for g in h_generators]
+    order = len(closure(tuple(range(n)), perms, perm_compose))
+    p = next((q for q in range(2, order + 1) if order % q == 0), 2)  # smallest prime factor
+    k = order
+    while k % p == 0:
+        k //= p
+    if k != 1:
+        raise EdtorusError("UNSUPPORTED", "generators do not generate a p-group")
+    P = make_sl_presentation(n, p, perms)
+    group = component_group(P)
+    report = generic_stabilizer(P, natural_rep(P))
+    if report.torus_part.invariant_factors:
+        return False
+    even = tuple(
+        sorted(i for i, el in enumerate(group.elements) if perm_sign(el.perm) == 1)
+    )
+    return report.component_image == even
 
 
 @pytest.fixture
@@ -57,13 +120,9 @@ def weight_two_line():
 
 @pytest.fixture
 def so4_presentation():
-    from edtorus.pipeline import so_case
-
     return so_case(1).presentation
 
 
 @pytest.fixture
 def negation_lattice():
-    from edtorus.symrank import FLattice
-
-    return FLattice(rank=1, matrices=(((1,),), ((-1,),)))
+    return lattice(1, (((-1,),),))

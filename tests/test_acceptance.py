@@ -38,10 +38,11 @@ from edtorus.pipeline import (
     sln_case,
     so_case,
     upper_witness_sln,
-    verify_sl_stabilizer_clauses,
 )
 from edtorus.stab import generic_stabilizer
-from edtorus.symrank import FLattice, perm_lower_bound, symrank
+from edtorus.symrank import perm_lower_bound, symrank
+
+from conftest import lattice, verify_sl_stabilizer_clauses
 
 FF_BUDGET_LIMIT = 10**7
 
@@ -172,28 +173,6 @@ def test_criterion_5_extension_builder():
     assert ok
 
 
-def _closure_lattice(d, gens):
-    ident = tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
-    mats = {ident}
-    frontier = [ident]
-
-    def mul(a, b):
-        return tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(d)) for j in range(d)) for i in range(d)
-        )
-
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                c = mul(a, g)
-                if c not in mats:
-                    mats.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    return FLattice(rank=d, matrices=tuple(sorted(mats)))
-
-
 def test_criterion_6_symrank_values():
     targets = [
         ("sl3", character_lattice_action(sln_case(3, 3).presentation), 3, 3),
@@ -240,7 +219,7 @@ def test_criterion_6_symrank_values():
                 )
 
             gens = [mul2(mul2(U, g), Uinv) for g in gens]
-        L = _closure_lattice(d, gens)
+        L = lattice(d, gens)
         got = symrank(L, 2, B=3).value
         expect = symrank_bruteforce(L, 2, 3)
         if got == expect:

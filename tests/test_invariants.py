@@ -1,6 +1,7 @@
 """Invariants in the package are explicit checks that hold under `python -O`."""
 
 import ast
+import collections
 from pathlib import Path
 
 import edtorus
@@ -81,25 +82,34 @@ def test_one_step_limit():
     assert spelled == ["monogrp.py"]
 
 
-def test_zlat_has_no_test_only_surface():
-    """Every public top-level function and class of `zlat` is used by another
-    module of the package, not only exported or used by the tests."""
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
-    public = {
-        node.name
-        for node in trees["zlat.py"].body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
-    }
-    used = {
+def _referenced(node) -> collections.Counter:
+    """How often each name is read below `node`: as a name, an attribute or an import."""
+    return collections.Counter(
         name
-        for module, tree in trees.items()
-        if module not in {"zlat.py", "__init__.py"}
-        for node in ast.walk(tree)
+        for sub in ast.walk(node)
         for name in (
-            [node.id] if isinstance(node, ast.Name)
-            else [node.attr] if isinstance(node, ast.Attribute)
-            else [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+            [sub.id] if isinstance(sub, ast.Name)
+            else [sub.attr] if isinstance(sub, ast.Attribute)
+            else [alias.name for alias in sub.names] if isinstance(sub, ast.ImportFrom)
             else []
         )
-    }
-    assert sorted(public - used) == []
+    )
+
+
+def test_no_test_only_surface():
+    """Every public top-level function and class, and every public method of a
+    class, is used in the package outside its own definition: not only exported
+    by `__init__` or used by the tests."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    del trees["__init__.py"]
+    everywhere = sum((_referenced(tree) for tree in trees.values()), collections.Counter())
+    unused = [
+        f"{module}:{member.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        for member in [node, *(node.body if isinstance(node, ast.ClassDef) else [])]
+        if isinstance(member, (ast.FunctionDef, ast.ClassDef))
+        and not member.name.startswith("_")
+        and everywhere[member.name] == _referenced(member)[member.name]
+    ]
+    assert unused == []

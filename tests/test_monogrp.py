@@ -30,6 +30,8 @@ from edtorus.pipeline import _characters_generating_dual, sln_case, so_case
 from edtorus.symrank import _mat_mul
 from edtorus.zlat import IntMatrix
 
+from conftest import class_of
+
 
 def _repeated_and_zero_weights():
     """Lines 0 and 2 share weight (1, 0), lines 1 and 3 share (0, 1), line 4 has
@@ -84,7 +86,7 @@ class TestValidate:
         assert [m.to_rows() for m in report.induced_matrices] == [[[-1]]]
         assert not report.split_witness  # the literal swap closes to order 4
         group = component_group(sl2_normalizer)
-        g = group.class_of(sl2_normalizer.generators[0])
+        g = class_of(group, sl2_normalizer.generators[0])
         assert group.mul(g, g) == group.identity
 
     def test_no_induced_action(self):
@@ -272,7 +274,7 @@ class TestComponentGroup:
         group = component_group(maker())
         reps = [(el.perm, el.coeff) for el in group.elements]
         e = group.presentation.root_of_unity_exponent
-        literal = [[group.class_of(monomial_mul(a, b, e)) for b in reps] for a in reps]
+        literal = [[class_of(group, monomial_mul(a, b, e)) for b in reps] for a in reps]
         n = group.order
         assert [[group.mul(x, y) for y in range(n)] for x in range(n)] == literal
         gens = group.right[group.identity]
@@ -350,7 +352,7 @@ class TestComponentGroup:
         A = report.induced_matrices[0]
         # the induced map factors through the component group: A^3 = identity
         assert (A @ A @ A).is_identity()
-        assert group.element_order(group.class_of(sl3_three_cycle.generators[0])) == 3
+        assert group.element_order(class_of(group, sl3_three_cycle.generators[0])) == 3
 
     def test_representative_invariance(self):
         base = sln_case(6, 3).presentation
@@ -387,7 +389,7 @@ class TestComponentGroup:
         group = component_group(P3)
         shift = (1, 0, 2)  # weights (1,0),(0,1),(-1,-1) at s=(1/3, 0), modulo 3
         shifted_coeff = tuple((a + b) % 3 for a, b in zip(coeff, shift))
-        assert group.class_of((perm, shifted_coeff)) == group.class_of((perm, coeff))
+        assert class_of(group, (perm, shifted_coeff)) == class_of(group, (perm, coeff))
 
     def test_class_equality_matches_torsion_membership(self, sl2_normalizer):
         from itertools import product as iproduct
@@ -397,16 +399,16 @@ class TestComponentGroup:
         group = component_group(sl2_normalizer)
         W = sl2_normalizer.weight_matrix()
         perm, base = sl2_normalizer.generators[0]
-        cls = group.class_of((perm, base))
+        cls = class_of(group, (perm, base))
         for shift in iproduct(range(2), repeat=2):  # (a/2, b/2), modulo e = 2
             coeff = tuple((x + y) % 2 for x, y in zip(base, shift))
             if membership_bruteforce([Fraction(x, 2) for x in shift], W):
-                assert group.class_of((perm, coeff)) == cls
+                assert class_of(group, (perm, coeff)) == cls
             else:
                 # a coefficient outside the torsion image is a different
                 # extension element, not a member of the presented group
                 with pytest.raises(ValueError):
-                    group.class_of((perm, coeff))
+                    class_of(group, (perm, coeff))
 
     def test_torsion_image_predicate_matches_reference(self):
         from test_zlat import membership_bruteforce
@@ -507,7 +509,7 @@ class TestCharacterBlocks:
 
     def test_order_three_character(self, sl3_three_cycle):
         group = component_group(sl3_three_cycle)
-        g = group.class_of(sl3_three_cycle.generators[0])
+        g = class_of(group, sl3_three_cycle.generators[0])
         chi = [0] * group.order  # values modulo |F| = 3
         chi[g] = 1
         chi[group.mul(g, g)] = 2
@@ -595,6 +597,22 @@ class TestRepCompatibility:
     def test_unreduced_block_coefficient_rejected(self, so4_presentation, c):
         with pytest.raises(EdtorusError, match="integers reduced modulo its modulus") as err:
             check_rep_compatible(so4_presentation, self.with_line(so4_presentation, (c, 0), 2))
+        assert err.value.code == "BAD_INPUT"
+
+    @pytest.mark.parametrize(
+        "match,change",
+        [
+            ("one action per generator", lambda b: dict(gen_perms=b.gen_perms[:-1], gen_coeffs=b.gen_coeffs[:-1])),
+            ("one action per generator", lambda b: dict(gen_perms=b.gen_perms * 2, gen_coeffs=b.gen_coeffs * 2)),
+            ("weight length", lambda b: dict(weights=tuple(w + (0,) for w in b.weights))),
+        ],
+        ids=["fewer_actions", "extra_actions", "long_weights"],
+    )
+    def test_misshapen_block_rejected(self, so4_presentation, match, change):
+        block = natural_rep(so4_presentation).blocks[0]
+        R = MonomialRep(presentation=so4_presentation, blocks=(dataclasses.replace(block, **change(block)),))
+        with pytest.raises(EdtorusError, match=match) as err:
+            check_rep_compatible(so4_presentation, R)
         assert err.value.code == "BAD_INPUT"
 
 

@@ -30,7 +30,8 @@ from edtorus.oracle import (
     symrank_bruteforce,
 )
 from edtorus.pipeline import build_generically_free_extension, sln_case, so_case
-from edtorus.symrank import FLattice
+
+from conftest import lattice
 
 
 class TestFFStabilizer:
@@ -112,7 +113,7 @@ class TestSymrankBruteforce:
         assert symrank_bruteforce(negation_lattice, 2, 3) == 2
 
     def test_trivial_rank_two(self):
-        L = FLattice(rank=2, matrices=(((1, 0), (0, 1)),))
+        L = lattice(2, ())
         assert symrank_bruteforce(L, 5, 1) == 2
 
     def test_so4_lattice(self, so4_presentation):
@@ -122,7 +123,7 @@ class TestSymrankBruteforce:
     @pytest.mark.parametrize(
         "maker,p,B",
         [
-            (lambda: FLattice(rank=1, matrices=(((1,),), ((-1,),))), 2, 2),
+            (lambda: lattice(1, [((-1,),)]), 2, 2),
             (lambda: character_lattice_action(so_case(1).presentation), 2, 2),
             (lambda: character_lattice_action(sln_case(5, 2).presentation), 2, 1),
         ],

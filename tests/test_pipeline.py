@@ -26,10 +26,11 @@ from edtorus.pipeline import (
     table_sl,
     table_so,
     upper_witness_sln,
-    verify_sl_stabilizer_clauses,
     wreath_faithful_rep_actions,
 )
 from edtorus.stab import generic_stabilizer
+
+from conftest import verify_sl_stabilizer_clauses
 
 
 class TestBuilder:

@@ -18,6 +18,7 @@ from edtorus.pipeline import sln_case, so_case
 from edtorus.symrank import (
     FLattice,
     _enumerate_orbits,
+    _identity,
     _mat_mul,
     _span,
     eta_bounds,
@@ -25,32 +26,7 @@ from edtorus.symrank import (
     symrank,
 )
 
-
-def trivial_lattice(d):
-    ident = tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
-    return FLattice(rank=d, matrices=(ident,))
-
-
-def closure_lattice(d, gens):
-    ident = tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
-    mats = {ident}
-    frontier = [ident]
-
-    def mul(a, b):
-        return tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(d)) for j in range(d)) for i in range(d)
-        )
-
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                c = mul(a, g)
-                if c not in mats:
-                    mats.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    return FLattice(rank=d, matrices=tuple(sorted(mats)))
+from conftest import lattice
 
 
 DIHEDRAL_8 = tuple(
@@ -62,46 +38,20 @@ DIHEDRAL_8 = tuple(
 
 
 class TestFLatticeChecks:
-    def test_identity_required(self):
-        with pytest.raises(ValueError, match="identity"):
-            FLattice(rank=1, matrices=(((-1,),),))
-
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
-            FLattice(rank=2, matrices=(((1, 0), (0, 1)), ((1, 0, 0), (0, 1, 0))))
-
-    def test_infinite_monoid_rejected(self):
-        # {I, 2I} generates the infinite monoid {2^k I}; the check must stop
-        with pytest.raises(ValueError, match="closed"):
-            FLattice(rank=1, matrices=(((1,),), ((2,),)))
-
-    def test_square_missing(self):
-        rot = ((0, -1), (1, 0))  # rot^2 = -I is not in the set
-        with pytest.raises(ValueError, match="closed"):
-            FLattice(rank=2, matrices=(((1, 0), (0, 1)), rot))
-
-    @pytest.mark.parametrize("drop", [m for m in DIHEDRAL_8 if m != ((1, 0), (0, 1))])
-    def test_dihedral_minus_one_element(self, drop):
-        with pytest.raises(ValueError, match="closed"):
-            FLattice(rank=2, matrices=tuple(m for m in DIHEDRAL_8 if m != drop))
+            FLattice(rank=2, generators=(((1, 0, 0), (0, 1, 0)),), right=[[1], [0]])
 
     def test_dihedral_accepted_in_any_order(self):
-        mats = list(DIHEDRAL_8)
-        random.Random(3).shuffle(mats)
-        assert FLattice(rank=2, matrices=tuple(mats)).order == 8
+        gens = [m for m in DIHEDRAL_8 if m != ((1, 0), (0, 1))]
+        random.Random(3).shuffle(gens)
+        L = lattice(2, gens)
+        assert (L.order, L.is_abelian(), L.matrices) == (8, False, tuple(sorted(DIHEDRAL_8)))
 
-    def test_trusted_generators_keep_identity_and_shape_checks(self):
-        neg = ((-1,),)
-        assert FLattice(rank=1, matrices=(((1,),), neg), generators=(neg,)).generators == (neg,)
-        with pytest.raises(ValueError, match="identity"):
-            FLattice(rank=1, matrices=(neg,), generators=(neg,))
-        with pytest.raises(ValueError, match="shape"):
-            FLattice(rank=1, matrices=(((1,),), ((1, 0), (0, 1))), generators=())
-
-    @pytest.mark.parametrize("gens", [(((1,),),), (((2,),),)], ids=["identity", "non_member"])
-    def test_trusted_generators_must_be_non_identity_members(self, gens):
+    @pytest.mark.parametrize("rank", [1, 2], ids=["identity", "identity_rank_two"])
+    def test_trusted_generators_must_be_non_identity_members(self, rank):
         with pytest.raises(ValueError, match="generators"):
-            FLattice(rank=1, matrices=(((1,),), ((-1,),)), generators=gens)
+            FLattice(rank=rank, generators=(_identity(rank),), right=[[0]])
 
     def test_cayley_graph_builds_matrices_on_first_read(self):
         neg = ((-1,),)
@@ -109,10 +59,6 @@ class TestFLatticeChecks:
         assert "matrices" not in vars(L)
         assert (L.order, L.is_abelian()) == (2, True)
         assert L.matrices == (neg, ((1,),))
-        with pytest.raises(ValueError, match="generators"):
-            FLattice(rank=1, generators=(((1,),),), right=[[0]])
-        with pytest.raises(ValueError, match="shape"):
-            FLattice(rank=1, generators=(((1, 0), (0, 1)),), right=[[1], [0]])
         # a graph of three elements over a group of two: the build finds a repeat
         with pytest.raises(EdtorusError, match="distinct"):
             FLattice(rank=1, generators=(neg,), right=[[1], [2], [0]]).matrices
@@ -126,8 +72,8 @@ class TestFLatticeAbelian:
     @pytest.mark.parametrize(
         "maker,abelian",
         [
-            (lambda: FLattice(rank=2, matrices=DIHEDRAL_8), False),
-            (lambda: FLattice(rank=2, matrices=tuple(m for m in DIHEDRAL_8 if m[0][1] == 0)), True),
+            (lambda: lattice(2, [((0, 1), (1, 0)), ((-1, 0), (0, 1))]), False),
+            (lambda: lattice(2, [((-1, 0), (0, 1)), ((1, 0), (0, -1))]), True),
             (lambda: character_lattice_action(sln_case(9, 3).presentation), True),
         ],
         ids=["dihedral_8", "diagonal_signs", "sl_9_3"],
@@ -142,7 +88,7 @@ class TestFLatticeAbelian:
 class TestSymrankValues:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_trivial_group(self, d):
-        res = symrank(trivial_lattice(d), 2, B=1)
+        res = symrank(lattice(d, ()), 2, B=1)
         assert res.value == d
         assert res.status == "EXACT"
 
@@ -183,7 +129,7 @@ class TestSymrankValues:
         # plus/minus the identity on Z^2: orbits are +/- pairs and two of them
         # can span with odd index, so the minimum is 4 while the certified
         # lower bound is only max(rank, p log_p 2) = 2
-        neg = closure_lattice(2, [((-1, 0), (0, -1))])
+        neg = lattice(2, [((-1, 0), (0, -1))])
         res = symrank(neg, 2, B=2)
         assert res.value == 4
         assert res.status == "UPPER_ONLY"
@@ -219,12 +165,7 @@ class TestWitnessCheck:
     """A caller's witness is checked on the group's generators only: a finite
     set each generator maps into itself is invariant under the whole group."""
 
-    FLIPS = FLattice(
-        rank=2, matrices=(((1, 0), (0, 1)), ((-1, 0), (0, 1)), ((1, 0), (0, -1)), ((-1, 0), (0, -1)))
-    )
-
-    def test_generators_picked_by_closure(self):
-        assert self.FLIPS.generators == (((-1, 0), (0, 1)), ((1, 0), (0, -1)))
+    FLIPS = lattice(2, [((-1, 0), (0, 1)), ((1, 0), (0, -1))])
 
     @pytest.mark.parametrize(
         "witness,reason",
@@ -269,7 +210,7 @@ class TestPermLowerBound:
         assert bound.hypotheses_ok and bound.value == 4
 
     def test_trivial_rank_bound(self):
-        bound = perm_lower_bound(trivial_lattice(3), 5)
+        bound = perm_lower_bound(lattice(3, ()), 5)
         assert bound.hypotheses_ok and bound.value == 3
 
     def test_nonabelian_flagged(self):
@@ -289,10 +230,10 @@ class TestMonotonicity:
         # trivial < single double transposition < Klein subgroup.  For the
         # middle group (I + A) has rank-one image, so a fixed vector plus one
         # 2-orbit never spans: the minimum is already 4 (bruteforce agrees).
-        single = closure_lattice(3, [((0, 1, -1), (1, 0, -1), (0, 0, -1))])
+        single = lattice(3, [((0, 1, -1), (1, 0, -1), (0, 0, -1))])
         klein = character_lattice_action(sln_case(4, 2).presentation)
         values = [
-            symrank(trivial_lattice(3), 2).value,
+            symrank(lattice(3, ()), 2).value,
             symrank(single, 2).value,
             symrank(klein, 2).value,
         ]
@@ -339,7 +280,7 @@ class TestAgainstBruteforce:
                     return mul(mul(U, a), Uinv)
 
                 gens = [conj(g) for g in gens]
-            L = closure_lattice(d, gens)
+            L = lattice(d, gens)
             got = symrank(L, 2, B=3).value
             expect = symrank_bruteforce(L, 2, 3)
             assert got == expect, f"seed {seed} ({name}): {got} != {expect}"
@@ -360,7 +301,7 @@ class TestDifferential:
             (lambda: character_lattice_action(sln_case(5, 2).presentation), 2, 1),
             (lambda: character_lattice_action(so_case(1).presentation), 2, 2),
             (lambda: character_lattice_action(sln_case(4, 3).presentation), 3, 2),
-            (lambda: FLattice(rank=1, matrices=(((1,),), ((-1,),))), 2, 3),
+            (lambda: lattice(1, [((-1,),)]), 2, 3),
             # rank 0: two lines swapped with a sign; the empty set spans
             (lambda: character_lattice_action(RANK_ZERO), 2, 1),
             (lambda: character_lattice_action(so_case(2).presentation), 2, 2),

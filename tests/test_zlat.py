@@ -131,13 +131,13 @@ class TestHermite:
 
 class TestCokernel:
     def test_is_trivial(self):
-        assert FiniteAbelianStructure(invariant_factors=(), free_rank=0).is_trivial
-        assert not FiniteAbelianStructure(invariant_factors=(2,), free_rank=0).is_trivial
-        assert not FiniteAbelianStructure(invariant_factors=(), free_rank=1).is_trivial
+        # a finite abelian group is trivial exactly when no invariant factor is left
+        assert FiniteAbelianStructure(invariant_factors=()).torsion_order == 1
+        assert FiniteAbelianStructure(invariant_factors=(2, 6)).torsion_order == 12
 
     def test_divisibility_chain_enforced(self):
         with pytest.raises(ValueError):
-            FiniteAbelianStructure(invariant_factors=(4, 2), free_rank=0)
+            FiniteAbelianStructure(invariant_factors=(4, 2))
 
 
 class TestSublatticeIndex:
