@@ -500,6 +500,8 @@ class RepRecord:
         P = group.presentation
         matrices = validate(P).induced_matrices
         for b, block in enumerate(R.blocks):
+            if type(block.modulus) is not int or block.modulus < 1:
+                raise EdtorusError("BAD_INPUT", f"block {b}: modulus must be a positive integer")
             if len(block.gen_perms) != len(matrices) or len(block.gen_coeffs) != len(matrices):
                 raise EdtorusError("BAD_INPUT", f"block {b}: one action per generator is required")
             if any(len(w) != P.torus_rank for w in block.weights):

@@ -1,18 +1,21 @@
 """Independent brute-force ground truth.
 
 Three checkers that share no algorithmic machinery with the symbolic engine:
-stabilizer orders by exhaustive enumeration over a finite field, symmetric
-p-rank over every union of orbits (computed here) at tiny bounds, each one
-rank-tested by Gaussian elimination mod p, not by normal forms, or skipped by
-size, and the abelian-subgroup order bound in symmetric groups by exhaustive
-closure search inside a Sylow subgroup.
+stabilizer orders over a finite field, each class's fixed points looked up in
+one table of the values at every torus point; symmetric p-rank at tiny
+bounds, by a walk over the unions of orbits (computed here) that extends its
+parent's echelon rows by Gaussian elimination mod p, not by normal forms, and
+cuts only unions that cannot be smaller spanning ones; and the
+abelian-subgroup order bound in symmetric groups by exhaustive closure search
+inside a Sylow subgroup.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
 import numpy as np
 
@@ -97,6 +100,14 @@ def choose_modulus(P: MonomialGroupPresentation, R: MonomialRep | None = None) -
         q += 1
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row of a 2-d int64 array as one item that compares by its bytes,
+    so rows can be counted with np.unique and looked up with np.searchsorted."""
+    if not rows.shape[1]:
+        return np.zeros(len(rows), dtype="V1")  # rows without entries are all equal
+    return np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
 @dataclass(frozen=True)
 class FFStabilizerReport:
     q: int
@@ -122,7 +133,8 @@ def ff_stabilizer(
     the cyclic group of order q - 1, samples points with all coordinates
     nonzero, and counts every group element fixing the point.  Special points
     only enlarge stabilizers, so the minimum over trials converges to the
-    generic order from above.
+    generic order from above.  The value rows of all torus points are counted
+    once; a trial then looks up every class's target row in that count.
     """
     if trials < 1:
         raise EdtorusError("BAD_INPUT", "trials must be >= 1")
@@ -131,10 +143,9 @@ def ff_stabilizer(
     group = component_group(P)
     if q is None:
         q = choose_modulus(P, R)
-    if not _is_prime(q):
+    elif not _is_prime(q):
         raise EdtorusError("BAD_MODULUS", f"q = {q} is not prime")
-    L = required_torsion(P, R)
-    if (q - 1) % L != 0:
+    elif (q - 1) % (L := required_torsion(P, R)) != 0:
         raise EdtorusError("BAD_MODULUS", f"q - 1 must be divisible by {L}")
     d = P.torus_rank
     budget = MAX_STEPS.get()
@@ -149,97 +160,82 @@ def ff_stabilizer(
     actions = group.rep_actions(R)
     n = R.modulus
 
-    # value table: row per torus point, column per line, entry prod_j t_j^(w_ij)
-    weights = np.array([list(w) for w in R.weights], dtype=np.int64)  # (m, d)
-    exps = np.arange(q - 1, dtype=np.int64)
-    powg = np.array([pow(g0, int(k), q) for k in range(q - 1)], dtype=np.int64)
-    grids = np.meshgrid(*([exps] * d), indexing="ij") if d else []
-    if d:
-        tor_exp = np.stack(grids, axis=-1).reshape(-1, d)  # (q-1)^d rows of exponents
-    else:
-        tor_exp = np.zeros((1, 0), dtype=np.int64)
-    line_exp = tor_exp @ weights.T % (q - 1)
-    table = powg[line_exp]  # ((q-1)^d, m) values in F_q*
+    # value table: row per torus point, column per line, entry prod_j t_j^(w_ij) = g0^(sum_j k_j w_ij)
+    # for t_j = g0^(k_j); the exponents are summed one torus coordinate at a time
+    weights = np.array([list(w) for w in R.weights], dtype=np.int64).reshape(m, d)
+    powg = np.array([pow(g0, k, q) for k in range(q - 1)], dtype=np.int64)
+    table = np.zeros((1, m), dtype=np.int64)
+    for w in weights.T:
+        table = (table[:, None, :] + np.outer(np.arange(q - 1), w)).reshape(-1, m) % (q - 1)
+    table = powg[table]
+    # the distinct value rows, and how many torus points give each
+    values, mult = np.unique(_row_keys(table), return_counts=True)
 
-    scalars = []
-    inv_perms = []
-    for perm, coeff in actions:
-        s = []
-        for c in coeff:
-            s.append(pow(g0, (q - 1) * c // n % (q - 1), q))  # zeta_n^c; n/gcd(n, c) divides L
-        scalars.append(np.array(s, dtype=np.int64))
-        inv = [0] * m
-        for i, x in enumerate(perm):
-            inv[x] = i
-        inv_perms.append(np.array(inv, dtype=np.int64))
+    # per class and line: the scalar zeta_n^c (n/gcd(n, c) divides q - 1) and the inverse permutation
+    coeff_exp = [[(q - 1) * c // n % (q - 1) for c in coeff] for _, coeff in actions]
+    scalars = powg[np.array(coeff_exp, dtype=np.int64)]
+    inv_perms = np.argsort(np.array([perm for perm, _ in actions], dtype=np.int64), axis=1)
+    inverse = np.array([0] + [pow(x, q - 2, q) for x in range(1, q)], dtype=np.int64)
 
     rng = np.random.default_rng(seed)
     orders = []
     per_trial_inventory = []
     for _ in range(trials):
         v = rng.integers(1, q, size=m, dtype=np.int64)
-        vinv = np.array([pow(int(x), q - 2, q) for x in v], dtype=np.int64)
-        total = 0
-        contributing = []
-        torus_count = 0
-        for idx in range(group.order):
-            # t * g fixes v  iff  table[t, i] == v_i * (scalar_i * v_{perm^-1(i)})^-1
-            denom = scalars[idx] * v[inv_perms[idx]] % q
-            denom_inv = np.array([pow(int(x), q - 2, q) for x in denom], dtype=np.int64)
-            rhs = v * denom_inv % q
-            count = int(np.all(table == rhs[None, :], axis=1).sum())
-            if count:
-                contributing.append(idx)
-                total += count
-                if idx == group.identity:
-                    torus_count = count
-        orders.append(total)
-        per_trial_inventory.append((torus_count, tuple(contributing)))
-    min_idx = min(range(trials), key=lambda i: orders[i])
-    return FFStabilizerReport(
-        q=q,
-        trials=trials,
-        seed=seed,
-        orders=tuple(orders),
-        min_order=orders[min_idx],
-        min_torus_order=per_trial_inventory[min_idx][0],
-        min_component_image=per_trial_inventory[min_idx][1],
-    )
+        # t * g fixes v  iff  table[t, i] == v_i * (scalar_i * v_{perm^-1(i)})^-1, for every class at once
+        rhs = _row_keys(v * inverse[scalars * v[inv_perms] % q] % q)
+        pos = np.searchsorted(values, rhs).clip(max=len(values) - 1)
+        counts = np.where(values[pos] == rhs, mult[pos], 0)
+        orders.append(int(counts.sum()))
+        per_trial_inventory.append((int(counts[group.identity]), tuple(np.flatnonzero(counts).tolist())))
+    k = orders.index(min(orders))  # the first minimal trial
+    return FFStabilizerReport(q, trials, seed, tuple(orders), orders[k], *per_trial_inventory[k])
 
 
 # -- exhaustive symmetric p-rank ------------------------------------------------
 
 
-def _rank_mod_p(vectors, dim: int, p: int) -> int:
-    rows = [[x % p for x in v] for v in vectors]
-    rank = 0
-    for col in range(dim):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], p - 2, p)
-        rows[rank] = [(x * inv) % p for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == dim:
-            break
-    return rank
+def _eliminate(rows, vectors, p: int) -> list[tuple[int, list[int]]]:
+    """Echelon rows mod p, as (pivot, row) pairs, extended by `vectors`.
+
+    Each row is monic at its pivot and zero at the pivots of the rows before
+    it, so one pass over the rows in order clears a vector at every pivot.
+    `rows` is not modified, so a parent's rows serve all its children."""
+    rows = list(rows)
+    for v in vectors:
+        v = [x % p for x in v]
+        for piv, row in rows:
+            if v[piv]:
+                f = v[piv]
+                v = [(a - f * b) % p for a, b in zip(v, row)]
+        lead = next((i for i, x in enumerate(v) if x), None)
+        if lead is not None:
+            inv = pow(v[lead], p - 2, p)
+            rows.append((lead, [x * inv % p for x in v]))
+    return rows
 
 
 def symrank_bruteforce(L, p: int, B: int) -> int:
     """Exact minimum over the invariant subsets of the bounded box.
 
-    An invariant subset is a union of orbits, and in a minimal p-spanning one
-    every orbit strictly grows the span mod p (otherwise dropping it keeps the
-    set p-spanning and smaller), so minima live among unions of at most `rank`
-    orbits.  They are walked depth first, one step of `MAX_STEPS` per union
-    visited, and each is rank-tested (full rank mod p by Gaussian elimination,
-    no normal forms) or skipped by size: orbits are disjoint, so no extension
-    of a spanning union, or of one as large as the best, can beat the best.
+    An invariant subset is a union of orbits.  The unions are walked depth
+    first, orbits added in their sorted order, one step of `MAX_STEPS` per
+    union visited.  A stack entry carries its parent's echelon rows mod p,
+    so a visit eliminates only the new orbit's vectors against them
+    (Gaussian elimination, no normal forms).  The cuts, each sound:
+
+    - a union no smaller than the best is not expanded: orbits are
+      disjoint, so nothing below it is smaller;
+    - an orbit that adds no rank is cut with its whole subtree.  In a
+      minimum spanning union every orbit adds rank to the others, else
+      dropping it would leave a smaller spanning union; so it adds rank to
+      the orbits before it, and the walk reaches that union through unions
+      that each add rank.  No union of more orbits than the rank is visited;
+    - a child is not pushed when its parent's size plus the smallest orbit
+      at or after it reaches the best, as no union in its subtree is
+      smaller.  `reach` holds these suffix minima, since the orbits are
+      sorted lexicographically, not by size, and they grow with the index;
+    - the walk stops at best == rank, since fewer vectors cannot span.
     """
     if B < 1:
         raise EdtorusError("BAD_INPUT", "search bound must be >= 1")
@@ -253,19 +249,27 @@ def symrank_bruteforce(L, p: int, B: int) -> int:
             seen |= orbit
             orbits.append(sorted(orbit))
     orbits.sort()
-    best, steps, budget = None, itertools.count(1), MAX_STEPS.get()
-    stack = [(0, [], 0)]  # unions: (first orbit index it may add, its vectors, its orbit count)
+    reach = list(itertools.accumulate(map(len, reversed(orbits)), min))[::-1]  # least size from j on
+    best, steps, budget = inf, itertools.count(1), MAX_STEPS.get()
+    stack = [(0, [], 0, [])]  # (first orbit a child may add, parent's rows, parent's size, new orbit)
     while stack:
-        start, vecs, depth = stack.pop()
+        start, rows, size, orbit = stack.pop()
         if next(steps) > budget:
             raise EdtorusError("BUDGET_EXCEEDED", f"more than {budget} unions of orbits visited")
-        if best is not None and len(vecs) >= best:
+        size += len(orbit)
+        if size >= best:
             continue
-        if _rank_mod_p(vecs, d, p) == d:
-            best = len(vecs)
-        elif depth < d:
-            stack.extend((j + 1, vecs + orbits[j], depth + 1) for j in reversed(range(start, len(orbits))))
-    if best is None:
+        grown = _eliminate(rows, orbit, p)
+        if orbit and len(grown) == len(rows):
+            continue
+        if len(grown) == d:
+            best = size
+            if best == d:
+                break
+            continue
+        end = bisect_left(reach, best - size, start)
+        stack.extend((j + 1, grown, size, orbits[j]) for j in reversed(range(start, end)))
+    if best == inf:
         raise EdtorusError("BUDGET_EXCEEDED", "no spanning subset within the box")
     return best
 

@@ -1,7 +1,9 @@
 """Shared fixture presentations and reference helpers used across the suite."""
 
 import functools
+import itertools
 
+import numpy as np
 import pytest
 
 from edtorus import monogrp
@@ -15,6 +17,7 @@ from edtorus.monogrp import (
     perm_compose,
     perm_sign,
 )
+from edtorus.oracle import FFStabilizerReport, _primitive_root
 from edtorus.pipeline import make_sl_presentation, so_case
 from edtorus.stab import generic_stabilizer
 from edtorus.symrank import FLattice, _identity, _mat_mul
@@ -67,6 +70,38 @@ def verify_sl_stabilizer_clauses(n, h_generators):
         sorted(i for i, el in enumerate(group.elements) if perm_sign(el.perm) == 1)
     )
     return report.component_image == even
+
+
+def ff_stabilizer_reference(P, R, q, trials, seed):
+    """The report of `oracle.ff_stabilizer`, computed one class at a time: each
+    class's target row is built on its own and compared with every row of the
+    table of torus values, drawing the same random points."""
+    group = component_group(P)
+    g0 = _primitive_root(q)
+    n, m = R.modulus, R.dim
+    table = np.array(
+        [
+            [pow(g0, sum(e * w for e, w in zip(t, wt)) % (q - 1), q) for wt in R.weights]
+            for t in itertools.product(range(q - 1), repeat=P.torus_rank)
+        ],
+        dtype=np.int64,
+    ).reshape(-1, m)
+    rng = np.random.default_rng(seed)
+    orders, inventory = [], []
+    for _ in range(trials):
+        v = [int(x) for x in rng.integers(1, q, size=m, dtype=np.int64)]
+        counts = []
+        for perm, coeff in group.rep_actions(R):
+            # t * g fixes v  iff  value row of t == v_i * (zeta_n^(c_i) * v_{perm^-1(i)})^-1
+            rhs = [
+                v[i] * pow(pow(g0, (q - 1) * coeff[i] // n, q) * v[perm.index(i)], q - 2, q) % q
+                for i in range(m)
+            ]
+            counts.append(int(np.all(table == np.array(rhs, dtype=np.int64), axis=1).sum()))
+        orders.append(sum(counts))
+        inventory.append((counts[group.identity], tuple(i for i, c in enumerate(counts) if c)))
+    k = orders.index(min(orders))
+    return FFStabilizerReport(q, trials, seed, tuple(orders), orders[k], *inventory[k])
 
 
 @pytest.fixture

@@ -334,11 +334,20 @@ class TestBudgets:
         assert doc["hypotheses"]["eta_certificate"] is None
 
     def test_oracle_symrank_obeys_max_steps(self, capsys):
-        # the walk visits 22,143 unions of at most four orbits at B = 2
+        # the walk visits 1,956 unions of at most four orbits at B = 2
         code, out, err = run(["oracle", "symrank", SO_2, "-B", "2", "--max-steps", "1000"], capsys)
         assert code == EXIT_BUDGET
         assert out == ""
         assert json.loads(err)["error"] == "BUDGET_EXCEEDED"
+
+    def test_oracle_symrank_sl_7_2_within_few_steps(self, capsys):
+        # 5^6 box vectors at B = 2; the cuts find 6 within 100 unions, where the
+        # walk without them would visit some 99.6 million
+        path = str(GOLDEN_INPUTS / "sl_7_2.json")
+        argv = ["oracle", "symrank", path, "-B", "2", "--max-steps", "100", "--format", "json"]
+        code, out, _ = run(argv, capsys)
+        assert code == EXIT_OK
+        assert json.loads(out)["value"] == 6
 
     def test_env_var_budget(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("EDTORUS_MAX_STEPS", "1")

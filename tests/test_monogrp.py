@@ -599,6 +599,17 @@ class TestRepCompatibility:
             check_rep_compatible(so4_presentation, self.with_line(so4_presentation, (c, 0), 2))
         assert err.value.code == "BAD_INPUT"
 
+    @pytest.mark.parametrize("modulus", [0, -2])
+    def test_nonpositive_block_modulus_rejected(self, so4_presentation, modulus):
+        # an empty block: modulus 0 would divide by zero in the rep's action, and -2 pass as 2
+        P = so4_presentation
+        none = ((),) * len(P.generators)
+        empty = RepBlock(weights=(), gen_perms=none, gen_coeffs=none, modulus=modulus)
+        R = MonomialRep(presentation=P, blocks=natural_rep(P).blocks + (empty,))
+        with pytest.raises(EdtorusError, match="modulus must be a positive integer") as err:
+            check_rep_compatible(P, R)
+        assert err.value.code == "BAD_INPUT"
+
     @pytest.mark.parametrize(
         "match,change",
         [

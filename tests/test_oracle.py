@@ -1,6 +1,7 @@
 """Brute-force oracles: determinism, modulus handling, and frozen counts."""
 
 import ast
+import importlib
 import inspect
 import itertools
 import os
@@ -22,7 +23,7 @@ from edtorus.monogrp import (
     natural_rep,
 )
 from edtorus.oracle import (
-    _rank_mod_p,
+    _eliminate,
     choose_modulus,
     ff_stabilizer,
     required_torsion,
@@ -30,8 +31,19 @@ from edtorus.oracle import (
     symrank_bruteforce,
 )
 from edtorus.pipeline import build_generically_free_extension, sln_case, so_case
+from edtorus.symrank import FLattice
 
-from conftest import lattice
+from conftest import ff_stabilizer_reference, lattice
+
+
+# the 3-cycle on the rank-2 torus with every weight doubled: the torus acts with kernel mu_2^2
+DOUBLED_THREE_CYCLE = MonomialGroupPresentation(
+    p=3,
+    torus_rank=2,
+    root_of_unity_exponent=1,
+    weights=((2, 0), (0, 2), (-2, -2)),
+    generators=(((1, 2, 0), (0, 0, 0)),),
+)
 
 
 class TestFFStabilizer:
@@ -70,6 +82,29 @@ class TestFFStabilizer:
         with limit_steps(10), pytest.raises(EdtorusError) as err:
             ff_stabilizer(sl3_three_cycle, q=7, trials=5)
         assert err.value.code == "BUDGET_EXCEEDED"
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize(
+        "maker,extend,q",
+        [
+            (lambda: sln_case(3, 3).presentation, True, 7),
+            (lambda: sln_case(4, 2).presentation, True, 5),
+            (lambda: so_case(1).presentation, True, None),
+            (lambda: sln_case(6, 3).presentation, True, None),
+            (lambda: so_case(2).presentation, False, None),
+            (lambda: sln_case(9, 2).presentation, False, None),
+            (lambda: DOUBLED_THREE_CYCLE, False, 7),
+        ],
+        ids=["sl_3_3", "sl_4_2", "so_1", "sl_6_3", "so_2", "sl_9_2", "doubled_weights"],
+    )
+    def test_matches_the_per_class_count(self, maker, extend, q, seed):
+        # generically free extensions (trivial stabilizer) and natural reps
+        # (nontrivial, over |F| = 128 for sl_9_2; doubled weights make every
+        # value row come from 4 torus points): the same report field for field
+        P = maker()
+        R = build_generically_free_extension(P, natural_rep(P)).rep if extend else natural_rep(P)
+        report = ff_stabilizer(P, R, q=q, trials=20, seed=seed)
+        assert report == ff_stabilizer_reference(P, R, report.q, 20, seed)
 
     def test_nonprime_q_rejected(self, sl3_three_cycle):
         with pytest.raises(EdtorusError) as err:
@@ -126,8 +161,11 @@ class TestSymrankBruteforce:
             (lambda: lattice(1, [((-1,),)]), 2, 2),
             (lambda: character_lattice_action(so_case(1).presentation), 2, 2),
             (lambda: character_lattice_action(sln_case(5, 2).presentation), 2, 1),
+            # after (-2, -1), the orbits (-2, 0), (-2, 1), (-2, 2) add no rank mod 2
+            # and are cut, as (-2, -2) was; (-1, -2) then spans and best == rank stops
+            (lambda: lattice(2, ()), 2, 2),
         ],
-        ids=["negation", "so_1", "sl_5_2"],
+        ids=["negation", "so_1", "sl_5_2", "trivial_mod_2"],
     )
     def test_pruned_walk_equals_every_union(self, maker, p, B):
         L = maker()
@@ -137,23 +175,24 @@ class TestSymrankBruteforce:
             sum(len(o) for o in combo)
             for k in range(L.rank + 1)
             for combo in itertools.combinations(orbits, k)
-            if _rank_mod_p([v for o in combo for v in o], L.rank, p) == L.rank
+            if len(_eliminate([], [v for o in combo for v in o], p)) == L.rank
         ]
         assert symrank_bruteforce(L, p, B) == min(sizes)
 
     def test_walk_charges_each_visited_union(self):
         # so_2 at B = 2: 80 orbits, so 1,666,981 unions of at most four, of
-        # which the walk visits 22,143 and rank-tests 2,655
+        # which the walk visits 1,956
         L = character_lattice_action(so_case(2).presentation)
-        with limit_steps(22_143):
+        with limit_steps(1_956):
             assert symrank_bruteforce(L, 2, 2) == 8
-        with limit_steps(22_142), pytest.raises(EdtorusError) as err:
+        with limit_steps(1_955), pytest.raises(EdtorusError) as err:
             symrank_bruteforce(L, 2, 2)
         assert err.value.code == "BUDGET_EXCEEDED"
 
     def test_independent_of_the_engine_search(self):
-        # the oracle imports nothing of the engine's search, and its walk
-        # computes orbits itself rather than through FLattice.orbit
+        # the oracle imports nothing of the engine's search, and it calls no
+        # name the engine defines: not `_span`, and not FLattice.orbit, since
+        # the walk computes orbits itself
         tree = ast.parse(inspect.getsource(oracle))
         imported = [
             name
@@ -162,12 +201,21 @@ class TestSymrankBruteforce:
             for name in [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]
         ]
         assert not any("symrank" in name.split(".") for name in imported)
-        methods = {
-            node.func.attr
-            for node in ast.walk(ast.parse(inspect.getsource(symrank_bruteforce)))
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        engine_module = importlib.import_module("edtorus.symrank")  # `edtorus.symrank` is a function
+        engine = {
+            name
+            for scope in (vars(engine_module), vars(FLattice))
+            for name, obj in scope.items()
+            if getattr(obj, "__module__", None) == engine_module.__name__
         }
-        assert "orbit" not in methods
+        assert {"_span", "symrank", "orbit", "FLattice"} <= engine
+        for fn in (symrank_bruteforce, ff_stabilizer, _eliminate):
+            called = {
+                node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                for node in ast.walk(ast.parse(inspect.getsource(fn)))
+                if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+            }
+            assert not called & engine, fn.__name__
 
 
 class TestSylowAbelianBound:

@@ -115,7 +115,7 @@ class TestSymrankValues:
         assert res.value == 4 and res.status == "EXACT"
 
     def test_witness_properties(self, so4_presentation):
-        from edtorus.oracle import _rank_mod_p
+        from edtorus.oracle import _eliminate
 
         L = character_lattice_action(so4_presentation)
         res = symrank(L, 2)
@@ -123,7 +123,7 @@ class TestSymrankValues:
         vecs = set(res.witness)
         for v in res.witness:
             assert set(L.orbit(v)) <= vecs
-        assert _rank_mod_p(res.witness, L.rank, 2) == L.rank
+        assert len(_eliminate([], res.witness, 2)) == L.rank
 
     def test_upper_only_status(self):
         # plus/minus the identity on Z^2: orbits are +/- pairs and two of them
