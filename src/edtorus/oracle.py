@@ -102,7 +102,7 @@ def choose_modulus(P: MonomialGroupPresentation, R: MonomialRep | None = None) -
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
     """Each row of a 2-d int64 array as one item that compares by its bytes,
-    so rows can be counted with np.unique and looked up with np.searchsorted."""
+    so rows can be sorted and looked up with np.searchsorted."""
     if not rows.shape[1]:
         return np.zeros(len(rows), dtype="V1")  # rows without entries are all equal
     return np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
@@ -133,8 +133,9 @@ def ff_stabilizer(
     the cyclic group of order q - 1, samples points with all coordinates
     nonzero, and counts every group element fixing the point.  Special points
     only enlarge stabilizers, so the minimum over trials converges to the
-    generic order from above.  The value rows of all torus points are counted
-    once; a trial then looks up every class's target row in that count.
+    generic order from above.  The value rows of all torus points are sorted
+    once, in place; a trial then counts every class's target row in them by
+    two binary searches, the ends of its run.
     """
     if trials < 1:
         raise EdtorusError("BAD_INPUT", "trials must be >= 1")
@@ -166,10 +167,13 @@ def ff_stabilizer(
     powg = np.array([pow(g0, k, q) for k in range(q - 1)], dtype=np.int64)
     table = np.zeros((1, m), dtype=np.int64)
     for w in weights.T:
-        table = (table[:, None, :] + np.outer(np.arange(q - 1), w)).reshape(-1, m) % (q - 1)
-    table = powg[table]
-    # the distinct value rows, and how many torus points give each
-    values, mult = np.unique(_row_keys(table), return_counts=True)
+        table = (table[:, None, :] + np.outer(np.arange(q - 1), w)).reshape(-1, m)
+        np.remainder(table, q - 1, out=table)
+    np.take(powg, table, out=table, mode="clip")  # in place; mode="raise" would buffer a copy
+    # the value rows, sorted in place: the copies of a row form one run, as
+    # long as the number of torus points giving it
+    rows = _row_keys(table)
+    rows.sort()
 
     # per class and line: the scalar zeta_n^c (n/gcd(n, c) divides q - 1) and the inverse permutation
     coeff_exp = [[(q - 1) * c // n % (q - 1) for c in coeff] for _, coeff in actions]
@@ -184,8 +188,7 @@ def ff_stabilizer(
         v = rng.integers(1, q, size=m, dtype=np.int64)
         # t * g fixes v  iff  table[t, i] == v_i * (scalar_i * v_{perm^-1(i)})^-1, for every class at once
         rhs = _row_keys(v * inverse[scalars * v[inv_perms] % q] % q)
-        pos = np.searchsorted(values, rhs).clip(max=len(values) - 1)
-        counts = np.where(values[pos] == rhs, mult[pos], 0)
+        counts = np.searchsorted(rows, rhs, side="right") - np.searchsorted(rows, rhs)
         orders.append(int(counts.sum()))
         per_trial_inventory.append((int(counts[group.identity]), tuple(np.flatnonzero(counts).tolist())))
     k = orders.index(min(orders))  # the first minimal trial

@@ -6,13 +6,16 @@ by branch and bound over orbits of bounded vectors, certified against the
 rank bound and the abelian permutation-group bound; exactness is only ever
 claimed when a certified lower bound meets the best witness found.
 
-p-spanning is full rank mod p, so the search sees each orbit only through its
-F_p span, reduced once to a canonical reduced echelon form of at most d rows;
-orbits whose span is zero are dropped.  A node joins the current span with
-one such span, at most O(d) row reductions, and a memo cuts every node that
-reaches a (position, span) state already reached at no larger size.  The
-step limit `MAX_STEPS` bounds the box and, on its own, the branch-and-bound
-nodes; the memo holds at most one entry per node.
+The box's orbits are found on integer keys that sort as the vectors do, one
+dot product per group element (`_enumerate_orbits`).  p-spanning is full
+rank mod p, so the search sees each orbit only through its F_p span, a
+canonical reduced echelon form of at most d rows, reduced once per residue
+class mod p of the orbit's first member; orbits whose span is zero are
+dropped.  A node joins the current span with one such span, at most
+O(d) row reductions, and a memo cuts every node that reaches a (position,
+span) state already reached at no larger size.  The step limit `MAX_STEPS`
+bounds the box and, on its own, the branch-and-bound nodes; the memo holds
+at most one entry per node.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 from typing import NamedTuple
 
 from .monogrp import MAX_STEPS, EdtorusError, character_lattice_action, ensure_valid
@@ -62,11 +66,6 @@ class FLattice:
         pairs = itertools.combinations(range(len(self.generators)), 2)
         first = self.right[0]  # generator g is element first[g]
         return all(self.right[first[i]][j] == self.right[first[j]][i] for i, j in pairs)
-
-    def orbit(self, vec) -> tuple[tuple[int, ...], ...]:
-        v = tuple(int(x) for x in vec)
-        out = {tuple(sum(row[j] * v[j] for j in range(self.rank)) for row in a) for a in self.matrices}
-        return tuple(sorted(out))
 
 
 def _identity(rank: int) -> tuple[tuple[int, ...], ...]:
@@ -135,7 +134,10 @@ def _search_bound(L: FLattice, B: int | None) -> int:
 def _span(rows, vecs, p: int) -> tuple[tuple[int, ...], ...]:
     """Canonical F_p span of a canonical span `rows` joined with `vecs`: the
     reduced row echelon form mod p, rows sorted by pivot, zero rows dropped.
-    Every row leads with 1, so its pivot is its first 1."""
+    Every row leads with 1, so its pivot is its first 1.  Rows that span the
+    whole space are returned as they stand: joining anything adds nothing."""
+    if rows and len(rows) == len(rows[0]):
+        return rows
     out = [list(r) for r in rows]
     for vec in vecs:
         v = [x % p for x in vec]
@@ -160,20 +162,52 @@ def _span(rows, vecs, p: int) -> tuple[tuple[int, ...], ...]:
 
 def _enumerate_orbits(L: FLattice, B: int) -> list[tuple[tuple[int, ...], ...]]:
     """Orbits of the nonzero vectors of sup-norm <= B, each a sorted tuple
-    (so its first member is its smallest), sorted by (size, smallest member)."""
-    total = (2 * B + 1) ** L.rank
+    (so its first member is its smallest), sorted by (size, smallest member).
+
+    Images of box vectors have entries in [-M, M], for M = B times the
+    largest row abs-sum of a matrix.  A vector's key has its entries plus M
+    as base-(2M + 1) digits, first entry most significant, so keys sort as
+    vectors do; the shift is added only to decode.  For digit values w, the
+    key of A v is v . (A^T w)."""
+    d = L.rank
+    total = (2 * B + 1) ** d
     limit = MAX_STEPS.get()
     if total > limit:
         raise EdtorusError("BUDGET_EXCEEDED", f"box of {total} vectors exceeds the search budget {limit}")
-    seen: set[tuple[int, ...]] = set()
+    M = B * max((sum(map(abs, row)) for a in L.matrices for row in a), default=0)
+    base = 2 * M + 1
+    w = [base**i for i in reversed(range(d))]
+    shift = M * sum(w)
+    kvs = [[sum(map(mul, col, w)) for col in zip(*a)] for a in L.matrices]
+
+    def decode(keys) -> tuple[tuple[int, ...], ...]:
+        keys = [k + shift for k in keys]
+        return tuple(zip(*[[k // x % base - M for k in keys] for x in w]))
+
+    seen: set[int] = set()
     orbits = []
-    for v in itertools.product(range(-B, B + 1), repeat=L.rank):
-        if any(v) and v not in seen:
-            orbit = L.orbit(v)
-            seen.update(orbit)
-            orbits.append(orbit)
+    for v in itertools.product(range(-B, B + 1), repeat=d):
+        if any(v) and sum(map(mul, v, w)) not in seen:
+            keys = {sum(map(mul, v, kv)) for kv in kvs}
+            seen |= keys
+            orbits.append(sorted(keys))
     orbits.sort(key=lambda o: (len(o), o[0]))
-    return orbits
+    return [decode(o) for o in orbits]
+
+
+def _orbit_spans(L: FLattice, B: int, p: int):
+    """The orbits of `_enumerate_orbits` whose F_p span is not zero, and their
+    spans.  (A v) mod p = A (v mod p) mod p, so an orbit's span depends only
+    on its first member mod p: one elimination per residue class."""
+    orbits, spans, by_residue = [], [], {}
+    for orbit in _enumerate_orbits(L, B):
+        residue = tuple(x % p for x in orbit[0])
+        if residue not in by_residue:
+            by_residue[residue] = _span((), orbit, p)
+        if by_residue[residue]:
+            orbits.append(orbit)
+            spans.append(by_residue[residue])
+    return orbits, spans
 
 
 def symrank(L: FLattice, p: int, B: int | None = None, initial_witness=None) -> SymRankResult:
@@ -197,15 +231,7 @@ def symrank(L: FLattice, p: int, B: int | None = None, initial_witness=None) -> 
         best_witness = vecs
 
     if best_size is None or best_size > lower:
-        # each orbit enters the search only through its span mod p; an orbit
-        # whose span is zero can never help
-        orbits = []
-        spans = []
-        for orbit in _enumerate_orbits(L, B):
-            span = _span((), orbit, p)
-            if span:
-                orbits.append(orbit)
-                spans.append(span)
+        orbits, spans = _orbit_spans(L, B, p)
         suffix = [()] * (len(orbits) + 1)
         for i in range(len(orbits) - 1, -1, -1):
             suffix[i] = _span(suffix[i + 1], spans[i], p)

@@ -104,6 +104,26 @@ def ff_stabilizer_reference(P, R, q, trials, seed):
     return FFStabilizerReport(q, trials, seed, tuple(orders), orders[k], *inventory[k])
 
 
+def orbit_reference(L, v):
+    """The orbit of v under the lattice's group, a sorted tuple: every matrix
+    applied to v as a d x d product, with no integer keys."""
+    return tuple(sorted({tuple(sum(x * y for x, y in zip(row, v)) for row in a) for a in L.matrices}))
+
+
+def orbits_reference(L, B):
+    """What `symrank._enumerate_orbits(L, B)` returns, one orbit at a time by
+    `orbit_reference`: the orbits of the nonzero vectors of sup-norm <= B,
+    sorted by (size, smallest member)."""
+    seen, orbits = set(), []
+    for v in itertools.product(range(-B, B + 1), repeat=L.rank):
+        if any(v) and v not in seen:
+            orbit = orbit_reference(L, v)
+            seen.update(orbit)
+            orbits.append(orbit)
+    orbits.sort(key=lambda o: (len(o), o[0]))
+    return orbits
+
+
 @pytest.fixture
 def fresh_caches():
     """Empty the per-presentation caches before the test and again after it,

@@ -2,6 +2,9 @@
 
 import ast
 import collections
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import edtorus
@@ -113,3 +116,17 @@ def test_no_test_only_surface():
         and everywhere[member.name] == _referenced(member)[member.name]
     ]
     assert unused == []
+
+
+def test_import_loads_no_numpy_and_no_oracle():
+    """`import edtorus` loads neither numpy nor the oracle, numpy's one user
+    in the package: only importing `edtorus.oracle` does, as `edtorus.cli`
+    does.  Checked in a fresh interpreter, since this suite imports both."""
+    src = str(Path(edtorus.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = (
+        "import sys, edtorus; "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy' or m == 'edtorus.oracle'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, env=env)
+    assert (proc.returncode, proc.stdout.strip()) == (0, "[]"), proc.stderr

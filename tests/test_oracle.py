@@ -33,7 +33,7 @@ from edtorus.oracle import (
 from edtorus.pipeline import build_generically_free_extension, sln_case, so_case
 from edtorus.symrank import FLattice
 
-from conftest import ff_stabilizer_reference, lattice
+from conftest import ff_stabilizer_reference, lattice, orbits_reference
 
 
 # the 3-cycle on the rank-2 torus with every weight doubled: the torus acts with kernel mu_2^2
@@ -169,8 +169,7 @@ class TestSymrankBruteforce:
     )
     def test_pruned_walk_equals_every_union(self, maker, p, B):
         L = maker()
-        box = itertools.product(range(-B, B + 1), repeat=L.rank)
-        orbits = sorted({L.orbit(v) for v in box if any(v)})
+        orbits = orbits_reference(L, B)
         sizes = [
             sum(len(o) for o in combo)
             for k in range(L.rank + 1)
@@ -191,8 +190,8 @@ class TestSymrankBruteforce:
 
     def test_independent_of_the_engine_search(self):
         # the oracle imports nothing of the engine's search, and it calls no
-        # name the engine defines: not `_span`, and not FLattice.orbit, since
-        # the walk computes orbits itself
+        # name the engine defines: not `_span`, and not `_enumerate_orbits`,
+        # since the walk computes orbits itself
         tree = ast.parse(inspect.getsource(oracle))
         imported = [
             name
@@ -208,7 +207,7 @@ class TestSymrankBruteforce:
             for name, obj in scope.items()
             if getattr(obj, "__module__", None) == engine_module.__name__
         }
-        assert {"_span", "symrank", "orbit", "FLattice"} <= engine
+        assert {"_span", "_enumerate_orbits", "symrank", "FLattice"} <= engine
         for fn in (symrank_bruteforce, ff_stabilizer, _eliminate):
             called = {
                 node.func.id if isinstance(node.func, ast.Name) else node.func.attr

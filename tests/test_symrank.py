@@ -20,13 +20,14 @@ from edtorus.symrank import (
     _enumerate_orbits,
     _identity,
     _mat_mul,
+    _orbit_spans,
     _span,
     eta_bounds,
     perm_lower_bound,
     symrank,
 )
 
-from conftest import lattice
+from conftest import lattice, orbit_reference, orbits_reference
 
 
 DIHEDRAL_8 = tuple(
@@ -122,7 +123,7 @@ class TestSymrankValues:
         assert len(res.witness) == res.value
         vecs = set(res.witness)
         for v in res.witness:
-            assert set(L.orbit(v)) <= vecs
+            assert set(orbit_reference(L, v)) <= vecs
         assert len(_eliminate([], res.witness, 2)) == L.rank
 
     def test_upper_only_status(self):
@@ -293,31 +294,68 @@ RANK_ZERO = MonomialGroupPresentation(
 )
 
 
+DIFFERENTIAL = pytest.mark.parametrize(
+    "maker,p,B",
+    [
+        (lambda: character_lattice_action(sln_case(4, 2).presentation), 2, 1),
+        (lambda: character_lattice_action(sln_case(5, 2).presentation), 2, 1),
+        (lambda: character_lattice_action(so_case(1).presentation), 2, 2),
+        (lambda: character_lattice_action(sln_case(4, 3).presentation), 3, 2),
+        (lambda: lattice(1, [((-1,),)]), 2, 3),
+        # rank 0: two lines swapped with a sign; the empty set spans
+        (lambda: character_lattice_action(RANK_ZERO), 2, 1),
+        (lambda: character_lattice_action(so_case(2).presentation), 2, 2),
+        (lambda: character_lattice_action(sln_case(7, 2).presentation), 2, 1),
+        (lambda: character_lattice_action(sln_case(7, 3).presentation), 3, 1),
+    ],
+    ids=["sl_4_2", "sl_5_2", "so_1", "sl_4_3", "negation", "rank_0", "so_2", "sl_7_2", "sl_7_3"],
+)
+
+
 class TestDifferential:
-    @pytest.mark.parametrize(
-        "maker,p,B",
-        [
-            (lambda: character_lattice_action(sln_case(4, 2).presentation), 2, 1),
-            (lambda: character_lattice_action(sln_case(5, 2).presentation), 2, 1),
-            (lambda: character_lattice_action(so_case(1).presentation), 2, 2),
-            (lambda: character_lattice_action(sln_case(4, 3).presentation), 3, 2),
-            (lambda: lattice(1, [((-1,),)]), 2, 3),
-            # rank 0: two lines swapped with a sign; the empty set spans
-            (lambda: character_lattice_action(RANK_ZERO), 2, 1),
-            (lambda: character_lattice_action(so_case(2).presentation), 2, 2),
-            (lambda: character_lattice_action(sln_case(7, 2).presentation), 2, 1),
-            (lambda: character_lattice_action(sln_case(7, 3).presentation), 3, 1),
-        ],
-        ids=["sl_4_2", "sl_5_2", "so_1", "sl_4_3", "negation", "rank_0", "so_2", "sl_7_2", "sl_7_3"],
-    )
+    @DIFFERENTIAL
     def test_search_matches_bruteforce(self, maker, p, B):
         L = maker()
         assert symrank(L, p, B=B).value == symrank_bruteforce(L, p, B)
+
+    @DIFFERENTIAL
+    def test_orbits_match_the_per_matrix_loop(self, maker, p, B):
+        # the whole list: the members, their order and the order of the orbits
+        L = maker()
+        bounds = [B for B in (1, 2, 3) if (2 * B + 1) ** L.rank <= 16_000]
+        assert bounds
+        for B in bounds:
+            assert _enumerate_orbits(L, B) == orbits_reference(L, B)
+
+    def test_sl_orbits_leave_the_box(self):
+        # rows of abs-sum 2 map the box past its sup-norm, so the keys must
+        # cover entries beyond B
+        L = character_lattice_action(sln_case(4, 2).presentation)
+        assert max(sum(map(abs, row)) for a in L.matrices for row in a) == 2
+        assert max(abs(x) for o in _enumerate_orbits(L, 1) for v in o for x in v) == 2
 
     def test_so1_has_orbits_that_vanish_mod_p(self):
         # the search drops these orbits; the so_1 case above covers that path
         L = character_lattice_action(so_case(1).presentation)
         assert any(not _span((), o, 2) for o in _enumerate_orbits(L, 2))
+
+    @pytest.mark.parametrize(
+        "maker,p,B",
+        [
+            (lambda: character_lattice_action(so_case(1).presentation), 2, 2),
+            # at B = 2, 2,024 orbits in 624 classes mod 3
+            (lambda: character_lattice_action(sln_case(7, 3).presentation), 3, 2),
+        ],
+        ids=["so_1", "sl_7_3"],
+    )
+    def test_spans_keyed_by_residue(self, maker, p, B):
+        # one span per residue class mod p of first members, each the span of
+        # every orbit of its class; the orbits of span zero, and only those, dropped
+        L = maker()
+        orbits, spans = _orbit_spans(L, B, p)
+        assert orbits == [o for o in _enumerate_orbits(L, B) if _span((), o, p)]
+        assert spans == [_span((), o, p) for o in orbits]
+        assert len({tuple(x % p for x in o[0]) for o in orbits}) < len(orbits)
 
 
 class TestSpan:
