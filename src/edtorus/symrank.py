@@ -195,7 +195,7 @@ def _enumerate_orbits(L: FLattice, B: int) -> list[tuple[tuple[int, ...], ...]]:
     return [decode(o) for o in orbits]
 
 
-def _orbit_spans(L: FLattice, B: int, p: int):
+def _orbit_spans(L: FLattice, B: int, p: int) -> tuple[list, list]:
     """The orbits of `_enumerate_orbits` whose F_p span is not zero, and their
     spans.  (A v) mod p = A (v mod p) mod p, so an orbit's span depends only
     on its first member mod p: one elimination per residue class."""
