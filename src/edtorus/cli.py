@@ -10,7 +10,6 @@ Exit codes: 0 success, 2 inconclusive (no certified exactness), and for
 every request that gives no answer one JSON diagnostic {"error", "detail"} on
 stderr, its exit code read from the error code:
 
-    INCONCLUSIVE                     2
     BUDGET_EXCEEDED, LIMIT_EXCEEDED  3
     any other code (BAD_INPUT, ...)  1
 """
@@ -40,14 +39,14 @@ from .monogrp import (
     validate,
 )
 from .stab import generic_stabilizer
-from .symrank import eta_bounds, symrank as symrank_search
+from .symrank import eta_bounds, symrank as symrank_search, weight_seed
 from .zlat import IntMatrix
 
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_BUDGET = 3
-_EXIT_CODES = {"INCONCLUSIVE": EXIT_INCONCLUSIVE, "BUDGET_EXCEEDED": EXIT_BUDGET, "LIMIT_EXCEEDED": EXIT_BUDGET}
+_EXIT_CODES = {"BUDGET_EXCEEDED": EXIT_BUDGET, "LIMIT_EXCEEDED": EXIT_BUDGET}
 
 MAX_STEPS_ENV = "EDTORUS_MAX_STEPS"
 
@@ -284,7 +283,7 @@ def _cmd_stabilizer(args, out) -> int:
 def _cmd_symrank(args, out) -> int:
     P, _ = load_presentation(args.input, "natural")
     L = character_lattice_action(P)
-    res = symrank_search(L, P.p, B=args.bound)
+    res = symrank_search(L, P.p, B=args.bound, initial_witness=weight_seed(P))
     emit(jsonable(res), args.format, out)
     return EXIT_OK if res.status == "EXACT" else EXIT_INCONCLUSIVE
 

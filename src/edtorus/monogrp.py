@@ -41,7 +41,7 @@ MAX_STEPS = contextvars.ContextVar("MAX_STEPS", default=DEFAULT_MAX_STEPS)
 
 
 class EdtorusError(Exception):
-    """Why no certified answer was given: a code (BAD_INPUT, INCONCLUSIVE,
+    """Why no certified answer was given: a code (BAD_INPUT,
     BUDGET_EXCEEDED, ...) and a human-readable detail.  The one error type of
     the package; the CLI maps the code to its exit status."""
 

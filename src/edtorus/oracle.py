@@ -13,6 +13,7 @@ inside a Sylow subgroup.
 from __future__ import annotations
 
 import itertools
+import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd, inf, lcm
@@ -133,9 +134,10 @@ def ff_stabilizer(
     the cyclic group of order q - 1, samples points with all coordinates
     nonzero, and counts every group element fixing the point.  Special points
     only enlarge stabilizers, so the minimum over trials converges to the
-    generic order from above.  The value rows of all torus points are sorted
-    once, in place; a trial then counts every class's target row in them by
-    two binary searches, the ends of its run.
+    generic order from above.  The points are drawn by `random.Random(seed)`.
+    The value rows of all torus points are sorted once, in place; a trial
+    then counts every class's target row in them by two binary searches, the
+    ends of its run.
     """
     if trials < 1:
         raise EdtorusError("BAD_INPUT", "trials must be >= 1")
@@ -181,11 +183,11 @@ def ff_stabilizer(
     inv_perms = np.argsort(np.array([perm for perm, _ in actions], dtype=np.int64), axis=1)
     inverse = np.array([0] + [pow(x, q - 2, q) for x in range(1, q)], dtype=np.int64)
 
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     orders = []
     per_trial_inventory = []
     for _ in range(trials):
-        v = rng.integers(1, q, size=m, dtype=np.int64)
+        v = np.array([rng.randrange(1, q) for _ in range(m)], dtype=np.int64)
         # t * g fixes v  iff  table[t, i] == v_i * (scalar_i * v_{perm^-1(i)})^-1, for every class at once
         rhs = _row_keys(v * inverse[scalars * v[inv_perms] % q] % q)
         counts = np.searchsorted(rows, rhs, side="right") - np.searchsorted(rows, rhs)
@@ -239,6 +241,9 @@ def symrank_bruteforce(L, p: int, B: int) -> int:
       smaller.  `reach` holds these suffix minima, since the orbits are
       sorted lexicographically, not by size, and they grow with the index;
     - the walk stops at best == rank, since fewer vectors cannot span.
+
+    The box holds e_1, ..., e_d, so the union of all its orbits spans and
+    the walk always ends with a best.
     """
     if B < 1:
         raise EdtorusError("BAD_INPUT", "search bound must be >= 1")
@@ -272,8 +277,6 @@ def symrank_bruteforce(L, p: int, B: int) -> int:
             continue
         end = bisect_left(reach, best - size, start)
         stack.extend((j + 1, grown, size, orbits[j]) for j in reversed(range(start, end)))
-    if best == inf:
-        raise EdtorusError("BUDGET_EXCEEDED", "no spanning subset within the box")
     return best
 
 

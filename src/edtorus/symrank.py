@@ -2,11 +2,19 @@
 
 SymRank(L; p) is the least cardinality of a group-invariant subset of the
 lattice spanning a finite-index sublattice of index prime to p.  Exact search
-by branch and bound over orbits of bounded vectors, certified against the
-rank bound and the abelian permutation-group bound; exactness is only ever
-claimed when a certified lower bound meets the best witness found.
+by branch and bound over orbits, certified against the rank bound and the
+abelian permutation-group bound; exactness is only ever claimed when a
+certified lower bound meets the best witness found.
 
-The box's orbits are found on integer keys that sort as the vectors do, one
+The search runs in passes, each one branch and bound (`_least_union`) over
+one list of orbits, handing its incumbent to the next and stopping at the
+first EXACT: first the orbits of a known invariant p-spanning set, such as
+the presentation's weights (`weight_seed`), closed along the generators;
+then the orbits of the boxes of sup-norm 1, 2, ..., B.  The box of B is
+checked against the step limit before any pass, and a default box the
+generators alone prove too large is refused before any matrix is built.
+
+A box's orbits are found on integer keys that sort as the vectors do, one
 dot product per group element (`_enumerate_orbits`).  p-spanning is full
 rank mod p, so the search sees each orbit only through its F_p span, a
 canonical reduced echelon form of at most d rows, reduced once per residue
@@ -14,8 +22,8 @@ class mod p of the orbit's first member; orbits whose span is zero are
 dropped.  A node joins the current span with one such span, at most
 O(d) row reductions, and a memo cuts every node that reaches a (position,
 span) state already reached at no larger size.  The step limit `MAX_STEPS`
-bounds the box and, on its own, the branch-and-bound nodes; the memo holds
-at most one entry per node.
+bounds the box and, on its own in each pass, the branch-and-bound nodes;
+the memo holds at most one entry per node.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from functools import cached_property
 from operator import mul
 from typing import NamedTuple
 
-from .monogrp import MAX_STEPS, EdtorusError, character_lattice_action, ensure_valid
+from .monogrp import MAX_STEPS, EdtorusError, character_lattice_action, closure, ensure_valid
 from .stab import is_p_faithful
 
 
@@ -128,6 +136,23 @@ def _search_bound(L: FLattice, B: int | None) -> int:
     return B
 
 
+def _box_bound(L: FLattice, B: int | None) -> int:
+    """`_search_bound`, once its box of (2B + 1)^d vectors is within the step
+    limit.  The identity and the generators are among the matrices, so the
+    default bound is at least 2g + 1 for g the larger of 1 and the largest
+    generator entry: a default box that this already puts over the limit is
+    refused before any matrix is built."""
+    limit = MAX_STEPS.get()
+    if B is None:
+        g = max([1, *(abs(x) for a in L.generators for row in a for x in row)])
+        if (least := (4 * g + 3) ** L.rank) > limit:
+            raise EdtorusError("BUDGET_EXCEEDED", f"box of at least {least} vectors exceeds the search budget {limit}")
+    B = _search_bound(L, B)
+    if (total := (2 * B + 1) ** L.rank) > limit:
+        raise EdtorusError("BUDGET_EXCEEDED", f"box of {total} vectors exceeds the search budget {limit}")
+    return B
+
+
 # -- F_p linear algebra (the p-spanning test is full rank mod p) --------------
 
 
@@ -160,6 +185,25 @@ def _span(rows, vecs, p: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in out)
 
 
+def _act(v, a) -> tuple[int, ...]:
+    """The matrix a applied to the vector v."""
+    return tuple(sum(map(mul, row, v)) for row in a)
+
+
+def _seed_orbits(L: FLattice, vecs) -> list[tuple[tuple[int, ...], ...]]:
+    """The orbits of an invariant set, sorted as `_enumerate_orbits` sorts
+    its own, each closed along the generators: no matrix is built."""
+    seen: set[tuple[int, ...]] = set()
+    orbits = []
+    for v in vecs:
+        if v not in seen:
+            orbit = tuple(sorted(closure(v, L.generators, _act)))
+            seen.update(orbit)
+            orbits.append(orbit)
+    orbits.sort(key=lambda o: (len(o), o[0]))
+    return orbits
+
+
 def _enumerate_orbits(L: FLattice, B: int) -> list[tuple[tuple[int, ...], ...]]:
     """Orbits of the nonzero vectors of sup-norm <= B, each a sorted tuple
     (so its first member is its smallest), sorted by (size, smallest member).
@@ -170,10 +214,6 @@ def _enumerate_orbits(L: FLattice, B: int) -> list[tuple[tuple[int, ...], ...]]:
     vectors do; the shift is added only to decode.  For digit values w, the
     key of A v is v . (A^T w)."""
     d = L.rank
-    total = (2 * B + 1) ** d
-    limit = MAX_STEPS.get()
-    if total > limit:
-        raise EdtorusError("BUDGET_EXCEEDED", f"box of {total} vectors exceeds the search budget {limit}")
     M = B * max((sum(map(abs, row)) for a in L.matrices for row in a), default=0)
     base = 2 * M + 1
     w = [base**i for i in reversed(range(d))]
@@ -195,19 +235,78 @@ def _enumerate_orbits(L: FLattice, B: int) -> list[tuple[tuple[int, ...], ...]]:
     return [decode(o) for o in orbits]
 
 
-def _orbit_spans(L: FLattice, B: int, p: int) -> tuple[list, list]:
-    """The orbits of `_enumerate_orbits` whose F_p span is not zero, and their
-    spans.  (A v) mod p = A (v mod p) mod p, so an orbit's span depends only
-    on its first member mod p: one elimination per residue class."""
-    orbits, spans, by_residue = [], [], {}
-    for orbit in _enumerate_orbits(L, B):
+def _orbit_spans(orbits, p: int) -> tuple[list, list]:
+    """The orbits whose F_p span is not zero, and their spans.  (A v) mod p
+    = A (v mod p) mod p, so an orbit's span depends only on its first member
+    mod p: one elimination per residue class."""
+    kept, spans, by_residue = [], [], {}
+    for orbit in orbits:
         residue = tuple(x % p for x in orbit[0])
         if residue not in by_residue:
             by_residue[residue] = _span((), orbit, p)
         if by_residue[residue]:
-            orbits.append(orbit)
+            kept.append(orbit)
             spans.append(by_residue[residue])
-    return orbits, spans
+    return kept, spans
+
+
+def _least_union(orbits, p: int, d: int, lower: int, best):
+    """The least p-spanning union of `orbits` (sorted by size) when it is
+    smaller than `best`, a witness or None; otherwise `best`.  Branch and
+    bound over the orbits' F_p spans, stopping once the certified `lower`
+    is met."""
+    orbits, spans = _orbit_spans(orbits, p)
+    suffix = [()] * (len(orbits) + 1)
+    for i in range(len(orbits) - 1, -1, -1):
+        suffix[i] = _span(suffix[i + 1], spans[i], p)
+    best_size = None if best is None else len(best)
+    nodes = 0
+    node_limit = MAX_STEPS.get()
+    chosen: list[int] = []
+    # least size at which the loop reached (i, span): the completions from
+    # a state do not depend on how it was reached and the incumbent only
+    # improves, so reaching it again at no smaller size cannot do better
+    reached: dict[tuple, int] = {}
+
+    def dfs(i: int, size: int, basis):
+        # recursion depth is bounded by the rank: only inclusions recurse,
+        # skips advance the loop below
+        nonlocal nodes, best_size, best
+        rank = len(basis)
+        if rank == d:
+            if best_size is None or size < best_size:
+                best_size = size
+                vecs: list[tuple[int, ...]] = []
+                for k in chosen:
+                    vecs.extend(orbits[k])
+                best = tuple(sorted(set(vecs)))
+            return
+        while i < len(orbits):
+            nodes += 1
+            if nodes > node_limit:
+                raise EdtorusError("BUDGET_EXCEEDED", "branch-and-bound node budget exhausted")
+            if best_size is not None and best_size <= lower:
+                return
+            # a completion adds d - rank vectors at least, and one orbit
+            # at least, none smaller than orbit i (orbits come by size)
+            if best_size is not None and size + max(d - rank, len(orbits[i])) >= best_size:
+                return
+            if reached.get((i, basis), size + 1) <= size:
+                return
+            reached[i, basis] = size
+            if len(suffix[i]) < d and len(_span(basis, suffix[i], p)) < d:
+                return  # remaining orbits cannot reach full rank
+            gain = _span(basis, spans[i], p)
+            if len(gain) == rank:
+                i += 1  # no new span: dominated, forced skip
+                continue
+            chosen.append(i)
+            dfs(i + 1, size + len(orbits[i]), gain)
+            chosen.pop()
+            i += 1  # skip branch
+
+    dfs(0, 0, ())
+    return best
 
 
 def symrank(L: FLattice, p: int, B: int | None = None, initial_witness=None) -> SymRankResult:
@@ -216,90 +315,58 @@ def symrank(L: FLattice, p: int, B: int | None = None, initial_witness=None) -> 
     A caller may hand in a known invariant p-spanning set as the starting
     incumbent; the search then only looks for something strictly smaller.
     Status is EXACT exactly when the certified lower bound meets the result.
+
+    An incumbent that meets the lower bound is the answer, and no box is
+    checked.  Otherwise the box of the bound B (by default 2m + 1, for the
+    largest matrix entry m) is checked against the step limit before any
+    pass, and the passes run in order, each handing its incumbent on:
+
+    0. the orbits of the incumbent, whose least p-spanning union may be
+       smaller: it is invariant, so any union of its orbits is too;
+    1. the orbits of the box of sup-norm B' = 1, 2, ..., B in turn.
+
+    They stop at the first EXACT, since no set is smaller than a certified
+    lower bound.  This is sound: a union of the incumbent's orbits, or of
+    the orbits of a smaller box, is itself a witness, and every orbit of a
+    smaller box is an orbit of box B; so the result is no larger than the
+    least union of box B's orbits, and equal to it unless EXACT stopped the
+    passes first.  Box B' >= 1 holds e_1, ..., e_d, so the union of its
+    orbits spans and every call that searches returns a witness.
+    `search_bound` is the B whose box was checked, whichever pass answered.
     """
-    B = _search_bound(L, B)
     d = L.rank
     bound = perm_lower_bound(L, p)
     lower = bound.value if bound.hypotheses_ok else d
-
-    best_size = None
-    best_witness = None
+    best = None
     if initial_witness is not None:
-        vecs = tuple(sorted({tuple(int(x) for x in v) for v in initial_witness}))
-        _check_invariant_spanning(L, p, vecs, "BAD_INPUT")
-        best_size = len(vecs)
-        best_witness = vecs
-
-    if best_size is None or best_size > lower:
-        orbits, spans = _orbit_spans(L, B, p)
-        suffix = [()] * (len(orbits) + 1)
-        for i in range(len(orbits) - 1, -1, -1):
-            suffix[i] = _span(suffix[i + 1], spans[i], p)
-        if len(suffix[0]) < d and best_size is None:
-            raise EdtorusError(
-                "INCONCLUSIVE", f"no invariant p-spanning union of orbits with sup-norm <= {B}"
-            )
-
-        nodes = 0
-        node_limit = MAX_STEPS.get()
-        chosen: list[int] = []
-        # least size at which the loop reached (i, span): the completions from
-        # a state do not depend on how it was reached and the incumbent only
-        # improves, so reaching it again at no smaller size cannot do better
-        reached: dict[tuple, int] = {}
-
-        def dfs(i: int, size: int, basis):
-            # recursion depth is bounded by the rank: only inclusions recurse,
-            # skips advance the loop below
-            nonlocal nodes, best_size, best_witness
-            rank = len(basis)
-            if rank == d:
-                if best_size is None or size < best_size:
-                    best_size = size
-                    vecs: list[tuple[int, ...]] = []
-                    for k in chosen:
-                        vecs.extend(orbits[k])
-                    best_witness = tuple(sorted(set(vecs)))
-                return
-            while i < len(orbits):
-                nodes += 1
-                if nodes > node_limit:
-                    raise EdtorusError("BUDGET_EXCEEDED", "branch-and-bound node budget exhausted")
-                if best_size is not None and best_size <= lower:
-                    return
-                # a completion adds d - rank vectors at least, and one orbit
-                # at least, none smaller than orbit i (orbits come by size)
-                if best_size is not None and size + max(d - rank, len(orbits[i])) >= best_size:
-                    return
-                if reached.get((i, basis), size + 1) <= size:
-                    return
-                reached[i, basis] = size
-                if len(suffix[i]) < d and len(_span(basis, suffix[i], p)) < d:
-                    return  # remaining orbits cannot reach full rank
-                gain = _span(basis, spans[i], p)
-                if len(gain) == rank:
-                    i += 1  # no new span: dominated, forced skip
-                    continue
-                chosen.append(i)
-                dfs(i + 1, size + len(orbits[i]), gain)
-                chosen.pop()
-                i += 1  # skip branch
-
-        dfs(0, 0, ())
-
-    if best_size is None:
-        raise EdtorusError("INCONCLUSIVE", f"no invariant p-spanning union of orbits with sup-norm <= {B}")
-    if best_witness is None:
-        raise EdtorusError("INTERNAL", "a best size comes with a witness")
-    _check_invariant_spanning(L, p, best_witness, "INTERNAL")
-    status = "EXACT" if best_size == lower else "UPPER_ONLY"
+        best = tuple(sorted({tuple(int(x) for x in v) for v in initial_witness}))
+        _check_invariant_spanning(L, p, best, "BAD_INPUT")
+    if best is not None and len(best) <= lower:
+        B = _search_bound(L, B)
+    else:
+        B = _box_bound(L, B)
+        if best is not None:
+            best = _least_union(_seed_orbits(L, best), p, d, lower, best)
+        for b in range(1, B + 1):
+            if best is not None and len(best) == lower:
+                break
+            best = _least_union(_enumerate_orbits(L, b), p, d, lower, best)
+    _check_invariant_spanning(L, p, best, "INTERNAL")
     return SymRankResult(
-        value=best_size,
-        witness=best_witness,
-        status=status,
+        value=len(best),
+        witness=best,
+        status="EXACT" if len(best) == lower else "UPPER_ONLY",
         lower_bound_used=lower,
         search_bound=B,
     )
+
+
+def weight_seed(P):
+    """The presentation's distinct nonzero weights when they are p-spanning,
+    else None.  Validation makes the set invariant, so it is a witness the
+    search can start from."""
+    seed = tuple(sorted({w for w in P.weights if any(w)}))
+    return seed if len(_span((), seed, P.p)) == P.torus_rank else None
 
 
 def _check_invariant_spanning(L: FLattice, p: int, vecs, code: str) -> None:
@@ -308,7 +375,7 @@ def _check_invariant_spanning(L: FLattice, p: int, vecs, code: str) -> None:
     vset = set(vecs)
     for a in L.generators:
         for v in vecs:
-            if tuple(sum(x * y for x, y in zip(row, v)) for row in a) not in vset:
+            if _act(v, a) not in vset:
                 raise EdtorusError(code, "witness is not invariant under the group")
     if len(_span((), vecs, p)) != L.rank:
         raise EdtorusError(code, "witness is not p-spanning")
@@ -338,8 +405,10 @@ def eta_bounds(P, V=None, B: int | None = None, run_search: bool = True) -> EtaR
     fall short, as G_m x Z/2 splits with SymRank 1 and eta 2.  A supplied
     p-faithful representation V bounds from above, and its nonzero weight
     set is itself an invariant p-spanning set, so a matching certified lower
-    bound pins the value with no search at all.  A search the step limit
-    stops reports no symrank.
+    bound pins the value with no search at all.  Without V, the
+    presentation's own nonzero weights, when p-spanning (`weight_seed`), are
+    the candidate in their place.  A search the step limit stops reports no
+    symrank.
     """
     report = ensure_valid(P)
     L = character_lattice_action(P)
@@ -350,18 +419,19 @@ def eta_bounds(P, V=None, B: int | None = None, run_search: bool = True) -> EtaR
     lower = bound.value if bound.hypotheses_ok else L.rank
 
     v_dim = None
-    candidate = None
     if V is not None:
         ok, witness = is_p_faithful(P, V)
         if not ok:
             raise EdtorusError("V_NOT_P_FAITHFUL", witness or "")
         v_dim = V.dim
         candidate = tuple(sorted({w for w in V.weights if any(w)}))
+    else:
+        candidate = weight_seed(P)
 
     sr = None
     certificate = None
-    # Pinch: the weight set of V is invariant and p-spanning, so SymRank is
-    # caught between the certified bound and its size; no box is searched.
+    # Pinch: the candidate weight set is invariant and p-spanning, so SymRank
+    # is caught between the certified bound and its size; no box is searched.
     if candidate is not None and len(candidate) == lower:
         sr = SymRankResult(
             value=lower,
@@ -374,7 +444,7 @@ def eta_bounds(P, V=None, B: int | None = None, run_search: bool = True) -> EtaR
         try:
             sr = symrank(L, p, B=B, initial_witness=candidate)
         except EdtorusError as exc:
-            if exc.code not in ("BUDGET_EXCEEDED", "INCONCLUSIVE"):
+            if exc.code != "BUDGET_EXCEEDED":
                 raise
             sr = None
 

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -86,10 +87,10 @@ def ff_stabilizer_reference(P, R, q, trials, seed):
         ],
         dtype=np.int64,
     ).reshape(-1, m)
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     orders, inventory = [], []
     for _ in range(trials):
-        v = [int(x) for x in rng.integers(1, q, size=m, dtype=np.int64)]
+        v = [rng.randrange(1, q) for _ in range(m)]
         counts = []
         for perm, coeff in group.rep_actions(R):
             # t * g fixes v  iff  value row of t == v_i * (zeta_n^(c_i) * v_{perm^-1(i)})^-1

@@ -397,12 +397,13 @@ class TestParserReuse:
             (["eta", SO_2, "-B", "2"], "eta_so_2"),
             (["eta", SO_2], "eta_so_2"),
             (["eta", SO_2, "--rep", "none", "-B", "2"], "eta_so_2_norep"),
+            (["symrank", SO_2, "-B", "2"], "symrank_so_2"),
         ]:
             code, out, _ = run(argv + ["--format", "json"], capsys)
             assert (code, out) == (EXIT_OK, (golden / f"{name}.json").read_text(encoding="utf-8"))
-        # without -B the search takes its default box again, not the last call's
-        code, out, _ = run(["eta", SO_2, "--rep", "none", "--format", "json"], capsys)
-        assert json.loads(out)["symrank"]["search_bound"] == 3
+        # without -B symrank takes its default box again, not the last call's
+        code, out, _ = run(["symrank", SO_2, "--format", "json"], capsys)
+        assert json.loads(out)["search_bound"] == 3
 
     def test_max_steps_does_not_carry_over(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("EDTORUS_MAX_STEPS", raising=False)

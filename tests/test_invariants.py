@@ -130,3 +130,17 @@ def test_import_loads_no_numpy_and_no_oracle():
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, env=env)
     assert (proc.returncode, proc.stdout.strip()) == (0, "[]"), proc.stderr
+
+
+def test_stabilizer_oracle_loads_no_numpy_random():
+    """`oracle.ff_stabilizer` draws its trial points with the standard
+    library's `random`: a call leaves `numpy.random` unloaded.  Checked in a
+    fresh interpreter, since this suite imports it."""
+    src = str(Path(edtorus.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = (
+        "import sys; from edtorus import oracle; from edtorus.pipeline import so_case; "
+        "print(oracle.ff_stabilizer(so_case(1).presentation).min_order, 'numpy.random' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, env=env)
+    assert (proc.returncode, proc.stdout.strip()) == (0, "2 False"), proc.stderr

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import importlib
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -186,15 +187,48 @@ class TestOnePass:
             request_()
         assert calls["_mat_mul"] == 0
 
-    def test_eta_search_builds_the_matrices(self, fresh_caches, monkeypatch):
+    @staticmethod
+    def case_file(tmp_path, *case) -> str:
+        """The presentation of `edtorus case ...`, written as an input file."""
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["case", *case, "--format", "json"]) == 0
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(json.loads(out.getvalue())["presentation"]), encoding="utf-8")
+        return str(path)
+
+    def test_eta_search_builds_the_matrices(self, fresh_caches, monkeypatch, tmp_path):
+        # sl 6 2: the weights' orbits give 6 over an uncertified bound of 5, so
+        # the seed does not pinch and the B = 1 box is searched
+        path = self.case_file(tmp_path, "sl", "6", "2")
         calls = self.count_mat_mul(monkeypatch)
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            assert cli.main(["eta", self.SO_2, "--rep", "none", "-B", "2", "--format", "json"]) == 0
-        assert out.getvalue() == (Path(self.SO_2).parents[1] / "eta_so_2_norep.json").read_text(encoding="utf-8")
+            code = cli.main(["eta", path, "--rep", "none", "-B", "1", "--format", "json"])
+        sr = json.loads(out.getvalue())["symrank"]
+        assert (code, sr["value"], sr["status"], sr["search_bound"]) == (cli.EXIT_INCONCLUSIVE, 6, "UPPER_ONLY", 1)
         # one product per element of the lattice image but the identity
-        L = monogrp.character_lattice_action(cli.load_presentation(self.SO_2, "natural")[0])
+        L = monogrp.character_lattice_action(cli.load_presentation(path, "natural")[0])
         assert calls["_mat_mul"] == L.order - 1 == 15
+
+    def test_eta_with_a_refused_box_builds_no_lattice_matrix(self, fresh_caches, monkeypatch, tmp_path):
+        # sl 14 5: the generators alone put the default box of rank 13 over the limit
+        path = self.case_file(tmp_path, "sl", "14", "5")
+        calls = self.count_mat_mul(monkeypatch)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["eta", path, "--rep", "none", "--format", "json"])
+        assert (code, json.loads(out.getvalue())["symrank"]) == (cli.EXIT_INCONCLUSIVE, None)
+        assert calls["_mat_mul"] == 0
+
+    def test_symrank_with_a_refused_box_builds_no_lattice_matrix(self, fresh_caches, monkeypatch, tmp_path):
+        path = self.case_file(tmp_path, "sl", "14", "5")
+        calls = self.count_mat_mul(monkeypatch)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["symrank", path, "--format", "json"])
+        assert (code, json.loads(err.getvalue())["error"]) == (cli.EXIT_BUDGET, "BUDGET_EXCEEDED")
+        assert calls["_mat_mul"] == 0
 
     def count_mat_mul(self, monkeypatch) -> dict:
         calls = {"_mat_mul": 0}

@@ -1,10 +1,13 @@
 """Symmetric p-rank search, lower bounds, and minimal faithful dimension."""
 
 import importlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 
+from edtorus.cli import load_presentation, presentation_from_json
 from edtorus.monogrp import (
     EdtorusError,
     MonomialGroupPresentation,
@@ -21,10 +24,12 @@ from edtorus.symrank import (
     _identity,
     _mat_mul,
     _orbit_spans,
+    _search_bound,
     _span,
     eta_bounds,
     perm_lower_bound,
     symrank,
+    weight_seed,
 )
 
 from conftest import lattice, orbit_reference, orbits_reference
@@ -352,10 +357,101 @@ class TestDifferential:
         # one span per residue class mod p of first members, each the span of
         # every orbit of its class; the orbits of span zero, and only those, dropped
         L = maker()
-        orbits, spans = _orbit_spans(L, B, p)
+        orbits, spans = _orbit_spans(_enumerate_orbits(L, B), p)
         assert orbits == [o for o in _enumerate_orbits(L, B) if _span((), o, p)]
         assert spans == [_span((), o, p) for o in orbits]
         assert len({tuple(x % p for x in o[0]) for o in orbits}) < len(orbits)
+
+
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
+
+
+def pr8_input():
+    """The sl_7_3 input less its first generator: one 3-cycle, |F| = 3, rank 6."""
+    doc = json.loads((GOLDEN_INPUTS / "sl_7_3.json").read_text(encoding="utf-8"))
+    del doc["generators"][0]
+    return presentation_from_json(doc)[0]
+
+
+# sl_n for n <= 8: from n = 9 on, no box of B >= 1 has at most SWEEP_BOX vectors
+SWEEP = [(f"sl_{n}_{p}", lambda n=n, p=p: sln_case(n, p).presentation) for n in range(2, 9) for p in (2, 3, 5, 7)]
+SWEEP += [(f"so_{k}", lambda k=k: so_case(k).presentation) for k in (1, 2, 3)]
+SWEEP += [
+    (name, lambda name=name: load_presentation(str(GOLDEN_INPUTS / f"{name}.json"), "natural")[0])
+    for name in ("gm_times_z2", "sl_7_2", "sl_7_3", "so_1_char", "so_2")
+]
+# the oracle's own guard admits 10^5 vectors; this keeps the sweep near a second
+SWEEP_BOX = 5_000
+
+
+class TestPasses:
+    @pytest.mark.parametrize("make", [make for _, make in SWEEP], ids=[name for name, _ in SWEEP])
+    def test_sweep_matches_bruteforce(self, make):
+        # seedless and seeded by the weights, at B = 1, 2 and the default; the
+        # weights lie in the unit box, so the seed cannot beat the box's least union
+        P = make()
+        L = character_lattice_action(P)
+        bound = perm_lower_bound(L, P.p)
+        lower = bound.value if bound.hypotheses_ok else L.rank
+        compared = 0
+        for B in (1, 2, None):
+            box = _search_bound(L, B)
+            if (2 * box + 1) ** L.rank > SWEEP_BOX:
+                continue
+            value = symrank_bruteforce(L, P.p, box)
+            want = (value, "EXACT" if value == lower else "UPPER_ONLY", box)
+            for seed in (None, weight_seed(P)):
+                res = symrank(L, P.p, B=B, initial_witness=seed)
+                assert (res.value, res.status, res.search_bound) == want
+            compared += 1
+        assert compared
+
+    @pytest.mark.parametrize(
+        "make,value",
+        [(lambda: sln_case(9, 3).presentation, 9), (lambda: sln_case(10, 5).presentation, 10), (pr8_input, 6)],
+        ids=["sl_9_3", "sl_10_5", "sl_7_3_less_a_generator"],
+    )
+    def test_default_bound_needs_no_box(self, make, value, monkeypatch):
+        # the weights meet the lower bound (sl_9_3, sl_10_5) or a union of
+        # their orbits does (pass 0): no box of the default 3 is enumerated
+        calls = count_orbit_enumerations(monkeypatch)
+        P = make()
+        res = symrank(character_lattice_action(P), P.p, initial_witness=weight_seed(P))
+        assert (res.value, res.status, res.search_bound) == (value, "EXACT", 3)
+        assert calls == []
+
+    def test_growing_boxes_stop_at_the_first_exact(self, monkeypatch):
+        # seedless at B = 3 (a box of 7^6 vectors): the B = 1 box certifies 6
+        calls = count_orbit_enumerations(monkeypatch)
+        L = character_lattice_action(sln_case(7, 3).presentation)
+        res = symrank(L, 3, B=3)
+        assert (res.value, res.status, res.search_bound) == (6, "EXACT", 3)
+        assert calls == [1]
+
+    def test_incumbent_carried_through_the_boxes(self):
+        # sl_6_2: no certified bound past the rank 5, so every pass runs; the
+        # weights' orbits already give 6, and no box up to B = 2 beats them
+        P = sln_case(6, 2).presentation
+        L = character_lattice_action(P)
+        seed = weight_seed(P)
+        res = symrank(L, 2, B=2, initial_witness=seed)
+        assert (res.value, res.status, res.witness) == (6, "UPPER_ONLY", seed)
+
+    def test_weight_seed_needs_p_spanning_weights(self, weight_two_line):
+        # weight 2 spans an index-2 sublattice: no seed at p = 2
+        assert weight_seed(weight_two_line) is None
+        assert weight_seed(so_case(1).presentation) == ((-1, 0), (0, -1), (0, 1), (1, 0))
+
+
+def count_orbit_enumerations(monkeypatch) -> list:
+    """The bound of every box `_enumerate_orbits` is asked for, in order."""
+    symrank_module = importlib.import_module("edtorus.symrank")
+    calls = []
+    enumerate_orbits = symrank_module._enumerate_orbits
+    monkeypatch.setattr(
+        symrank_module, "_enumerate_orbits", lambda L, B: calls.append(B) or enumerate_orbits(L, B)
+    )
+    return calls
 
 
 class TestSpan:
