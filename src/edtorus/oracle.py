@@ -241,9 +241,7 @@ def symrank_bruteforce(L, p: int, B: int) -> int:
       smaller.  `reach` holds these suffix minima, since the orbits are
       sorted lexicographically, not by size, and they grow with the index;
     - the walk stops at best == rank, since fewer vectors cannot span.
-
-    The box holds e_1, ..., e_d, so the union of all its orbits spans and
-    the walk always ends with a best.
+      The box holds e_1, ..., e_d, so the walk always finds a best.
     """
     if B < 1:
         raise EdtorusError("BAD_INPUT", "search bound must be >= 1")

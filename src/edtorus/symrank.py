@@ -2,17 +2,11 @@
 
 SymRank(L; p) is the least cardinality of a group-invariant subset of the
 lattice spanning a finite-index sublattice of index prime to p.  Exact search
-by branch and bound over orbits, certified against the rank bound and the
-abelian permutation-group bound; exactness is only ever claimed when a
-certified lower bound meets the best witness found.
-
-The search runs in passes, each one branch and bound (`_least_union`) over
-one list of orbits, handing its incumbent to the next and stopping at the
-first EXACT: first the orbits of a known invariant p-spanning set, such as
-the presentation's weights (`weight_seed`), closed along the generators;
-then the orbits of the boxes of sup-norm 1, 2, ..., B.  The box of B is
-checked against the step limit before any pass, and a default box the
-generators alone prove too large is refused before any matrix is built.
+by branch and bound over orbits, in passes (see `symrank`): the orbits of a
+known invariant set such as the presentation's weights (`weight_seed`), then
+those of the boxes of sup-norm 1, 2, ..., B.  It is certified against the
+rank bound and the abelian permutation-group bound; exactness is only ever
+claimed when a certified lower bound meets the best witness found.
 
 A box's orbits are found on integer keys that sort as the vectors do, one
 dot product per group element (`_enumerate_orbits`).  p-spanning is full
@@ -124,30 +118,21 @@ class SymRankResult:
     witness: tuple[tuple[int, ...], ...]
     status: str  # "EXACT" | "UPPER_ONLY"
     lower_bound_used: int
-    search_bound: int | None  # the box a search used; None when no box was searched
+    search_bound: int | None  # the bound whose box was checked; None on a pinch
 
 
 def _search_bound(L: FLattice, B: int | None) -> int:
-    """B, checked, or by default 2m + 1 for the largest entry m of a matrix."""
-    if B is None:
-        return 2 * max((abs(x) for a in L.matrices for row in a for x in row), default=0) + 1
-    if B < 1:
-        raise EdtorusError("BAD_INPUT", "search bound must be >= 1")
-    return B
-
-
-def _box_bound(L: FLattice, B: int | None) -> int:
-    """`_search_bound`, once its box of (2B + 1)^d vectors is within the step
-    limit.  The identity and the generators are among the matrices, so the
-    default bound is at least 2g + 1 for g the larger of 1 and the largest
-    generator entry: a default box that this already puts over the limit is
-    refused before any matrix is built."""
+    """B, or by default 2m + 1 for the largest entry m of a matrix, once its box
+    of (2B + 1)^d vectors fits the step limit.  The identity and the generators
+    are matrices: a default box their entries put over it builds no matrix."""
     limit = MAX_STEPS.get()
+    g = max([1, *(abs(x) for a in L.generators for row in a for x in row)])
+    if B is None and (least := (4 * g + 3) ** L.rank) > limit:
+        raise EdtorusError("BUDGET_EXCEEDED", f"box of at least {least} vectors exceeds the search budget {limit}")
     if B is None:
-        g = max([1, *(abs(x) for a in L.generators for row in a for x in row)])
-        if (least := (4 * g + 3) ** L.rank) > limit:
-            raise EdtorusError("BUDGET_EXCEEDED", f"box of at least {least} vectors exceeds the search budget {limit}")
-    B = _search_bound(L, B)
+        B = 2 * max((abs(x) for a in L.matrices for row in a for x in row), default=0) + 1
+    elif B < 1:
+        raise EdtorusError("BAD_INPUT", "search bound must be >= 1")
     if (total := (2 * B + 1) ** L.rank) > limit:
         raise EdtorusError("BUDGET_EXCEEDED", f"box of {total} vectors exceeds the search budget {limit}")
     return B
@@ -186,22 +171,13 @@ def _span(rows, vecs, p: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _act(v, a) -> tuple[int, ...]:
-    """The matrix a applied to the vector v."""
     return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def _seed_orbits(L: FLattice, vecs) -> list[tuple[tuple[int, ...], ...]]:
-    """The orbits of an invariant set, sorted as `_enumerate_orbits` sorts
-    its own, each closed along the generators: no matrix is built."""
-    seen: set[tuple[int, ...]] = set()
-    orbits = []
-    for v in vecs:
-        if v not in seen:
-            orbit = tuple(sorted(closure(v, L.generators, _act)))
-            seen.update(orbit)
-            orbits.append(orbit)
-    orbits.sort(key=lambda o: (len(o), o[0]))
-    return orbits
+    """Orbits of an invariant set, closed along the generators, in `_enumerate_orbits` order."""
+    orbits = {tuple(sorted(closure(v, L.generators, _act))) for v in vecs}
+    return sorted(orbits, key=lambda o: (len(o), o[0]))
 
 
 def _enumerate_orbits(L: FLattice, B: int) -> list[tuple[tuple[int, ...], ...]]:
@@ -251,15 +227,12 @@ def _orbit_spans(orbits, p: int) -> tuple[list, list]:
 
 
 def _least_union(orbits, p: int, d: int, lower: int, best):
-    """The least p-spanning union of `orbits` (sorted by size) when it is
-    smaller than `best`, a witness or None; otherwise `best`.  Branch and
-    bound over the orbits' F_p spans, stopping once the certified `lower`
-    is met."""
+    """The least p-spanning union of `orbits` (sorted by size) if smaller than
+    `best` (a witness or None), else `best`, by branch and bound over spans."""
     orbits, spans = _orbit_spans(orbits, p)
     suffix = [()] * (len(orbits) + 1)
     for i in range(len(orbits) - 1, -1, -1):
         suffix[i] = _span(suffix[i + 1], spans[i], p)
-    best_size = None if best is None else len(best)
     nodes = 0
     node_limit = MAX_STEPS.get()
     chosen: list[int] = []
@@ -271,11 +244,10 @@ def _least_union(orbits, p: int, d: int, lower: int, best):
     def dfs(i: int, size: int, basis):
         # recursion depth is bounded by the rank: only inclusions recurse,
         # skips advance the loop below
-        nonlocal nodes, best_size, best
+        nonlocal nodes, best
         rank = len(basis)
         if rank == d:
-            if best_size is None or size < best_size:
-                best_size = size
+            if best is None or size < len(best):
                 vecs: list[tuple[int, ...]] = []
                 for k in chosen:
                     vecs.extend(orbits[k])
@@ -285,11 +257,11 @@ def _least_union(orbits, p: int, d: int, lower: int, best):
             nodes += 1
             if nodes > node_limit:
                 raise EdtorusError("BUDGET_EXCEEDED", "branch-and-bound node budget exhausted")
-            if best_size is not None and best_size <= lower:
+            if best is not None and len(best) <= lower:
                 return
             # a completion adds d - rank vectors at least, and one orbit
             # at least, none smaller than orbit i (orbits come by size)
-            if best_size is not None and size + max(d - rank, len(orbits[i])) >= best_size:
+            if best is not None and size + max(d - rank, len(orbits[i])) >= len(best):
                 return
             if reached.get((i, basis), size + 1) <= size:
                 return
@@ -316,24 +288,16 @@ def symrank(L: FLattice, p: int, B: int | None = None, initial_witness=None) -> 
     incumbent; the search then only looks for something strictly smaller.
     Status is EXACT exactly when the certified lower bound meets the result.
 
-    An incumbent that meets the lower bound is the answer, and no box is
-    checked.  Otherwise the box of the bound B (by default 2m + 1, for the
-    largest matrix entry m) is checked against the step limit before any
-    pass, and the passes run in order, each handing its incumbent on:
-
-    0. the orbits of the incumbent, whose least p-spanning union may be
-       smaller: it is invariant, so any union of its orbits is too;
-    1. the orbits of the box of sup-norm B' = 1, 2, ..., B in turn.
-
-    They stop at the first EXACT, since no set is smaller than a certified
-    lower bound.  This is sound: a union of the incumbent's orbits, or of
-    the orbits of a smaller box, is itself a witness, and every orbit of a
-    smaller box is an orbit of box B; so the result is no larger than the
-    least union of box B's orbits, and equal to it unless EXACT stopped the
-    passes first.  Box B' >= 1 holds e_1, ..., e_d, so the union of its
-    orbits spans and every call that searches returns a witness.
-    `search_bound` is the B whose box was checked, whichever pass answered.
+    The box of B is checked against the step limit first.  Then, unless the
+    incumbent meets the lower bound, pass 0 searches the incumbent's orbits
+    and passes 1, 2, ..., B the orbits of the box of that sup-norm, each
+    handing its incumbent on, until one is EXACT.  This is sound: a union
+    of the incumbent's orbits (it is invariant), or of a smaller box's
+    orbits (each an orbit of box B), is a witness, so the value is at most
+    the least union of box B's orbits, and EXACT cannot be improved on.
+    Box 1 holds e_1, ..., e_d, so a search always ends with a witness.
     """
+    B = _search_bound(L, B)
     d = L.rank
     bound = perm_lower_bound(L, p)
     lower = bound.value if bound.hypotheses_ok else d
@@ -341,16 +305,11 @@ def symrank(L: FLattice, p: int, B: int | None = None, initial_witness=None) -> 
     if initial_witness is not None:
         best = tuple(sorted({tuple(int(x) for x in v) for v in initial_witness}))
         _check_invariant_spanning(L, p, best, "BAD_INPUT")
-    if best is not None and len(best) <= lower:
-        B = _search_bound(L, B)
-    else:
-        B = _box_bound(L, B)
-        if best is not None:
-            best = _least_union(_seed_orbits(L, best), p, d, lower, best)
-        for b in range(1, B + 1):
-            if best is not None and len(best) == lower:
-                break
-            best = _least_union(_enumerate_orbits(L, b), p, d, lower, best)
+    for b in range(0 if best is not None else 1, B + 1):
+        if best is not None and len(best) <= lower:
+            break
+        orbits = _enumerate_orbits(L, b) if b else _seed_orbits(L, best)
+        best = _least_union(orbits, p, d, lower, best)
     _check_invariant_spanning(L, p, best, "INTERNAL")
     return SymRankResult(
         value=len(best),
@@ -362,9 +321,7 @@ def symrank(L: FLattice, p: int, B: int | None = None, initial_witness=None) -> 
 
 
 def weight_seed(P):
-    """The presentation's distinct nonzero weights when they are p-spanning,
-    else None.  Validation makes the set invariant, so it is a witness the
-    search can start from."""
+    """The distinct nonzero weights if p-spanning (validation makes them invariant), else None."""
     seed = tuple(sorted({w for w in P.weights if any(w)}))
     return seed if len(_span((), seed, P.p)) == P.torus_rank else None
 
@@ -405,15 +362,13 @@ def eta_bounds(P, V=None, B: int | None = None, run_search: bool = True) -> EtaR
     fall short, as G_m x Z/2 splits with SymRank 1 and eta 2.  A supplied
     p-faithful representation V bounds from above, and its nonzero weight
     set is itself an invariant p-spanning set, so a matching certified lower
-    bound pins the value with no search at all.  Without V, the
-    presentation's own nonzero weights, when p-spanning (`weight_seed`), are
-    the candidate in their place.  A search the step limit stops reports no
-    symrank.
+    bound pins the value with no search at all; without V, `weight_seed`
+    gives the candidate.  A search the step limit stops reports no symrank.
     """
     report = ensure_valid(P)
     L = character_lattice_action(P)
-    if B is not None:
-        _search_bound(L, B)  # an explicit bound is checked even where no search runs
+    if B is not None and B < 1:  # an explicit bound is checked even where no search runs
+        raise EdtorusError("BAD_INPUT", "search bound must be >= 1")
     p = P.p
     bound = perm_lower_bound(L, p)
     lower = bound.value if bound.hypotheses_ok else L.rank
