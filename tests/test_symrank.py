@@ -366,7 +366,7 @@ class TestDifferential:
 GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
 
 
-def pr8_input():
+def sl_7_3_less_a_generator():
     """The sl_7_3 input less its first generator: one 3-cycle, |F| = 3, rank 6."""
     doc = json.loads((GOLDEN_INPUTS / "sl_7_3.json").read_text(encoding="utf-8"))
     del doc["generators"][0]
@@ -408,7 +408,7 @@ class TestPasses:
 
     @pytest.mark.parametrize(
         "make,value",
-        [(lambda: sln_case(9, 3).presentation, 9), (lambda: sln_case(10, 5).presentation, 10), (pr8_input, 6)],
+        [(lambda: sln_case(9, 3).presentation, 9), (lambda: sln_case(10, 5).presentation, 10), (sl_7_3_less_a_generator, 6)],
         ids=["sl_9_3", "sl_10_5", "sl_7_3_less_a_generator"],
     )
     def test_default_bound_needs_no_box(self, make, value, monkeypatch):
