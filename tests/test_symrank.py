@@ -408,7 +408,11 @@ class TestPasses:
 
     @pytest.mark.parametrize(
         "make,value",
-        [(lambda: sln_case(9, 3).presentation, 9), (lambda: sln_case(10, 5).presentation, 10), (sl_7_3_less_a_generator, 6)],
+        [
+            (lambda: sln_case(9, 3).presentation, 9),
+            (lambda: sln_case(10, 5).presentation, 10),
+            (sl_7_3_less_a_generator, 6),
+        ],
         ids=["sl_9_3", "sl_10_5", "sl_7_3_less_a_generator"],
     )
     def test_default_bound_needs_no_box(self, make, value, monkeypatch):
