@@ -4,7 +4,7 @@ SymRank(L; p) is the least cardinality of a group-invariant subset of the
 lattice spanning a finite-index sublattice of index prime to p.  Exact search
 by branch and bound over orbits, in passes (see `symrank`): the orbits of a
 known invariant set such as the presentation's weights (`weight_seed`), then
-those of the boxes of sup-norm 1, 2, ..., B.  It is certified against the
+those of the boxes of sup-norm 1 and B.  It is certified against the
 rank bound and the abelian permutation-group bound; exactness is only ever
 claimed when a certified lower bound meets the best witness found.
 
@@ -16,8 +16,8 @@ class mod p of the orbit's first member; orbits whose span is zero are
 dropped.  A node joins the current span with one such span, at most
 O(d) row reductions, and a memo cuts every node that reaches a (position,
 span) state already reached at no larger size.  The step limit `MAX_STEPS`
-bounds the box and, on its own in each pass, the branch-and-bound nodes;
-the memo holds at most one entry per node.
+bounds the box of B (box 1 is no larger) and the branch-and-bound nodes of
+all passes together; the memo holds at most one entry per node.
 """
 
 from __future__ import annotations
@@ -121,18 +121,22 @@ class SymRankResult:
     search_bound: int | None  # the bound whose box was checked; None on a pinch
 
 
+def _check_bound(B: int | None) -> None:
+    if B is not None and B < 1:
+        raise EdtorusError("BAD_INPUT", "search bound must be >= 1")
+
+
 def _search_bound(L: FLattice, B: int | None) -> int:
     """B, or by default 2m + 1 for the largest entry m of a matrix, once its box
     of (2B + 1)^d vectors fits the step limit.  The identity and the generators
     are matrices: a default box their entries put over it builds no matrix."""
+    _check_bound(B)
     limit = MAX_STEPS.get()
-    g = max([1, *(abs(x) for a in L.generators for row in a for x in row)])
-    if B is None and (least := (4 * g + 3) ** L.rank) > limit:
-        raise EdtorusError("BUDGET_EXCEEDED", f"box of at least {least} vectors exceeds the search budget {limit}")
     if B is None:
+        g = max([1, *(abs(x) for a in L.generators for row in a for x in row)])
+        if (least := (4 * g + 3) ** L.rank) > limit:
+            raise EdtorusError("BUDGET_EXCEEDED", f"box of at least {least} vectors exceeds the search budget {limit}")
         B = 2 * max((abs(x) for a in L.matrices for row in a for x in row), default=0) + 1
-    elif B < 1:
-        raise EdtorusError("BAD_INPUT", "search bound must be >= 1")
     if (total := (2 * B + 1) ** L.rank) > limit:
         raise EdtorusError("BUDGET_EXCEEDED", f"box of {total} vectors exceeds the search budget {limit}")
     return B
@@ -226,14 +230,13 @@ def _orbit_spans(orbits, p: int) -> tuple[list, list]:
     return kept, spans
 
 
-def _least_union(orbits, p: int, d: int, lower: int, best):
+def _least_union(orbits, p: int, d: int, lower: int, best, nodes):
     """The least p-spanning union of `orbits` (sorted by size) if smaller than
     `best` (a witness or None), else `best`, by branch and bound over spans."""
     orbits, spans = _orbit_spans(orbits, p)
     suffix = [()] * (len(orbits) + 1)
     for i in range(len(orbits) - 1, -1, -1):
         suffix[i] = _span(suffix[i + 1], spans[i], p)
-    nodes = 0
     node_limit = MAX_STEPS.get()
     chosen: list[int] = []
     # least size at which the loop reached (i, span): the completions from
@@ -244,7 +247,7 @@ def _least_union(orbits, p: int, d: int, lower: int, best):
     def dfs(i: int, size: int, basis):
         # recursion depth is bounded by the rank: only inclusions recurse,
         # skips advance the loop below
-        nonlocal nodes, best
+        nonlocal best
         rank = len(basis)
         if rank == d:
             if best is None or size < len(best):
@@ -254,8 +257,7 @@ def _least_union(orbits, p: int, d: int, lower: int, best):
                 best = tuple(sorted(set(vecs)))
             return
         while i < len(orbits):
-            nodes += 1
-            if nodes > node_limit:
+            if next(nodes) > node_limit:
                 raise EdtorusError("BUDGET_EXCEEDED", "branch-and-bound node budget exhausted")
             if best is not None and len(best) <= lower:
                 return
@@ -290,12 +292,12 @@ def symrank(L: FLattice, p: int, B: int | None = None, initial_witness=None) -> 
 
     The box of B is checked against the step limit first.  Then, unless the
     incumbent meets the lower bound, pass 0 searches the incumbent's orbits
-    and passes 1, 2, ..., B the orbits of the box of that sup-norm, each
-    handing its incumbent on, until one is EXACT.  This is sound: a union
-    of the incumbent's orbits (it is invariant), or of a smaller box's
-    orbits (each an orbit of box B), is a witness, so the value is at most
-    the least union of box B's orbits, and EXACT cannot be improved on.
-    Box 1 holds e_1, ..., e_d, so a search always ends with a witness.
+    and passes 1 and B the orbits of the box of that sup-norm, each handing
+    its incumbent and what is left of one node budget on, until one is EXACT.
+    This is sound: a union of the incumbent's orbits (it is invariant), or
+    of box 1's orbits (each an orbit of box B), is a witness, so the value
+    is at most the least union of box B's orbits, and EXACT cannot be
+    improved on.  Box 1 holds e_1, ..., e_d, so a search ends with a witness.
     """
     B = _search_bound(L, B)
     d = L.rank
@@ -305,11 +307,12 @@ def symrank(L: FLattice, p: int, B: int | None = None, initial_witness=None) -> 
     if initial_witness is not None:
         best = tuple(sorted({tuple(int(x) for x in v) for v in initial_witness}))
         _check_invariant_spanning(L, p, best, "BAD_INPUT")
-    for b in range(0 if best is not None else 1, B + 1):
+    nodes = itertools.count(1)
+    for b in ([0] if best is not None else []) + sorted({1, B}):
         if best is not None and len(best) <= lower:
             break
         orbits = _enumerate_orbits(L, b) if b else _seed_orbits(L, best)
-        best = _least_union(orbits, p, d, lower, best)
+        best = _least_union(orbits, p, d, lower, best, nodes)
     _check_invariant_spanning(L, p, best, "INTERNAL")
     return SymRankResult(
         value=len(best),
@@ -320,9 +323,9 @@ def symrank(L: FLattice, p: int, B: int | None = None, initial_witness=None) -> 
     )
 
 
-def weight_seed(P):
-    """The distinct nonzero weights if p-spanning (validation makes them invariant), else None."""
-    seed = tuple(sorted({w for w in P.weights if any(w)}))
+def weight_seed(P, V=None):
+    """V's distinct nonzero weights, else P's, if p-spanning (validation makes them invariant), else None."""
+    seed = tuple(sorted({w for w in (P if V is None else V).weights if any(w)}))
     return seed if len(_span((), seed, P.p)) == P.torus_rank else None
 
 
@@ -367,8 +370,7 @@ def eta_bounds(P, V=None, B: int | None = None, run_search: bool = True) -> EtaR
     """
     report = ensure_valid(P)
     L = character_lattice_action(P)
-    if B is not None and B < 1:  # an explicit bound is checked even where no search runs
-        raise EdtorusError("BAD_INPUT", "search bound must be >= 1")
+    _check_bound(B)  # an explicit bound is checked even where no search runs
     p = P.p
     bound = perm_lower_bound(L, p)
     lower = bound.value if bound.hypotheses_ok else L.rank
@@ -379,9 +381,7 @@ def eta_bounds(P, V=None, B: int | None = None, run_search: bool = True) -> EtaR
         if not ok:
             raise EdtorusError("V_NOT_P_FAITHFUL", witness or "")
         v_dim = V.dim
-        candidate = tuple(sorted({w for w in V.weights if any(w)}))
-    else:
-        candidate = weight_seed(P)
+    candidate = weight_seed(P, V)
 
     sr = None
     certificate = None

@@ -424,13 +424,31 @@ class TestPasses:
         assert (res.value, res.status, res.search_bound) == (value, "EXACT", 3)
         assert calls == []
 
-    def test_growing_boxes_stop_at_the_first_exact(self, monkeypatch):
+    def test_box_one_stops_at_the_first_exact(self, monkeypatch):
         # seedless at B = 3 (a box of 7^6 vectors): the B = 1 box certifies 6
         calls = count_orbit_enumerations(monkeypatch)
         L = character_lattice_action(sln_case(7, 3).presentation)
         res = symrank(L, 3, B=3)
         assert (res.value, res.status, res.search_bound) == (6, "EXACT", 3)
         assert calls == [1]
+
+    def test_no_box_between_one_and_b(self, monkeypatch):
+        # sl_6_2 has no certified bound past the rank 5: every pass runs
+        calls = count_orbit_enumerations(monkeypatch)
+        L = character_lattice_action(sln_case(6, 2).presentation)
+        assert symrank(L, 2, B=3).status == "UPPER_ONLY"
+        assert calls == [1, 3]
+
+    def test_one_node_budget_for_all_passes(self):
+        # sl_6_2 at B = 1 (243 vectors), seeded with the orbits of box 2: no
+        # pass is EXACT, pass 0 takes 495 nodes and pass 1 takes 112
+        L = character_lattice_action(sln_case(6, 2).presentation)
+        seed = [v for orbit in _enumerate_orbits(L, 2) for v in orbit]
+        with limit_steps(607):
+            assert symrank(L, 2, B=1, initial_witness=seed).status == "UPPER_ONLY"
+        with limit_steps(606), pytest.raises(EdtorusError) as err:
+            symrank(L, 2, B=1, initial_witness=seed)
+        assert err.value.code == "BUDGET_EXCEEDED"
 
     def test_incumbent_carried_through_the_boxes(self):
         # sl_6_2: no certified bound past the rank 5, so every pass runs; the
