@@ -260,6 +260,12 @@ class _CoeffCanon:
     The key of c is those residues, so two vectors share a key exactly when
     their difference lies in U^-1 (Z^rank + n Z^(m - rank)): the key is a
     complete invariant of the coset.
+
+    `rows` are those rows of U as they are, the saturated kernel basis the
+    stabilizer reads.  The key reads each row reduced mod n once, through its
+    nonzero terms only, and drops a row that vanishes mod n, whose residue is
+    always 0; at n = 1 every key is empty.  Dropping a constant entry keeps
+    the order of keys, so the enumeration's breadth-first order is unchanged.
     """
 
     def __init__(self, W: IntMatrix, n: int):
@@ -267,10 +273,12 @@ class _CoeffCanon:
         self.n = n
         U = self.dec.U
         self.rows = [U.row(i) for i in range(self.dec.rank, U.rows)]
+        terms = ([(i, a % n) for i, a in enumerate(u) if a % n] for u in self.rows)
+        self._terms = [t for t in terms if t]
 
     def canon(self, coeff: Coeff) -> tuple[int, ...]:
         n = self.n
-        return tuple(sum(a * c for a, c in zip(u, coeff)) % n for u in self.rows)
+        return tuple(sum(a * coeff[i] for i, a in t) % n for t in self._terms)
 
     def is_torsion_image(self, coeff: Coeff) -> bool:
         return not any(self.canon(coeff))
@@ -291,15 +299,17 @@ class ComponentGroup:
     the class of x times generator g (the right Cayley graph), recorded by the
     enumeration; a product x y walks y's breadth-first word through it, so no
     multiplication table is stored.  `split_witness` says whether the literal
-    generators close up to |F| elements, a complement of the torus.
+    generators close up to |F| elements, a complement of the torus.  `canon`
+    is the coset key the enumeration keyed each edge with.
     """
 
-    def __init__(self, P: MonomialGroupPresentation, elements, right, split_witness):
+    def __init__(self, P: MonomialGroupPresentation, elements, right, split_witness, canon):
         self.presentation = P
         self.split_witness: bool = split_witness
         self.elements: list[GroupElement] = elements
         self.identity = 0
         self.right: list[list[int]] = right
+        self.canon: _CoeffCanon = canon
         self._reps: dict[MonomialRep, RepRecord] = {}
         self._decompositions: dict[tuple[int, ...], tuple] = {}
 
@@ -340,11 +350,40 @@ class ComponentGroup:
         return self.identity in s and self._generators(sorted(s))[1] == s
 
     def rep_record(self, R: MonomialRep) -> RepRecord:
-        """R checked against the group and analysed, once per rep (see `RepRecord`)."""
+        """R checked against the group and analysed, once per rep (see `RepRecord`).
+
+        No check already made is made again.  The natural representation's
+        record is the enumeration's own classes and coset key: keying each
+        Cayley edge was exactly that block's relation check, and `validate`
+        certified its weights.  When R's trailing blocks all have weight zero
+        and its leading blocks have a record (or are natural), only the
+        trailing lines are walked, for exact equality: the torus acts
+        trivially on them, so an edge's coefficient difference is a torus
+        point exactly when its leading part is one (checked for the leading
+        record) and its trailing part is zero.  Any other R is checked block
+        by block and walked over all its lines.
+        """
         rec = self._reps.get(R)
         if rec is None:
-            rec = self._reps[R] = RepRecord(self, R)
+            rec = self._reps[R] = self._record(R)
         return rec
+
+    def _record(self, R: MonomialRep) -> RepRecord:
+        P = self.presentation
+        natural = natural_rep(P)
+        if R == natural:
+            ensure_valid(P)
+            return RepRecord(self.canon, [(el.perm, el.coeff) for el in self.elements])
+        blocks = R.blocks
+        for s in range(len(blocks) - 1, 0, -1):
+            if any(any(w) for w in blocks[s].weights):
+                break
+            lead = MonomialRep(P, blocks[:s])
+            if lead in self._reps or lead == natural:
+                return _extend(self, self.rep_record(lead), R, s)
+        _check_blocks(P, blocks)
+        canon = _CoeffCanon(R.weight_matrix(), R.modulus)
+        return RepRecord(canon, _walk(self, R, canon))
 
     def rep_actions(self, R: MonomialRep) -> list[tuple[Perm, Coeff]]:
         """Action of each class representative on all lines of R, modulo R.modulus."""
@@ -491,55 +530,94 @@ class RepRecord:
     component group: on every Cayley edge (x, g), R(x) R(g) must permute the
     lines as R(x g) does, and their coefficients must differ by the action of
     a torus point through the weights of R.  `actions` holds the action of
-    each class representative, taken on its breadth-first tree edge (the last
-    letter of its word), so each edge costs one product.  `canon.dec` is the
-    Smith form of the weights.
+    each class representative modulo R.modulus, taken on its breadth-first
+    tree edge (the last letter of its word), so each edge costs one product.
+    `canon` is the coset key of R's weights at that modulus, and `canon.dec`
+    their Smith form.  `ComponentGroup.rep_record` says which checks a record
+    reuses instead of making them again.
     """
 
-    def __init__(self, group: ComponentGroup, R: MonomialRep):
-        P = group.presentation
-        matrices = validate(P).induced_matrices
-        for b, block in enumerate(R.blocks):
-            if type(block.modulus) is not int or block.modulus < 1:
-                raise EdtorusError("BAD_INPUT", f"block {b}: modulus must be a positive integer")
-            if len(block.gen_perms) != len(matrices) or len(block.gen_coeffs) != len(matrices):
-                raise EdtorusError("BAD_INPUT", f"block {b}: one action per generator is required")
-            if any(len(w) != P.torus_rank for w in block.weights):
-                raise EdtorusError("BAD_INPUT", f"block {b}: weight length must equal torus rank")
-            for j, A in enumerate(matrices):
-                perm = block.gen_perms[j]
-                if sorted(perm) != list(range(block.dim)):
-                    raise EdtorusError("BAD_INPUT", f"block {b}: generator {j} is not a permutation")
-                if len(block.gen_coeffs[j]) != block.dim:
-                    raise EdtorusError("BAD_INPUT", f"block {b}: coefficient length mismatch")
-                if any(type(c) is not int or not 0 <= c < block.modulus for c in block.gen_coeffs[j]):
-                    raise EdtorusError(
-                        "BAD_INPUT", f"block {b}: coefficients must be integers reduced modulo its modulus"
-                    )
-                for i in range(block.dim):
-                    if A.apply(block.weights[i]) != tuple(block.weights[perm[i]]):
-                        raise EdtorusError(
-                            "BAD_INPUT",
-                            f"block {b}: weights are not permuted compatibly with the torus action",
-                        )
-        n = R.modulus
-        gens = [R.generator_action(j) for j in range(len(P.generators))]
-        self.canon = _CoeffCanon(R.weight_matrix(), n)
-        self.actions: list[tuple[Perm, Coeff] | None] = [None] * group.order
-        self.actions[group.identity] = (tuple(range(R.dim)), (0,) * R.dim)
-        for x, row in enumerate(group.right):
-            for g, y in enumerate(row):
-                perm, coeff = monomial_mul(self.actions[x], gens[g], n)
-                if self.actions[y] is None:
-                    self.actions[y] = perm, coeff
-                    continue
-                diff = tuple(a - b for a, b in zip(coeff, self.actions[y][1]))
-                if perm != self.actions[y][0] or (any(diff) and not self.canon.is_torsion_image(diff)):
+    def __init__(self, canon: _CoeffCanon, actions: list[tuple[Perm, Coeff]]):
+        self.canon = canon
+        self.actions = actions
+
+
+def _check_blocks(P: MonomialGroupPresentation, blocks, start: int = 0) -> None:
+    """Reject a block whose shape does not fit P, or whose weights the induced
+    matrices do not permute as its generators do; blocks are numbered from `start`."""
+    matrices = validate(P).induced_matrices
+    for b, block in enumerate(blocks, start):
+        if type(block.modulus) is not int or block.modulus < 1:
+            raise EdtorusError("BAD_INPUT", f"block {b}: modulus must be a positive integer")
+        if len(block.gen_perms) != len(matrices) or len(block.gen_coeffs) != len(matrices):
+            raise EdtorusError("BAD_INPUT", f"block {b}: one action per generator is required")
+        if any(len(w) != P.torus_rank for w in block.weights):
+            raise EdtorusError("BAD_INPUT", f"block {b}: weight length must equal torus rank")
+        for j, A in enumerate(matrices):
+            perm = block.gen_perms[j]
+            if sorted(perm) != list(range(block.dim)):
+                raise EdtorusError("BAD_INPUT", f"block {b}: generator {j} is not a permutation")
+            if len(block.gen_coeffs[j]) != block.dim:
+                raise EdtorusError("BAD_INPUT", f"block {b}: coefficient length mismatch")
+            if any(type(c) is not int or not 0 <= c < block.modulus for c in block.gen_coeffs[j]):
+                raise EdtorusError(
+                    "BAD_INPUT", f"block {b}: coefficients must be integers reduced modulo its modulus"
+                )
+            for i in range(block.dim):
+                if A.apply(block.weights[i]) != tuple(block.weights[perm[i]]):
                     raise EdtorusError(
                         "BAD_INPUT",
-                        f"blocks do not define a representation: class {x} times generator {g} "
-                        f"does not act as class {y}",
+                        f"block {b}: weights are not permuted compatibly with the torus action",
                     )
+
+
+def _walk(group: ComponentGroup, R: MonomialRep, canon: _CoeffCanon | None) -> list[tuple[Perm, Coeff]]:
+    """The action of each class on R, modulo R.modulus, taken on its tree edge
+    and checked on every other Cayley edge: the product must permute the lines
+    as the target class does, and its coefficients must differ from the
+    class's by a torus point through `canon` (by nothing when `canon` is None)."""
+    n = R.modulus
+    gens = [R.generator_action(j) for j in range(len(group.presentation.generators))]
+    actions: list = [None] * group.order
+    actions[group.identity] = (tuple(range(R.dim)), (0,) * R.dim)
+    for x, row in enumerate(group.right):
+        for g, y in enumerate(row):
+            perm, coeff = monomial_mul(actions[x], gens[g], n)
+            if actions[y] is None:
+                actions[y] = perm, coeff
+                continue
+            have_perm, have_coeff = actions[y]
+            if perm != have_perm or (
+                coeff != have_coeff
+                and (canon is None or not canon.is_torsion_image(tuple(a - b for a, b in zip(coeff, have_coeff))))
+            ):
+                raise EdtorusError(
+                    "BAD_INPUT",
+                    f"blocks do not define a representation: class {x} times generator {g} "
+                    f"does not act as class {y}",
+                )
+    return actions
+
+
+def _extend(group: ComponentGroup, base: RepRecord, R: MonomialRep, s: int) -> RepRecord:
+    """R's record from `base`, the record of its first s blocks, walking only
+    the later blocks, which have weight zero (see `ComponentGroup.rep_record`).
+    Both walks take each class on the tree edge a walk over all of R would, so
+    the actions are the ones it would give, and the first edge that fails is
+    the one it would name."""
+    P = group.presentation
+    _check_blocks(P, R.blocks[s:], start=s)
+    tail = MonomialRep(P, R.blocks[s:])
+    trailing = _walk(group, tail, None)
+    n = R.modulus
+    k = n // math.lcm(*(b.modulus for b in R.blocks[:s]))
+    kt = n // tail.modulus
+    offset = R.dim - tail.dim
+    actions = [
+        (perm + tuple(offset + i for i in tperm), tuple(c * k for c in coeff) + tuple(c * kt for c in tcoeff))
+        for (perm, coeff), (tperm, tcoeff) in zip(base.actions, trailing)
+    ]
+    return RepRecord(_CoeffCanon(R.weight_matrix(), n), actions)
 
 
 def _induced_matrix(P: MonomialGroupPresentation, dec: zlat.SmithDecomposition, perm: Perm) -> IntMatrix:
@@ -626,7 +704,7 @@ def _enumerate_group(P: MonomialGroupPresentation) -> ComponentGroup:
             elements.append(fresh[key])
         for row, j, key in pending:
             row[j] = index[key]
-    return ComponentGroup(P, elements, right, split)
+    return ComponentGroup(P, elements, right, split, canon)
 
 
 @lru_cache(maxsize=None)
@@ -700,17 +778,20 @@ def character_lattice_action(P: MonomialGroupPresentation):
     """The rank-d lattice with the matrix group F induces on it, cached as `validate` is.
     The weights span, so a matrix is fixed by how it permutes the distinct weight values:
     the image is closed as permutations, and its Cayley graph hands the lattice its order
-    and commutativity; the matrices are multiplied out only when they are read."""
+    and commutativity; the matrices are multiplied out only when they are read.  A generator's
+    matrix sends the weight of line i to that of line perm(i) (`validate` certified it), so its
+    permutation of the values is read off its line permutation."""
     from .symrank import FLattice
 
     group_order = component_group(P).order
     report = validate(P)
     values = sorted(set(P.weights))
     pos = {w: k for k, w in enumerate(values)}
+    line = {w: i for i, w in enumerate(P.weights)}  # a line of each value
     ident = tuple(range(len(values)))
     mats = {}
-    for A in report.induced_matrices:
-        mats.setdefault(tuple(pos[A.apply(w)] for w in values), m_as_tuple(A))
+    for (perm, _), A in zip(P.generators, report.induced_matrices):
+        mats.setdefault(tuple(pos[P.weights[perm[line[w]]]] for w in values), m_as_tuple(A))
     gens = sorted(g for g in mats if g != ident)
     # the matrix group is the image of F, so it never needs more than |F| elements
     image = closure(ident, gens, perm_compose, limit=group_order)

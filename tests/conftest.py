@@ -3,17 +3,19 @@
 import functools
 import itertools
 import random
+import types
 
 import numpy as np
 import pytest
 
-from edtorus import monogrp
+from edtorus import monogrp, zlat
 from edtorus.monogrp import (
     EdtorusError,
     MonomialGroupPresentation,
     _CoeffCanon,
     closure,
     component_group,
+    monomial_mul,
     natural_rep,
     perm_compose,
     perm_sign,
@@ -103,6 +105,39 @@ def ff_stabilizer_reference(P, R, q, trials, seed):
         inventory.append((counts[group.identity], tuple(i for i, c in enumerate(counts) if c)))
     k = orders.index(min(orders))
     return FFStabilizerReport(q, trials, seed, tuple(orders), orders[k], *inventory[k])
+
+
+def rep_record_reference(P, R):
+    """What `ComponentGroup.rep_record(R)` holds, from one walk over all of R's
+    lines: each class's action is taken on its breadth-first tree edge, and on
+    every other Cayley edge the product must permute as the target class does
+    and differ from it by a torus point, tested on the Smith cokernel residues
+    of all of R's weights, every kernel row in full.  Returns the actions, the
+    kernel rows and each class's residues; a failing edge raises as the record
+    does."""
+    group = component_group(P)
+    n = R.modulus
+    dec = zlat.smith_normal_form(R.weight_matrix())
+    rows = [dec.U.row(i) for i in range(dec.rank, dec.U.rows)]
+
+    def residues(coeff):
+        return tuple(sum(a * c for a, c in zip(u, coeff)) % n for u in rows)
+
+    gens = [R.generator_action(j) for j in range(len(P.generators))]
+    actions = [None] * group.order
+    actions[group.identity] = (tuple(range(R.dim)), (0,) * R.dim)
+    for x, row in enumerate(group.right):
+        for g, y in enumerate(row):
+            perm, coeff = monomial_mul(actions[x], gens[g], n)
+            if actions[y] is None:
+                actions[y] = perm, coeff
+            elif perm != actions[y][0] or any(residues(tuple(a - b for a, b in zip(coeff, actions[y][1])))):
+                raise EdtorusError(
+                    "BAD_INPUT",
+                    f"blocks do not define a representation: class {x} times generator {g} "
+                    f"does not act as class {y}",
+                )
+    return types.SimpleNamespace(actions=actions, rows=rows, residues=[residues(c) for _, c in actions])
 
 
 def orbit_reference(L, v):

@@ -142,6 +142,39 @@ class TestRepresentationCheck:
         # without the block the presentation itself is fine
         assert run(["stabilizer", path, "--rep", "natural"], capsys)[0] == EXIT_OK
 
+    @staticmethod
+    def so_2_with_tail(lines, perm, num, den):
+        """so_2.json plus a weight-zero block of `lines` lines, on which generator 0
+        acts by (perm, num/den) and the other generators trivially."""
+        doc = json.loads(Path(SO_2).read_text(encoding="utf-8"))
+        trivial = {"perm": list(range(1, lines + 1)), "coeff_num": [0] * lines, "coeff_den": [1] * lines}
+        gens = [{"perm": perm, "coeff_num": num, "coeff_den": den}] + [trivial] * (len(doc["generators"]) - 1)
+        doc["extra_blocks"] = [{"weights": [[0] * doc["torus_rank"]] * lines, "generators": gens}]
+        return doc
+
+    @pytest.mark.parametrize("natural_first", [True, False], ids=["natural_recorded", "nothing_recorded"])
+    @pytest.mark.parametrize(
+        "tail",
+        [(1, [1], [1], [3]), (3, [2, 3, 1], [0, 0, 0], [1, 1, 1])],
+        ids=["coefficient_third", "three_cycle"],
+    )
+    def test_zero_weight_tail_that_is_not_a_cocycle_rejected(
+        self, tmp_path, capsys, fresh_caches, natural_first, tail
+    ):
+        # generator 0 is an involution of F; on the tail it acts by 1/3, or by a
+        # 3-cycle, so its square is not the identity there.  Only the tail lines
+        # are checked when the natural block comes first, with or without its
+        # record, and the first failing edge is the one a walk over all lines names
+        path = write_json(tmp_path, self.so_2_with_tail(*tail))
+        if natural_first:
+            assert run(["stabilizer", path, "--rep", "natural"], capsys)[0] == EXIT_OK
+        code, out, err = run(["stabilizer", path, "--format", "json"], capsys)
+        assert (code, out) == (EXIT_INVALID, "")
+        assert json.loads(err) == {
+            "error": "BAD_INPUT",
+            "detail": "blocks do not define a representation: class 4 times generator 0 does not act as class 0",
+        }
+
 
 class TestCommandLineNumbers:
     @pytest.mark.parametrize(

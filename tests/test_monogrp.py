@@ -4,11 +4,13 @@ import dataclasses
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from edtorus import monogrp
+from edtorus.cli import load_presentation
 from edtorus.monogrp import (
     EdtorusError,
     MonomialGroupPresentation,
@@ -26,11 +28,21 @@ from edtorus.monogrp import (
     m_as_tuple,
     validate,
 )
-from edtorus.pipeline import _characters_generating_dual, sln_case, so_case
+from edtorus.pipeline import (
+    _characters_generating_dual,
+    _restricted_natural_block,
+    build_generically_free_extension,
+    sln_case,
+    so_case,
+    upper_witness_sln,
+)
+from edtorus.stab import is_p_faithful
 from edtorus.symrank import _mat_mul
 from edtorus.zlat import IntMatrix
 
-from conftest import class_of
+from conftest import class_of, rep_record_reference
+
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
 
 
 def _repeated_and_zero_weights():
@@ -625,6 +637,70 @@ class TestRepCompatibility:
         with pytest.raises(EdtorusError, match=match) as err:
             check_rep_compatible(so4_presentation, R)
         assert err.value.code == "BAD_INPUT"
+
+
+def _record_inputs():
+    """Presentations with the representations ed records on them: the golden
+    inputs with their file's blocks, the SL cases with the V `ed_case_sl`
+    takes (or the Sylow witness), the SO cases, and perturbed lifts."""
+    inputs = {}
+    for path in sorted(GOLDEN_INPUTS.glob("*.json")):
+        inputs[path.stem] = lambda path=path: load_presentation(str(path), "full")
+    for n in range(2, 9):
+        for p in (q for q in (2, 3, 5, 7) if q <= n):
+            inputs[f"sl_{n}_{p}"] = lambda n=n, p=p: _sl_case_rep(n, p)
+    for n in (1, 2, 3):
+        inputs[f"so_{n}"] = lambda n=n: (so_case(n).presentation, natural_rep(so_case(n).presentation))
+    # nonzero coefficients modulo e = p or p^2, below the characters' modulus |F|
+    for i, P in enumerate(_perturbed_case_presentations(24, seed=5)):
+        inputs[f"perturbed_{i}"] = lambda P=P: (P, natural_rep(P))
+    return inputs
+
+
+def _sl_case_rep(n, p):
+    case = sln_case(n, p)
+    P = case.presentation
+    if case.label in ("a", "b"):
+        return P, natural_rep(P)
+    if not component_group(P).is_abelian():
+        return P, upper_witness_sln(n, p).rep
+    keep = n - 1 if (case.label == "c" or n % 2 == 1) else n
+    return P, MonomialRep(presentation=P, blocks=(_restricted_natural_block(case, keep),))
+
+
+RECORD_INPUTS = _record_inputs()
+
+
+class TestRecordReuse:
+    """Records built from checks already made, against a walk over all lines."""
+
+    @pytest.mark.parametrize("name", sorted(RECORD_INPUTS))
+    def test_records_equal_a_full_walk(self, name, fresh_caches, monkeypatch):
+        P, V = RECORD_INPUTS[name]()
+        spanning = []  # reps a record walked over all of their lines
+        walk = monogrp._walk
+
+        def recording(group, R, canon):
+            if canon is not None:
+                spanning.append(R)
+            return walk(group, R, canon)
+
+        monkeypatch.setattr(monogrp, "_walk", recording)
+        reps = [natural_rep(P), V]
+        if component_group(P).is_abelian() and is_p_faithful(P, V).ok:
+            reps.append(build_generically_free_extension(P, V).rep)
+        for R in reps:
+            rec = check_rep_compatible(P, R)
+            ref = rep_record_reference(P, R)
+            assert rec.actions == ref.actions
+            assert rec.canon.rows == ref.rows
+            # the key keeps the residues of the rows that do not vanish mod n
+            kept = [i for i, u in enumerate(ref.rows) if any(a % R.modulus for a in u)]
+            assert [rec.canon.canon(c) for _, c in rec.actions] == [tuple(r[i] for i in kept) for r in ref.residues]
+        # the natural record is the enumeration's, and an extension of a
+        # recorded V walks only its character lines
+        assert natural_rep(P) not in spanning
+        assert all(R not in spanning for R in reps[2:])
 
 
 class TestAbelianDecomposition:

@@ -133,22 +133,57 @@ class TestOnePass:
         counts = {}
         self.count_calls(monkeypatch, [stab, pipeline, cli], "generic_stabilizer", counts)
         self.count_calls(monkeypatch, [zlat], "smith_normal_form", counts)
-        self.count_calls(monkeypatch, [monogrp.RepRecord], "__init__", counts)
+        walks = self.record_walks(monkeypatch)
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["ed", self.SO_2, "--format", "json"]) == 0
         assert counts["generic_stabilizer"] <= 2
         assert counts["smith_normal_form"] <= 18
-        # the block and relation checks run once per representation: V and its extension
-        assert counts["__init__"] == 2
+        # V is the natural representation, whose record is the enumeration's, and
+        # its extension walks only the appended character lines: no record walks
+        # all of a representation's lines
+        assert walks == [False]
+
+    @staticmethod
+    def record_walks(monkeypatch) -> list[bool]:
+        """For each record walk, whether it spans all of its rep's lines."""
+        walks = []
+        walk = monogrp._walk
+
+        def recording(group, R, canon):
+            walks.append(canon is not None)
+            return walk(group, R, canon)
+
+        monkeypatch.setattr(monogrp, "_walk", recording)
+        return walks
+
+    @staticmethod
+    def product_lines(monkeypatch, n) -> tuple[int, list[int]]:
+        """The Cayley edges of `ed case so n`, and the lines of each `monomial_mul` it makes."""
+        lines = []
+        mul = monogrp.monomial_mul
+
+        def counting(a, b, modulus):
+            lines.append(len(a[0]))
+            return mul(a, b, modulus)
+
+        monkeypatch.setattr(monogrp, "monomial_mul", counting)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["ed", "case", "so", str(n), "--format", "json"]) == 0
+        return 4**n * 2 * n, lines  # |F| = 4^n with 2n generators
 
     def test_one_product_per_cayley_edge_per_object(self, fresh_caches, monkeypatch):
-        counts = {}
-        self.count_calls(monkeypatch, [monogrp], "monomial_mul", counts)
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert cli.main(["ed", "case", "so", "2", "--format", "json"]) == 0
-        # |F| = 16 with 4 generators: 64 edges, walked by the enumeration (which
-        # also finds the split witness) and by the records of V and its extension
-        assert counts["monomial_mul"] == 3 * 64
+        # 64 edges, walked by the enumeration (which also finds the split
+        # witness) and by the extension's record on its character lines
+        edges, lines = self.product_lines(monkeypatch, 2)
+        assert len(lines) == 2 * 64 == 2 * edges
+
+    def test_only_the_enumeration_multiplies_all_lines(self, fresh_caches, monkeypatch):
+        # V is natural, so its record multiplies nothing, and the extension's
+        # record multiplies only its 3 character lines
+        edges, lines = self.product_lines(monkeypatch, 3)
+        assert lines.count(12) == edges == 384
+        assert lines.count(3) == edges
+        assert len(lines) == 2 * edges
 
     def test_normal_forms_stay_small(self, fresh_caches, monkeypatch):
         # the component-group relations are folded to a Hermite basis, so no
