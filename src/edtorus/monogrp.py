@@ -76,8 +76,9 @@ def closure(identity, gens, mul, limit: int | None = None) -> list | None:
     """Elements of the monoid generated by `gens`, in breadth-first discovery order.
 
     Each new element is found as mul(x, g) for an earlier element x and a
-    generator g.  Returns None as soon as more than `limit` elements would be
-    needed; for a finite group the monoid is the group itself.
+    generator g; mul runs on each element in discovery order times each generator
+    in order, so it can record the right Cayley graph.  Returns None as soon as more
+    than `limit` elements would be needed; for a finite group the monoid is the group.
     """
     seen = {identity: None}  # insertion-ordered: the discovery order
     frontier = [identity]
@@ -158,6 +159,8 @@ class MonomialGroupPresentation:
         for w in self.weights:
             if len(w) != self.torus_rank:
                 raise EdtorusError("BAD_INPUT", "weight length must equal torus rank")
+            if any(type(x) is not int for x in w):
+                raise EdtorusError("BAD_INPUT", "weight entries must be integers")
         for perm, coeff in self.generators:
             if sorted(perm) != list(range(m)):
                 raise EdtorusError("BAD_INPUT", "generator permutation is not a permutation of the lines")
@@ -553,7 +556,10 @@ def _check_blocks(P: MonomialGroupPresentation, blocks, start: int = 0) -> None:
             raise EdtorusError("BAD_INPUT", f"block {b}: one action per generator is required")
         if any(len(w) != P.torus_rank for w in block.weights):
             raise EdtorusError("BAD_INPUT", f"block {b}: weight length must equal torus rank")
+        if any(type(x) is not int for w in block.weights for x in w):
+            raise EdtorusError("BAD_INPUT", f"block {b}: weight entries must be integers")
         for j, A in enumerate(matrices):
+            rows = A.to_rows()
             perm = block.gen_perms[j]
             if sorted(perm) != list(range(block.dim)):
                 raise EdtorusError("BAD_INPUT", f"block {b}: generator {j} is not a permutation")
@@ -563,8 +569,8 @@ def _check_blocks(P: MonomialGroupPresentation, blocks, start: int = 0) -> None:
                 raise EdtorusError(
                     "BAD_INPUT", f"block {b}: coefficients must be integers reduced modulo its modulus"
                 )
-            for i in range(block.dim):
-                if A.apply(block.weights[i]) != tuple(block.weights[perm[i]]):
+            for i, w in enumerate(block.weights):  # A w over the nonzero entries of w
+                if tuple(sum(row[k] * x for k, x in enumerate(w) if x) for row in rows) != tuple(block.weights[perm[i]]):
                     raise EdtorusError(
                         "BAD_INPUT",
                         f"block {b}: weights are not permuted compatibly with the torus action",
@@ -620,41 +626,40 @@ def _extend(group: ComponentGroup, base: RepRecord, R: MonomialRep, s: int) -> R
     return RepRecord(_CoeffCanon(R.weight_matrix(), n), actions)
 
 
-def _induced_matrix(P: MonomialGroupPresentation, dec: zlat.SmithDecomposition, perm: Perm) -> IntMatrix:
-    """The unique A in GL_d(Z) with w_{perm(i)} = A w_i, if it exists; `dec` is
-    the Smith form of the d x m matrix whose columns are the weights, of rank d."""
+def _induced_matrices(P: MonomialGroupPresentation, dec: zlat.SmithDecomposition, perms: list[Perm]) -> tuple[IntMatrix, ...]:
+    """For each line permutation, the A in GL_d(Z) with A w_i = w_{perm(i)} for every
+    line i; raises NO_INDUCED_ACTION at the first that has none.  `dec` is the Smith
+    form U W V = D of the m x d weight rows W, of rank d.  With T the image rows, A
+    solves W A^T = T exactly when D Y = U T for Y = V^-1 A^T: the rows of U T past d
+    vanish, its first d rows are divisible by the invariant factors, and A^T = V Y.
+    Such an A is unimodular: it permutes the spanning weights, so it maps their
+    lattice L onto itself, and [Z^d : L] = |det A| [Z^d : L] gives det A = +-1."""
     d = P.torus_rank
-    m = P.num_lines
-    # d x m with columns w_{perm(i)}; shaped explicitly, as d may be 0
-    target = IntMatrix(d, m, tuple(P.weights[perm[i]][r] for r in range(d) for i in range(m)))
-    B = target @ dec.V
-    c_rows = [[0] * d for _ in range(d)]
-    for i in range(d):
-        di = dec.D.at(i, i)
-        for r in range(d):
-            val = B.at(r, i)
-            if val % di != 0:
-                raise EdtorusError(
-                    "NO_INDUCED_ACTION", "no integral matrix maps the weights onto their images"
-                )
-            c_rows[r][i] = val // di
-    for j in range(d, m):
-        for r in range(d):
-            if B.at(r, j) != 0:
-                raise EdtorusError(
-                    "NO_INDUCED_ACTION", "weight images violate the defining relations"
-                )
-    A = IntMatrix.from_rows(c_rows) @ dec.U
-    # must be an exact solution and unimodular
-    for i in range(m):
-        if A.apply(P.weights[i]) != tuple(P.weights[perm[i]]):
+    u_terms = [[(i, a) for i, a in enumerate(dec.U.row(k)) if a] for k in range(dec.U.rows)]
+    v_terms = [[(k, a) for k, a in enumerate(dec.V.row(c)) if a] for c in range(d)]
+    w_terms = [[(r, x) for r, x in enumerate(w) if x] for w in P.weights]
+    factors = dec.invariant_factors[:d]
+    out = []
+    for perm in perms:
+        ut = [[0] * d for _ in u_terms]  # U T, over the nonzero entries of U and T
+        for row, terms in zip(ut, u_terms):
+            for i, a in terms:
+                for r, x in w_terms[perm[i]]:
+                    row[r] += a * x
+        if any(any(row) for row in ut[d:]):
+            raise EdtorusError("NO_INDUCED_ACTION", "weight images violate the defining relations")
+        if any(x % f for row, f in zip(ut, factors) for x in row):
             raise EdtorusError("NO_INDUCED_ACTION", "no integral matrix maps the weights onto their images")
-    prod = 1
-    for f in zlat.smith_normal_form(A).invariant_factors:
-        prod *= f
-    if prod != 1:
-        raise EdtorusError("NO_INDUCED_ACTION", "induced matrix is not unimodular")
-    return A
+        y = [[x // f for x in row] for row, f in zip(ut, factors)]
+        # A[r][c] = (V Y)[c][r]
+        out.append(IntMatrix(d, d, tuple(sum(a * y[k][r] for k, a in vt) for r in range(d) for vt in v_terms)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _coset_key(P: MonomialGroupPresentation) -> _CoeffCanon:
+    """The coset key of P's weights; its Smith form also serves `validate`."""
+    return _CoeffCanon(P.weight_matrix(), P.root_of_unity_exponent)
 
 
 @lru_cache(maxsize=None)
@@ -667,7 +672,7 @@ def _enumerate_group(P: MonomialGroupPresentation) -> ComponentGroup:
     when each edge's literal product is the stored one of its target class."""
     m = P.num_lines
     e = P.root_of_unity_exponent
-    canon = _CoeffCanon(P.weight_matrix(), e)
+    canon = _coset_key(P)
     ident = GroupElement(perm=tuple(range(m)), coeff=(0,) * m, word=())
     elements = [ident]
     index = {(ident.perm, canon.canon(ident.coeff)): 0}
@@ -724,16 +729,12 @@ def validate(P: MonomialGroupPresentation) -> ValidationReport:
             diagnostics=tuple(diagnostics),
         )
 
-    dec = zlat.smith_normal_form(P.weight_matrix().transpose())  # d x m, columns are weights
+    dec = _coset_key(P).dec
     if dec.rank < P.torus_rank:
         return failure("RANK_DEFICIENT", "weights span rank < torus rank; the torus would act with infinite kernel")
 
     try:
-        matrices = tuple(_induced_matrix(P, dec, perm) for perm, _ in P.generators)
-    except EdtorusError as exc:
-        return failure(exc.code, exc.detail)
-
-    try:
+        matrices = _induced_matrices(P, dec, [perm for perm, _ in P.generators])
         group = _enumerate_group(P)
     except EdtorusError as exc:
         return failure(exc.code, exc.detail)
@@ -777,7 +778,7 @@ def component_group(P: MonomialGroupPresentation) -> ComponentGroup:
 def character_lattice_action(P: MonomialGroupPresentation):
     """The rank-d lattice with the matrix group F induces on it, cached as `validate` is.
     The weights span, so a matrix is fixed by how it permutes the distinct weight values:
-    the image is closed as permutations, and its Cayley graph hands the lattice its order
+    the image is closed as permutations, recording its Cayley graph, which hands the lattice its order
     and commutativity; the matrices are multiplied out only when they are read.  A generator's
     matrix sends the weight of line i to that of line perm(i) (`validate` certified it), so its
     permutation of the values is read off its line permutation."""
@@ -793,12 +794,19 @@ def character_lattice_action(P: MonomialGroupPresentation):
     for (perm, _), A in zip(P.generators, report.induced_matrices):
         mats.setdefault(tuple(pos[P.weights[perm[line[w]]]] for w in values), m_as_tuple(A))
     gens = sorted(g for g in mats if g != ident)
+    products = []  # x g for each image element x in discovery order, then each g
+
+    def step(x, g):
+        products.append(perm_compose(x, g))
+        return products[-1]
+
     # the matrix group is the image of F, so it never needs more than |F| elements
-    image = closure(ident, gens, perm_compose, limit=group_order)
+    image = closure(ident, gens, step, limit=group_order)
     if image is None or group_order % len(image) != 0:
         raise EdtorusError("INTERNAL", "lattice action order must divide the component order")
     index = {x: i for i, x in enumerate(image)}
-    right = [[index[perm_compose(x, g)] for g in gens] for x in image]
+    edges = iter(products)
+    right = [[index[next(edges)] for _ in gens] for _ in image]
     return FLattice(rank=P.torus_rank, generators=tuple(mats[g] for g in gens), right=right)
 
 

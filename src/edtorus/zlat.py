@@ -70,14 +70,6 @@ class IntMatrix:
                 flat.append(sum(ra[k] * b[k][j] for k in range(self.cols)))
         return IntMatrix(self.rows, other.cols, tuple(flat))
 
-    def apply(self, vec):
-        """Matrix times an integer column vector."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        return tuple(
-            sum(self.at(i, j) * vec[j] for j in range(self.cols)) for i in range(self.rows)
-        )
-
     def is_identity(self) -> bool:
         return self.rows == self.cols and all(
             self.at(i, j) == (1 if i == j else 0)

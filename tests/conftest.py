@@ -1,6 +1,5 @@
 """Shared fixture presentations and reference helpers used across the suite."""
 
-import functools
 import itertools
 import random
 import types
@@ -12,7 +11,6 @@ from edtorus import monogrp, zlat
 from edtorus.monogrp import (
     EdtorusError,
     MonomialGroupPresentation,
-    _CoeffCanon,
     closure,
     component_group,
     monomial_mul,
@@ -35,16 +33,11 @@ def lattice(rank, generators):
     return FLattice(rank, generators, right)
 
 
-@functools.lru_cache(maxsize=None)
-def _coset_key(P):
-    return _CoeffCanon(P.weight_matrix(), P.root_of_unity_exponent)
-
-
 def class_of(group, pair):
     """Index of the class of the literal monomial pair (perm, coefficients):
     the element with the same permutation and the same torus coset key."""
     perm, coeff = pair
-    canon = _coset_key(group.presentation)
+    canon = monogrp._coset_key(group.presentation)
     key = canon.canon(coeff)
     for i, el in enumerate(group.elements):
         if el.perm == perm and canon.canon(el.coeff) == key:
@@ -107,6 +100,34 @@ def ff_stabilizer_reference(P, R, q, trials, seed):
     return FFStabilizerReport(q, trials, seed, tuple(orders), orders[k], *inventory[k])
 
 
+def induced_matrix_reference(P, perm):
+    """The A in GL_d(Z) with A w_i = w_{perm(i)} for every line i, solved on the
+    Smith form of the d x m matrix whose columns are the weights (of rank d),
+    checked by multiplying it back onto every weight and by its own Smith form
+    for unimodularity.  Raises NO_INDUCED_ACTION when there is no such A."""
+    d, m = P.torus_rank, P.num_lines
+    dec = zlat.smith_normal_form(P.weight_matrix().transpose())
+    # d x m with columns w_{perm(i)}; shaped explicitly, as d may be 0
+    target = zlat.IntMatrix(d, m, tuple(P.weights[perm[i]][r] for r in range(d) for i in range(m)))
+    B = target @ dec.V
+    c_rows = [[0] * d for _ in range(d)]
+    for i in range(d):
+        di = dec.D.at(i, i)
+        for r in range(d):
+            if B.at(r, i) % di != 0:
+                raise EdtorusError("NO_INDUCED_ACTION", "no integral matrix maps the weights onto their images")
+            c_rows[r][i] = B.at(r, i) // di
+    if any(B.at(r, j) for j in range(d, m) for r in range(d)):
+        raise EdtorusError("NO_INDUCED_ACTION", "weight images violate the defining relations")
+    A = zlat.IntMatrix(d, d, tuple(x for row in c_rows for x in row)) @ dec.U
+    for w, image in zip(P.weights, (P.weights[j] for j in perm)):
+        if tuple(sum(A.at(r, k) * w[k] for k in range(d)) for r in range(d)) != tuple(image):
+            raise EdtorusError("NO_INDUCED_ACTION", "no integral matrix maps the weights onto their images")
+    if any(f != 1 for f in zlat.smith_normal_form(A).invariant_factors):
+        raise EdtorusError("NO_INDUCED_ACTION", "induced matrix is not unimodular")
+    return A
+
+
 def rep_record_reference(P, R):
     """What `ComponentGroup.rep_record(R)` holds, from one walk over all of R's
     lines: each class's action is taken on its breadth-first tree edge, and on
@@ -164,7 +185,7 @@ def orbits_reference(L, B):
 def fresh_caches():
     """Empty the per-presentation caches before the test and again after it,
     so that what it computes, or a patched element cap, stays inside it."""
-    cached = (monogrp.validate, monogrp._enumerate_group, monogrp.character_lattice_action)
+    cached = (monogrp.validate, monogrp._coset_key, monogrp._enumerate_group, monogrp.character_lattice_action)
     for fn in cached:
         fn.cache_clear()
     yield

@@ -1,5 +1,6 @@
 """Presentation validation, component groups, lattice actions, character blocks."""
 
+import collections
 import dataclasses
 import itertools
 import random
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from edtorus import monogrp
+from edtorus import monogrp, zlat
 from edtorus.cli import load_presentation
 from edtorus.monogrp import (
     EdtorusError,
@@ -40,7 +41,7 @@ from edtorus.stab import is_p_faithful
 from edtorus.symrank import _mat_mul
 from edtorus.zlat import IntMatrix
 
-from conftest import class_of, rep_record_reference
+from conftest import class_of, induced_matrix_reference, rep_record_reference
 
 GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
 
@@ -101,17 +102,56 @@ class TestValidate:
         g = class_of(group, sl2_normalizer.generators[0])
         assert group.mul(g, g) == group.identity
 
-    def test_no_induced_action(self):
-        P = MonomialGroupPresentation(
+    @staticmethod
+    def swapped(weights):
+        """The two given weights, swapped by the one generator."""
+        return MonomialGroupPresentation(
             p=2,
-            torus_rank=1,
+            torus_rank=len(weights[0]),
             root_of_unity_exponent=1,
-            weights=((1,), (2,)),
+            weights=weights,
             generators=(((1, 0), (0, 0)),),
         )
-        report = validate(P)
+
+    def test_no_induced_action(self):
+        # 2 w_0 - w_1 = 0 holds of the weights and fails of their images
+        report = validate(self.swapped(((1,), (2,))))
         assert not report.ok
-        assert report.error == "NO_INDUCED_ACTION"
+        assert (report.error, report.detail) == ("NO_INDUCED_ACTION", "weight images violate the defining relations")
+
+    def test_no_integral_induced_action(self):
+        # no relation to violate, but A (2, 0) = (0, 1) has no integral solution A
+        report = validate(self.swapped(((2, 0), (0, 1))))
+        assert not report.ok
+        assert (report.error, report.detail) == (
+            "NO_INDUCED_ACTION",
+            "no integral matrix maps the weights onto their images",
+        )
+
+    @pytest.mark.parametrize(
+        "load",
+        [lambda: sln_case(9, 2).presentation, lambda: load_presentation(str(GOLDEN_INPUTS / "so_2.json"), "full")[0]],
+        ids=["case_sl_9_2", "so_2"],
+    )
+    def test_one_smith_form_per_presentation(self, load, fresh_caches, monkeypatch):
+        """The rank test, every induced matrix and the enumeration's coset key
+        read one Smith form of the weights, and no matrix product is taken."""
+        P = load()
+        calls = collections.Counter()
+        smith, matmul = zlat.smith_normal_form, IntMatrix.__matmul__
+
+        def counting_smith(M):
+            calls["smith_normal_form"] += 1
+            return smith(M)
+
+        def counting_matmul(a, b):
+            calls["__matmul__"] += 1
+            return matmul(a, b)
+
+        monkeypatch.setattr(zlat, "smith_normal_form", counting_smith)
+        monkeypatch.setattr(IntMatrix, "__matmul__", counting_matmul)
+        assert validate(P).ok
+        assert calls == {"smith_normal_form": 1}
 
     def test_not_p_group(self):
         P = MonomialGroupPresentation(
@@ -184,6 +224,18 @@ class TestValidate:
             presentation_from_json(doc)
         assert err.value.code == "BAD_INPUT"
 
+    @pytest.mark.parametrize("weights", [((1.5,), (-1.5,)), ((True,), (-1,))], ids=["fraction", "bool"])
+    def test_weight_entries_must_be_integers(self, weights):
+        with pytest.raises(EdtorusError, match="weight entries must be integers") as err:
+            MonomialGroupPresentation(
+                p=2,
+                torus_rank=1,
+                root_of_unity_exponent=1,
+                weights=weights,
+                generators=(((1, 0), (0, 0)),),
+            )
+        assert err.value.code == "BAD_INPUT"
+
     @pytest.mark.parametrize("c", [-1, 2, Fraction(1, 2)])
     def test_coefficients_must_be_reduced_modulo_e(self, c):
         with pytest.raises(EdtorusError, match="integers reduced modulo e") as err:
@@ -210,6 +262,42 @@ def _perturbed_case_presentations(count: int, seed: int):
         coeffs = [tuple(rng.randrange(e) if rng.random() < 0.3 else 0 for _ in perm) for perm, _ in P.generators]
         gens = tuple((perm, c) for (perm, _), c in zip(P.generators, coeffs))
         yield dataclasses.replace(P, root_of_unity_exponent=e, generators=gens)
+
+
+class TestInducedMatrix:
+    """`validate`'s induced matrices, solved on the Smith form of the weight
+    rows, against `induced_matrix_reference`: the same matrix, or both refuse."""
+
+    @staticmethod
+    def presentations():
+        out = [load_presentation(str(path), "full")[0] for path in sorted(GOLDEN_INPUTS.glob("*.json"))]
+        out += [sln_case(n, p).presentation for n in range(2, 13) for p in (2, 3, 5, 7) if p <= n]
+        out += [so_case(n).presentation for n in range(1, 5)]
+        return out + list(_perturbed_case_presentations(120, seed=17))
+
+    def test_matches_reference(self):
+        rng = random.Random(11)
+        outcomes = collections.Counter()
+        for P in self.presentations():
+            dec = zlat.smith_normal_form(P.weight_matrix())
+            assert dec.rank == P.torus_rank
+            m = P.num_lines
+            # the generators, and random line permutations, most of them invalid
+            perms = [perm for perm, _ in P.generators] + [tuple(rng.sample(range(m), m)) for _ in range(3)]
+            for perm in perms:
+                try:
+                    want = induced_matrix_reference(P, perm)
+                except EdtorusError as exc:
+                    assert exc.code == "NO_INDUCED_ACTION"
+                    with pytest.raises(EdtorusError) as err:
+                        monogrp._induced_matrices(P, dec, [perm])
+                    assert err.value.code == "NO_INDUCED_ACTION"
+                    outcomes["refused"] += 1
+                    continue
+                assert monogrp._induced_matrices(P, dec, [perm]) == (want,)
+                assert all(f == 1 for f in zlat.smith_normal_form(want).invariant_factors)
+                outcomes["solved"] += 1
+        assert outcomes["refused"] > 100 and outcomes["solved"] > 100, outcomes
 
 
 class TestOneWalk:
@@ -503,6 +591,21 @@ class TestCharacterLattice:
         assert len(L.matrices) == L.order
         assert calls <= L.order
 
+    def test_one_permutation_product_per_edge(self, monkeypatch):
+        P = sln_case(16, 2).presentation
+        component_group(P)  # the enumeration composes permutations too
+        calls = 0
+
+        def counting_compose(p1, p2):
+            nonlocal calls
+            calls += 1
+            return perm_compose(p1, p2)
+
+        monkeypatch.setattr(monogrp, "perm_compose", counting_compose)
+        L = character_lattice_action.__wrapped__(P)  # past the cache: a fresh build
+        assert L.order == 256
+        assert calls == L.order * len(L.generators)
+
     def test_cached_per_presentation(self, so4_presentation):
         L = character_lattice_action(so4_presentation)
         assert character_lattice_action(so4_presentation) is L
@@ -628,8 +731,10 @@ class TestRepCompatibility:
             ("one action per generator", lambda b: dict(gen_perms=b.gen_perms[:-1], gen_coeffs=b.gen_coeffs[:-1])),
             ("one action per generator", lambda b: dict(gen_perms=b.gen_perms * 2, gen_coeffs=b.gen_coeffs * 2)),
             ("weight length", lambda b: dict(weights=tuple(w + (0,) for w in b.weights))),
+            ("weight entries must be integers", lambda b: dict(weights=((0.5,) + b.weights[0][1:],) + b.weights[1:])),
+            ("weight entries must be integers", lambda b: dict(weights=(b.weights[0][:-1] + (True,),) + b.weights[1:])),
         ],
-        ids=["fewer_actions", "extra_actions", "long_weights"],
+        ids=["fewer_actions", "extra_actions", "long_weights", "fractional_weight", "bool_weight"],
     )
     def test_misshapen_block_rejected(self, so4_presentation, match, change):
         block = natural_rep(so4_presentation).blocks[0]
