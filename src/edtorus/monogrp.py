@@ -96,25 +96,28 @@ def closure(identity, gens, mul, limit: int | None = None) -> list | None:
     return list(seen)
 
 
-def perm_inverse(p: Perm) -> Perm:
-    inv = [0] * len(p)
-    for i, x in enumerate(p):
-        inv[x] = i
-    return tuple(inv)
-
-
 def perm_compose(p1: Perm, p2: Perm) -> Perm:
     """p1 after p2 (apply p2 first)."""
-    return tuple(p1[x] for x in p2)
+    return tuple(map(p1.__getitem__, p2))
 
 
 def monomial_mul(a: tuple[Perm, Coeff], b: tuple[Perm, Coeff], n: int) -> tuple[Perm, Coeff]:
-    """Product of monomial maps: (s1,c1)(s2,c2) = (s1 s2, c1 + s1.c2), coefficients mod n."""
+    """Product of monomial maps: (s1,c1)(s2,c2) = (s1 s2, c1 + s1.c2), coefficients mod n.
+
+    Both coefficient vectors must be reduced mod n.  Entry j of c2 lands on line
+    s1(j), so only c2's nonzero entries are added, and c1 is returned as it is
+    when c2 is zero (every even SL lift, every SO generator)."""
     p1, c1 = a
     p2, c2 = b
-    inv1 = perm_inverse(p1)
-    coeff = tuple((c1[i] + c2[inv1[i]]) % n for i in range(len(c1)))
-    return perm_compose(p1, p2), coeff
+    perm = tuple(map(p1.__getitem__, p2))
+    if not any(c2):
+        return perm, c1
+    coeff = list(c1)
+    for j, x in enumerate(c2):
+        if x:
+            i = p1[j]
+            coeff[i] = (coeff[i] + x) % n
+    return perm, tuple(coeff)
 
 
 def perm_cycles(p: Perm) -> list[tuple[int, ...]]:
@@ -457,7 +460,6 @@ class ComponentGroup:
         dec = zlat.smith_normal_form(IntMatrix.from_rows(relations).transpose())  # columns are relations
         if dec.rank != s:
             raise EdtorusError("INTERNAL", "relation lattice of a finite group must have full rank")
-        uinv = zlat.unimodular_inverse(dec.U)
         h_orders = [self.element_order(h) for h in hs]
         basis = []
         orders = []
@@ -465,7 +467,13 @@ class ComponentGroup:
             d = dec.invariant_factors[i]
             if d == 1:
                 continue
-            col = uinv.column(i)
+            # U M V = D for M the relation columns, so M V = U^-1 D: column i of
+            # U^-1 is column i of M V divided by d_i, which is nonzero at rank s
+            v = dec.V.column(i)
+            col = [sum(rel[t] * a for rel, a in zip(relations, v)) for t in range(s)]
+            if any(x % d for x in col):
+                raise EdtorusError("INTERNAL", "relation columns must be divisible by their invariant factor")
+            col = [x // d for x in col]
             g = self.identity
             for t, exp in enumerate(col):
                 g = self.mul(g, self.power(hs[t], exp % h_orders[t]))

@@ -3,7 +3,7 @@
 For a point with all coordinates nonzero and multiplicatively independent,
 the stabilizer splits into a torus part (the kernel of the torus action) and
 a set of component classes that can be corrected back onto the point by a
-torus element.  The class test is the cycle criterion implemented here:
+torus element.  The class test is the cycle criterion:
 
     a class (sigma, c) fixes a generic point up to the torus iff for every
     basis vector u of the saturated kernel K of the transposed weight matrix,
@@ -15,6 +15,11 @@ generic coordinates; what remains is exactly the solvability of the torus
 correction: condition (i) says the obstruction character is torus-trivial on
 the generic part, condition (ii) kills the root-of-unity residue.  The
 finite-field module provides the independent brute-force check.
+
+Read line by line, (i) says sigma preserves each line's kernel profile, the
+tuple (u_i for u in the basis), and (ii) says c has coset key 0: the key's
+terms are exactly the basis rows reduced mod n.  So neither the cycles of
+sigma nor a dot product per basis row is formed.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ from .monogrp import (
     check_rep_compatible,
     component_group,
     natural_rep,
-    perm_cycles,
 )
 from .zlat import FiniteAbelianStructure
 
@@ -58,18 +62,6 @@ class StabilizerReport(NamedTuple):
 class Witnessed(NamedTuple):
     ok: bool
     witness: str | None
-
-
-def _class_passes(perm, coeff, kernel_basis, n: int) -> bool:
-    cycles = perm_cycles(perm)
-    for u in kernel_basis:
-        for cyc in cycles:
-            first = u[cyc[0]]
-            if any(u[i] != first for i in cyc[1:]):
-                return False
-        if sum(ui * ci for ui, ci in zip(u, coeff)) % n != 0:
-            return False
-    return True
 
 
 def _torus_part(P: MonomialGroupPresentation, rec: RepRecord) -> FiniteAbelianStructure:
@@ -113,10 +105,12 @@ def generic_stabilizer(P: MonomialGroupPresentation, R: MonomialRep | None = Non
     group = component_group(P)
     # the coset key's rows, the rows of U past the rank for U W V = D the Smith
     # form of the weights, span the saturated kernel of the transposed weights
+    rows = rec.canon.rows
+    profile = [tuple(u[i] for u in rows) for i in range(R.dim)]
     image = tuple(
         idx
-        for idx, (perm, coeff) in enumerate(group.rep_actions(R))
-        if _class_passes(perm, coeff, rec.canon.rows, R.modulus)
+        for idx, (perm, coeff) in enumerate(rec.actions)
+        if list(map(profile.__getitem__, perm)) == profile and rec.canon.is_torsion_image(coeff)
     )
     if not group.is_subgroup(image):
         raise EdtorusError("INTERNAL", "cycle criterion must cut out a subgroup")

@@ -1,8 +1,8 @@
 """Exact integer-lattice engine.
 
-Smith and Hermite normal forms, unimodular inverses, integer kernels, and
-finite abelian structures.  Everything here is exact: Python integers
-(arbitrary precision), no floating point.
+Smith and Hermite normal forms, integer kernels, and finite abelian
+structures.  Everything here is exact: Python integers (arbitrary
+precision), no floating point.
 """
 
 from __future__ import annotations
@@ -69,13 +69,6 @@ class IntMatrix:
             for j in range(other.cols):
                 flat.append(sum(ra[k] * b[k][j] for k in range(self.cols)))
         return IntMatrix(self.rows, other.cols, tuple(flat))
-
-    def is_identity(self) -> bool:
-        return self.rows == self.cols and all(
-            self.at(i, j) == (1 if i == j else 0)
-            for i in range(self.rows)
-            for j in range(self.cols)
-        )
 
 
 @dataclass(frozen=True)
@@ -254,14 +247,6 @@ def hermite_normal_form(rows: list[list[int]], ncols: int) -> list[list[int]]:
         if r_idx == nrows:
             break
     return [r for r in h[:r_idx]]
-
-
-def unimodular_inverse(M: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix."""
-    dec = smith_normal_form(M)
-    if not dec.D.is_identity():
-        raise ValueError("matrix is not unimodular")
-    return dec.V @ dec.U
 
 
 def integer_kernel_basis(M: IntMatrix) -> list[tuple[int, ...]]:

@@ -1,8 +1,10 @@
 """Shared fixture presentations and reference helpers used across the suite."""
 
+import dataclasses
 import itertools
 import random
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,17 +13,27 @@ from edtorus import monogrp, zlat
 from edtorus.monogrp import (
     EdtorusError,
     MonomialGroupPresentation,
+    MonomialRep,
     closure,
     component_group,
-    monomial_mul,
     natural_rep,
     perm_compose,
+    perm_cycles,
     perm_sign,
 )
 from edtorus.oracle import FFStabilizerReport, _primitive_root
-from edtorus.pipeline import make_sl_presentation, so_case
-from edtorus.stab import generic_stabilizer
+from edtorus.pipeline import (
+    _restricted_natural_block,
+    build_generically_free_extension,
+    make_sl_presentation,
+    sln_case,
+    so_case,
+    upper_witness_sln,
+)
+from edtorus.stab import generic_stabilizer, is_p_faithful
 from edtorus.symrank import FLattice, _identity, _mat_mul
+
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
 
 
 def lattice(rank, generators):
@@ -31,6 +43,81 @@ def lattice(rank, generators):
     index = {x: i for i, x in enumerate(elements)}
     right = [[index[_mat_mul(x, g)] for g in generators] for x in elements]
     return FLattice(rank, generators, right)
+
+
+def perturbed_case_presentations(count: int, seed: int):
+    """Case-study generators with random coefficients modulo e = p or p^2.  The
+    classes that fix every line then form a p-group, so F stays a p-group and
+    every presentation is valid; some of the lifts split and some do not."""
+    rng = random.Random(seed)
+    bases = [sln_case(n, p).presentation for n, p in ((3, 3), (4, 2), (5, 2), (6, 2), (6, 3))]
+    bases += [so_case(1).presentation, so_case(2).presentation]
+    for _ in range(count):
+        P = rng.choice(bases)
+        e = P.p ** rng.randint(1, 2)
+        coeffs = [tuple(rng.randrange(e) if rng.random() < 0.3 else 0 for _ in perm) for perm, _ in P.generators]
+        gens = tuple((perm, c) for (perm, _), c in zip(P.generators, coeffs))
+        yield dataclasses.replace(P, root_of_unity_exponent=e, generators=gens)
+
+
+def sl_case_rep(n, p):
+    """The SL case with the V `ed_case_sl` takes, or the Sylow witness."""
+    case = sln_case(n, p)
+    P = case.presentation
+    if case.label in ("a", "b"):
+        return P, natural_rep(P)
+    if not component_group(P).is_abelian():
+        return P, upper_witness_sln(n, p).rep
+    keep = n - 1 if (case.label == "c" or n % 2 == 1) else n
+    return P, MonomialRep(presentation=P, blocks=(_restricted_natural_block(case, keep),))
+
+
+def ed_reps(P, V):
+    """The representations `ed` reads on P: the natural one, V, and, for an
+    abelian component group and a p-faithful V, V plus its character lines."""
+    reps = [natural_rep(P), V]
+    if component_group(P).is_abelian() and is_p_faithful(P, V).ok:
+        reps.append(build_generically_free_extension(P, V).rep)
+    return reps
+
+
+def perm_inverse_reference(p):
+    inv = [0] * len(p)
+    for i, x in enumerate(p):
+        inv[x] = i
+    return tuple(inv)
+
+
+def monomial_mul_reference(a, b, n):
+    """(s1,c1)(s2,c2) = (s1 s2, c1 + s1.c2) mod n, dense: every line i reads
+    c2 at s1^-1(i) through the inverse permutation, and every entry is reduced."""
+    p1, c1 = a
+    p2, c2 = b
+    inv1 = perm_inverse_reference(p1)
+    return tuple(p1[x] for x in p2), tuple((c1[i] + c2[inv1[i]]) % n for i in range(len(c1)))
+
+
+def class_passes_reference(perm, coeff, kernel_basis, n):
+    """The cycle criterion as stated: every kernel row u is constant on each
+    cycle of perm, and sum u_i c_i = 0 (mod n)."""
+    cycles = perm_cycles(perm)
+    for u in kernel_basis:
+        for cyc in cycles:
+            first = u[cyc[0]]
+            if any(u[i] != first for i in cyc[1:]):
+                return False
+        if sum(ui * ci for ui, ci in zip(u, coeff)) % n != 0:
+            return False
+    return True
+
+
+def stabilizer_image_reference(P, R):
+    """The component image of `generic_stabilizer(P, R)`: the classes of the
+    full-walk record that pass `class_passes_reference` on its kernel rows."""
+    ref = rep_record_reference(P, R)
+    return tuple(
+        idx for idx, (perm, coeff) in enumerate(ref.actions) if class_passes_reference(perm, coeff, ref.rows, R.modulus)
+    )
 
 
 def class_of(group, pair):
@@ -130,7 +217,8 @@ def induced_matrix_reference(P, perm):
 
 def rep_record_reference(P, R):
     """What `ComponentGroup.rep_record(R)` holds, from one walk over all of R's
-    lines: each class's action is taken on its breadth-first tree edge, and on
+    lines with the dense `monomial_mul_reference`: each class's action is taken
+    on its breadth-first tree edge, and on
     every other Cayley edge the product must permute as the target class does
     and differ from it by a torus point, tested on the Smith cokernel residues
     of all of R's weights, every kernel row in full.  Returns the actions, the
@@ -149,7 +237,7 @@ def rep_record_reference(P, R):
     actions[group.identity] = (tuple(range(R.dim)), (0,) * R.dim)
     for x, row in enumerate(group.right):
         for g, y in enumerate(row):
-            perm, coeff = monomial_mul(actions[x], gens[g], n)
+            perm, coeff = monomial_mul_reference(actions[x], gens[g], n)
             if actions[y] is None:
                 actions[y] = perm, coeff
             elif perm != actions[y][0] or any(residues(tuple(a - b for a, b in zip(coeff, actions[y][1])))):

@@ -5,7 +5,6 @@ import dataclasses
 import itertools
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,25 +24,23 @@ from edtorus.monogrp import (
     monomial_mul,
     natural_rep,
     perm_compose,
-    perm_inverse,
     m_as_tuple,
     validate,
 )
-from edtorus.pipeline import (
-    _characters_generating_dual,
-    _restricted_natural_block,
-    build_generically_free_extension,
-    sln_case,
-    so_case,
-    upper_witness_sln,
-)
-from edtorus.stab import is_p_faithful
+from edtorus.pipeline import _characters_generating_dual, sln_case, so_case
 from edtorus.symrank import _mat_mul
 from edtorus.zlat import IntMatrix
 
-from conftest import class_of, induced_matrix_reference, rep_record_reference
-
-GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
+from conftest import (
+    GOLDEN_INPUTS,
+    class_of,
+    ed_reps,
+    induced_matrix_reference,
+    monomial_mul_reference,
+    perturbed_case_presentations,
+    rep_record_reference,
+    sl_case_rep,
+)
 
 
 def _repeated_and_zero_weights():
@@ -75,7 +72,23 @@ class TestConventions:
         p1, p2 = (1, 2, 0), (0, 2, 1)
         comp = perm_compose(p1, p2)
         assert comp == tuple(p1[p2[i]] for i in range(3))
-        assert perm_compose(p1, perm_inverse(p1)) == (0, 1, 2)
+        assert perm_compose(p1, (2, 0, 1)) == (0, 1, 2)  # p1 after its inverse
+
+    def test_product_matches_dense_reference(self):
+        """`monomial_mul` adds only the nonzero coefficients of its right factor;
+        on reduced inputs it agrees with the dense product on every line."""
+        rng = random.Random(23)
+        for m, n in itertools.product((0, 1, 2, 5, 12, 28), (1, 2, 3, 4, 9, 16)):
+            for density in (0.0, 0.2, 1.0):  # all zero, sparse, every entry nonzero (n > 1)
+                for _ in range(5):
+                    a, b = [
+                        (
+                            tuple(rng.sample(range(m), m)),
+                            tuple(rng.randrange(1, n) if n > 1 and rng.random() < density else 0 for _ in range(m)),
+                        )
+                        for _ in range(2)
+                    ]
+                    assert monomial_mul(a, b, n) == monomial_mul_reference(a, b, n)
 
 
 class TestClosure:
@@ -249,21 +262,6 @@ class TestValidate:
         assert err.value.code == "BAD_INPUT"
 
 
-def _perturbed_case_presentations(count: int, seed: int):
-    """Case-study generators with random coefficients modulo e = p or p^2.  The
-    classes that fix every line then form a p-group, so F stays a p-group and
-    every presentation is valid; some of the lifts split and some do not."""
-    rng = random.Random(seed)
-    bases = [sln_case(n, p).presentation for n, p in ((3, 3), (4, 2), (5, 2), (6, 2), (6, 3))]
-    bases += [so_case(1).presentation, so_case(2).presentation]
-    for _ in range(count):
-        P = rng.choice(bases)
-        e = P.p ** rng.randint(1, 2)
-        coeffs = [tuple(rng.randrange(e) if rng.random() < 0.3 else 0 for _ in perm) for perm, _ in P.generators]
-        gens = tuple((perm, c) for (perm, _), c in zip(P.generators, coeffs))
-        yield dataclasses.replace(P, root_of_unity_exponent=e, generators=gens)
-
-
 class TestInducedMatrix:
     """`validate`'s induced matrices, solved on the Smith form of the weight
     rows, against `induced_matrix_reference`: the same matrix, or both refuse."""
@@ -273,7 +271,7 @@ class TestInducedMatrix:
         out = [load_presentation(str(path), "full")[0] for path in sorted(GOLDEN_INPUTS.glob("*.json"))]
         out += [sln_case(n, p).presentation for n in range(2, 13) for p in (2, 3, 5, 7) if p <= n]
         out += [so_case(n).presentation for n in range(1, 5)]
-        return out + list(_perturbed_case_presentations(120, seed=17))
+        return out + list(perturbed_case_presentations(120, seed=17))
 
     def test_matches_reference(self):
         rng = random.Random(11)
@@ -304,7 +302,7 @@ class TestOneWalk:
     """The enumeration's split witness and a record's actions, against the
     definitions they replace: the literal closure and the product along each word."""
 
-    PRESENTATIONS = list(_perturbed_case_presentations(120, seed=17))
+    PRESENTATIONS = list(perturbed_case_presentations(120, seed=17))
 
     def test_split_witness_is_the_literal_closure(self):
         splits = []
@@ -451,7 +449,7 @@ class TestComponentGroup:
         group = component_group(sl3_three_cycle)
         A = report.induced_matrices[0]
         # the induced map factors through the component group: A^3 = identity
-        assert (A @ A @ A).is_identity()
+        assert A @ A @ A == IntMatrix.identity(A.rows)
         assert group.element_order(class_of(group, sl3_three_cycle.generators[0])) == 3
 
     def test_representative_invariance(self):
@@ -753,24 +751,13 @@ def _record_inputs():
         inputs[path.stem] = lambda path=path: load_presentation(str(path), "full")
     for n in range(2, 9):
         for p in (q for q in (2, 3, 5, 7) if q <= n):
-            inputs[f"sl_{n}_{p}"] = lambda n=n, p=p: _sl_case_rep(n, p)
+            inputs[f"sl_{n}_{p}"] = lambda n=n, p=p: sl_case_rep(n, p)
     for n in (1, 2, 3):
         inputs[f"so_{n}"] = lambda n=n: (so_case(n).presentation, natural_rep(so_case(n).presentation))
     # nonzero coefficients modulo e = p or p^2, below the characters' modulus |F|
-    for i, P in enumerate(_perturbed_case_presentations(24, seed=5)):
+    for i, P in enumerate(perturbed_case_presentations(24, seed=5)):
         inputs[f"perturbed_{i}"] = lambda P=P: (P, natural_rep(P))
     return inputs
-
-
-def _sl_case_rep(n, p):
-    case = sln_case(n, p)
-    P = case.presentation
-    if case.label in ("a", "b"):
-        return P, natural_rep(P)
-    if not component_group(P).is_abelian():
-        return P, upper_witness_sln(n, p).rep
-    keep = n - 1 if (case.label == "c" or n % 2 == 1) else n
-    return P, MonomialRep(presentation=P, blocks=(_restricted_natural_block(case, keep),))
 
 
 RECORD_INPUTS = _record_inputs()
@@ -791,9 +778,7 @@ class TestRecordReuse:
             return walk(group, R, canon)
 
         monkeypatch.setattr(monogrp, "_walk", recording)
-        reps = [natural_rep(P), V]
-        if component_group(P).is_abelian() and is_p_faithful(P, V).ok:
-            reps.append(build_generically_free_extension(P, V).rep)
+        reps = ed_reps(P, V)
         for R in reps:
             rec = check_rep_compatible(P, R)
             ref = rep_record_reference(P, R)

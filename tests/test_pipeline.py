@@ -143,6 +143,43 @@ class TestOnePass:
         # all of a representation's lines
         assert walks == [False]
 
+    def test_ed_takes_four_smith_forms(self, fresh_caches, monkeypatch):
+        # the natural weights' coset key, the two abelian decompositions (each
+        # reads U^-1 off its own form) and the extension's coset key
+        counts = {}
+        self.count_calls(monkeypatch, [zlat], "smith_normal_form", counts)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["ed", self.SO_2, "--format", "json"]) == 0
+        assert counts["smith_normal_form"] == 4
+
+    def test_stabilizer_splits_no_class_into_cycles(self, fresh_caches, monkeypatch):
+        # a class passes when it preserves each line's kernel profile and its
+        # coset key is 0: `ed case so 3` takes no cycles while stabilizers run
+        running, cycles, counts = [], [], {}
+        stabilizer, perm_cycles = stab.generic_stabilizer, monogrp.perm_cycles
+
+        def tracking(*args, **kwargs):
+            counts["generic_stabilizer"] = counts.get("generic_stabilizer", 0) + 1
+            running.append(True)
+            try:
+                return stabilizer(*args, **kwargs)
+            finally:
+                running.pop()
+
+        def counting(p):
+            if running:
+                cycles.append(p)
+            return perm_cycles(p)
+
+        for owner in (stab, importlib.import_module("edtorus.pipeline"), cli):
+            monkeypatch.setattr(owner, "generic_stabilizer", tracking)
+        for owner in (monogrp, stab):
+            monkeypatch.setattr(owner, "perm_cycles", counting, raising=False)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["ed", "case", "so", "3", "--format", "json"]) == 0
+        assert counts["generic_stabilizer"] >= 1
+        assert cycles == []
+
     @staticmethod
     def record_walks(monkeypatch) -> list[bool]:
         """For each record walk, whether it spans all of its rep's lines."""

@@ -2,6 +2,7 @@
 
 import pytest
 
+from edtorus.cli import load_presentation
 from edtorus.monogrp import (
     EdtorusError,
     MonomialGroupPresentation,
@@ -13,7 +14,33 @@ from edtorus.oracle import ff_stabilizer
 from edtorus.pipeline import sln_case, so_case
 from edtorus.stab import generic_stabilizer, is_p_faithful
 
-from conftest import class_of
+from conftest import (
+    GOLDEN_INPUTS,
+    class_of,
+    ed_reps,
+    perturbed_case_presentations,
+    sl_case_rep,
+    stabilizer_image_reference,
+)
+
+
+def _stabilizer_inputs():
+    """Named makers of lists of (P, V): the golden inputs with their file's
+    blocks, the SL cases for n <= 10 with the V `ed_case_sl` takes (or the
+    Sylow witness), the SO cases, and the perturbed lifts under one name."""
+    inputs = {}
+    for path in sorted(GOLDEN_INPUTS.glob("*.json")):
+        inputs[path.stem] = lambda path=path: [load_presentation(str(path), "full")]
+    for n in range(2, 11):
+        for p in (q for q in (2, 3, 5, 7) if q <= n):
+            inputs[f"sl_{n}_{p}"] = lambda n=n, p=p: [sl_case_rep(n, p)]
+    for n in (1, 2, 3):
+        inputs[f"so_{n}"] = lambda n=n: [(so_case(n).presentation, natural_rep(so_case(n).presentation))]
+    inputs["perturbed"] = lambda: [(P, natural_rep(P)) for P in perturbed_case_presentations(120, seed=17)]
+    return inputs
+
+
+STABILIZER_INPUTS = _stabilizer_inputs()
 
 
 class TestGenericStabilizer:
@@ -112,6 +139,18 @@ class TestGenericStabilizer:
             generators=((perm, shifted),),
         )
         assert generic_stabilizer(P2).component_image == generic_stabilizer(sl3_three_cycle).component_image
+
+
+class TestAgainstCycleCriterion:
+    """The stabilizer image, read from line profiles and the coset key, against
+    the cycle criterion run on a dense full-walk record."""
+
+    @pytest.mark.parametrize("name", sorted(STABILIZER_INPUTS))
+    def test_image_matches_reference(self, name):
+        for P, V in STABILIZER_INPUTS[name]():
+            # natural, V and, for an abelian case, V plus its character lines
+            for R in ed_reps(P, V):
+                assert generic_stabilizer(P, R).component_image == stabilizer_image_reference(P, R)
 
 
 class TestPFaithful:

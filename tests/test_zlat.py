@@ -21,7 +21,6 @@ from edtorus.zlat import (
     IntMatrix,
     integer_kernel_basis,
     smith_normal_form,
-    unimodular_inverse,
 )
 
 
@@ -118,15 +117,6 @@ class TestSmithNormalForm:
         first = smith_normal_form(M)
         second = smith_normal_form(M)
         assert first.U == second.U and first.V == second.V and first.D == second.D
-
-
-class TestHermite:
-    def test_unimodular_inverse(self):
-        U = IntMatrix.from_rows([[2, 1], [1, 1]])
-        Uinv = unimodular_inverse(U)
-        assert (U @ Uinv).is_identity()
-        with pytest.raises(ValueError):
-            unimodular_inverse(IntMatrix.from_rows([[2, 0], [0, 1]]))
 
 
 class TestCokernel:
