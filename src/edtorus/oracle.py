@@ -3,11 +3,15 @@
 Three checkers that share no algorithmic machinery with the symbolic engine:
 stabilizer orders over a finite field, each class's fixed points looked up in
 one table of the values at every torus point; symmetric p-rank at tiny
-bounds, by a walk over the unions of orbits (computed here) that extends its
-parent's echelon rows by Gaussian elimination mod p, not by normal forms, and
-cuts only unions that cannot be smaller spanning ones; and the
-abelian-subgroup order bound in symmetric groups by exhaustive closure search
-inside a Sylow subgroup.
+bounds, by a walk over the unions of orbits that extends its parent's echelon
+rows by Gaussian elimination mod p, not by normal forms, and cuts only unions
+that cannot be smaller spanning ones; and the abelian-subgroup order bound in
+symmetric groups by exhaustive closure search inside a Sylow subgroup.
+
+Each orbit is one exact product of the stacked matrices with a vector (int64
+where d * max|entry| * B < 2^63, else Python integers), and the walk
+eliminates each orbit's echelon rows mod p, which span what the orbit spans,
+so every rank and every cut is as if all its vectors were eliminated.
 """
 
 from __future__ import annotations
@@ -220,14 +224,36 @@ def _eliminate(rows, vectors, p: int) -> list[tuple[int, list[int]]]:
     return rows
 
 
+def _box_orbits(L, B: int) -> list[list[tuple[int, ...]]]:
+    """The orbits of the nonzero vectors of sup-norm <= B, each sorted, in
+    sorted order.  An unseen vector's orbit is one product of the stacked
+    matrices with it, exact: in int64 while d * max|entry| * B < 2^63 bounds
+    every entry of the product, else in Python integers."""
+    d = L.rank
+    top = max((abs(x) for a in L.matrices for row in a for x in row), default=0)
+    dtype = np.int64 if d * top * B < 2**63 else object
+    stacked = np.array(L.matrices, dtype=dtype).reshape(len(L.matrices), d, d)  # d may be 0
+    seen, orbits = set(), []
+    for vec in itertools.product(range(-B, B + 1), repeat=d):
+        if any(vec) and vec not in seen:
+            orbit = set(map(tuple, (stacked @ vec).tolist()))
+            seen |= orbit
+            orbits.append(sorted(orbit))
+    orbits.sort()
+    return orbits
+
+
 def symrank_bruteforce(L, p: int, B: int) -> int:
     """Exact minimum over the invariant subsets of the bounded box.
 
-    An invariant subset is a union of orbits.  The unions are walked depth
-    first, orbits added in their sorted order, one step of `MAX_STEPS` per
-    union visited.  A stack entry carries its parent's echelon rows mod p,
-    so a visit eliminates only the new orbit's vectors against them
-    (Gaussian elimination, no normal forms).  The cuts, each sound:
+    An invariant subset is a union of orbits (`_box_orbits`, one exact
+    matrix product each).  The unions are walked depth first, orbits added
+    in their sorted order, one step of `MAX_STEPS` per union visited.  Each
+    orbit is reduced once to its echelon rows mod p, at most d of them, and
+    a visit eliminates only those against its parent's rows, which its stack
+    entry carries (Gaussian elimination, no normal forms).  They span what
+    the orbit spans mod p, so each union's rank, and every cut below, is as
+    if all of its vectors were eliminated.  The cuts, each sound:
 
     - a union no smaller than the best is not expanded: orbits are
       disjoint, so nothing below it is smaller;
@@ -242,39 +268,42 @@ def symrank_bruteforce(L, p: int, B: int) -> int:
       sorted lexicographically, not by size, and they grow with the index;
     - the walk stops at best == rank, since fewer vectors cannot span.
       The box holds e_1, ..., e_d, so the walk always finds a best.
+
+    The box is capped at 100,000 vectors whatever the step limit.
     """
     if B < 1:
         raise EdtorusError("BAD_INPUT", "search bound must be >= 1")
     d = L.rank
-    if (2 * B + 1) ** d > 100_000:
-        raise EdtorusError("BUDGET_EXCEEDED", "box too large for exhaustive enumeration")
-    seen, orbits = set(), []
-    for vec in itertools.product(range(-B, B + 1), repeat=d):
-        if any(vec) and vec not in seen:
-            orbit = {tuple(sum(a * x for a, x in zip(row, vec)) for row in A) for A in L.matrices}
-            seen |= orbit
-            orbits.append(sorted(orbit))
-    orbits.sort()
-    reach = list(itertools.accumulate(map(len, reversed(orbits)), min))[::-1]  # least size from j on
+    if (box := (2 * B + 1) ** d) > 100_000:
+        raise EdtorusError(
+            "BUDGET_EXCEEDED",
+            f"box of {box} vectors exceeds the oracle's 100,000-vector cap; "
+            "--max-steps does not lift it, use a smaller -B",
+        )
+    orbits = _box_orbits(L, B)
+    bases = [[row for _, row in _eliminate([], orbit, p)] for orbit in orbits]
+    sizes = [len(orbit) for orbit in orbits]
+    reach = list(itertools.accumulate(reversed(sizes), min))[::-1]  # least size from j on
     best, steps, budget = inf, itertools.count(1), MAX_STEPS.get()
-    stack = [(0, [], 0, [])]  # (first orbit a child may add, parent's rows, parent's size, new orbit)
+    stack = [(0, [], 0, None)]  # (first orbit a child may add, parent's rows, union's size, new orbit's index)
     while stack:
-        start, rows, size, orbit = stack.pop()
+        start, rows, size, j = stack.pop()
         if next(steps) > budget:
             raise EdtorusError("BUDGET_EXCEEDED", f"more than {budget} unions of orbits visited")
-        size += len(orbit)
         if size >= best:
             continue
-        grown = _eliminate(rows, orbit, p)
-        if orbit and len(grown) == len(rows):
-            continue
-        if len(grown) == d:
+        if j is not None:  # not the empty union at the root
+            grown = _eliminate(rows, bases[j], p)
+            if len(grown) == len(rows):
+                continue
+            rows = grown
+        if len(rows) == d:
             best = size
             if best == d:
                 break
             continue
         end = bisect_left(reach, best - size, start)
-        stack.extend((j + 1, grown, size, orbits[j]) for j in reversed(range(start, end)))
+        stack.extend((k + 1, rows, size + sizes[k], k) for k in reversed(range(start, end)))
     return best
 
 

@@ -59,23 +59,12 @@ class IntMatrix:
             tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)),
         )
 
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        a, b = self.to_rows(), other.to_rows()
-        flat = []
-        for i in range(self.rows):
-            ra = a[i]
-            for j in range(other.cols):
-                flat.append(sum(ra[k] * b[k][j] for k in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, tuple(flat))
-
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """U @ source @ V = D with U, V unimodular and D diagonal, d_i | d_{i+1}."""
+    """U, V unimodular with U * source * V diagonal, its diagonal the
+    invariant factors d_1 | d_2 | ... (zeros last)."""
 
-    D: IntMatrix
     U: IntMatrix
     V: IntMatrix
     invariant_factors: tuple[int, ...]
@@ -121,7 +110,7 @@ def _smallest_pivot(a: list[list[int]], k: int, nrows: int, ncols: int):
 
 
 def smith_normal_form(M: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with unimodular transforms, U @ M @ V = D."""
+    """Smith normal form with unimodular transforms: U * M * V is diagonal."""
     nrows, ncols = M.rows, M.cols
     a = M.to_rows()
     u = IntMatrix.identity(nrows).to_rows()
@@ -200,11 +189,10 @@ def smith_normal_form(M: IntMatrix) -> SmithDecomposition:
             pos = _smallest_pivot(a, k, nrows, ncols)
         k += 1
 
-    D = IntMatrix.from_rows(a) if nrows and ncols else IntMatrix(nrows, ncols, ())
     U = IntMatrix.from_rows(u) if nrows else IntMatrix(0, 0, ())
     V = IntMatrix.from_rows(v) if ncols else IntMatrix(0, 0, ())
     factors = tuple(a[i][i] for i in range(limit)) if limit else ()
-    return SmithDecomposition(D=D, U=U, V=V, invariant_factors=factors)
+    return SmithDecomposition(U=U, V=V, invariant_factors=factors)
 
 
 def hermite_normal_form(rows: list[list[int]], ncols: int) -> list[list[int]]:

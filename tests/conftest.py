@@ -187,6 +187,19 @@ def ff_stabilizer_reference(P, R, q, trials, seed):
     return FFStabilizerReport(q, trials, seed, tuple(orders), orders[k], *inventory[k])
 
 
+def int_matmul(a, b):
+    """The product of two `zlat.IntMatrix`, in Python integers."""
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch")
+    flat = (sum(x * y for x, y in zip(a.row(i), b.column(j))) for i in range(a.rows) for j in range(b.cols))
+    return zlat.IntMatrix(a.rows, b.cols, tuple(flat))
+
+
+def smith_product(M, dec):
+    """U M V rebuilt from a Smith decomposition of M."""
+    return int_matmul(int_matmul(dec.U, M), dec.V)
+
+
 def induced_matrix_reference(P, perm):
     """The A in GL_d(Z) with A w_i = w_{perm(i)} for every line i, solved on the
     Smith form of the d x m matrix whose columns are the weights (of rank d),
@@ -196,17 +209,17 @@ def induced_matrix_reference(P, perm):
     dec = zlat.smith_normal_form(P.weight_matrix().transpose())
     # d x m with columns w_{perm(i)}; shaped explicitly, as d may be 0
     target = zlat.IntMatrix(d, m, tuple(P.weights[perm[i]][r] for r in range(d) for i in range(m)))
-    B = target @ dec.V
+    B = int_matmul(target, dec.V)
     c_rows = [[0] * d for _ in range(d)]
     for i in range(d):
-        di = dec.D.at(i, i)
+        di = dec.invariant_factors[i]
         for r in range(d):
             if B.at(r, i) % di != 0:
                 raise EdtorusError("NO_INDUCED_ACTION", "no integral matrix maps the weights onto their images")
             c_rows[r][i] = B.at(r, i) // di
     if any(B.at(r, j) for j in range(d, m) for r in range(d)):
         raise EdtorusError("NO_INDUCED_ACTION", "weight images violate the defining relations")
-    A = zlat.IntMatrix(d, d, tuple(x for row in c_rows for x in row)) @ dec.U
+    A = int_matmul(zlat.IntMatrix(d, d, tuple(x for row in c_rows for x in row)), dec.U)
     for w, image in zip(P.weights, (P.weights[j] for j in perm)):
         if tuple(sum(A.at(r, k) * w[k] for k in range(d)) for r in range(d)) != tuple(image):
             raise EdtorusError("NO_INDUCED_ACTION", "no integral matrix maps the weights onto their images")

@@ -382,6 +382,16 @@ class TestBudgets:
         assert code == EXIT_OK
         assert json.loads(out)["value"] == 6
 
+    def test_oracle_symrank_box_cap_is_named(self, capsys):
+        # 7^6 box vectors at the default B = 3: over the fixed cap, which the
+        # step limit does not lift
+        path = str(GOLDEN_INPUTS / "sl_7_2.json")
+        code, out, err = run(["oracle", "symrank", path, "--max-steps", str(10**9)], capsys)
+        assert (code, out) == (EXIT_BUDGET, "")
+        doc = json.loads(err)
+        assert doc["error"] == "BUDGET_EXCEEDED"
+        assert "117649" in doc["detail"] and "100,000" in doc["detail"]
+
     def test_env_var_budget(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("EDTORUS_MAX_STEPS", "1")
         code, _, err = run(

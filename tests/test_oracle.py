@@ -23,6 +23,7 @@ from edtorus.monogrp import (
     natural_rep,
 )
 from edtorus.oracle import (
+    _box_orbits,
     _eliminate,
     choose_modulus,
     ff_stabilizer,
@@ -143,7 +144,34 @@ class TestOrthogonalReading:
         assert W.dim - P.torus_rank == 4
 
 
+def huge_entry_lattice():
+    """An order-2 lattice whose orbits at B = 2 have entries near 10^19: int64
+    products wrap on 10 of its 25 box vectors."""
+    return lattice(2, [((1, 5 * 10**18), (0, -1))])
+
+
 class TestSymrankBruteforce:
+    @pytest.mark.parametrize(
+        "maker,B",
+        [
+            (lambda: lattice(0, ()), 2),
+            (lambda: lattice(1, [((-1,),)]), 3),
+            (lambda: character_lattice_action(so_case(1).presentation), 2),
+            (lambda: character_lattice_action(sln_case(5, 2).presentation), 2),
+            (lambda: character_lattice_action(so_case(2).presentation), 2),
+            (lambda: character_lattice_action(sln_case(7, 2).presentation), 1),
+            (huge_entry_lattice, 2),
+        ],
+        ids=["rank_0", "negation", "so_1", "sl_5_2", "so_2", "sl_7_2", "huge_entries"],
+    )
+    def test_box_orbits_match_the_reference(self, maker, B):
+        # one stacked matrix product per orbit, against every matrix applied
+        # to the vector in Python integers
+        L = maker()
+        orbits = _box_orbits(L, B)
+        assert orbits == sorted(orbits)
+        assert {tuple(o) for o in orbits} == set(orbits_reference(L, B))
+
     def test_negation(self, negation_lattice):
         assert symrank_bruteforce(negation_lattice, 2, 3) == 2
 
@@ -164,8 +192,9 @@ class TestSymrankBruteforce:
             # after (-2, -1), the orbits (-2, 0), (-2, 1), (-2, 2) add no rank mod 2
             # and are cut, as (-2, -2) was; (-1, -2) then spans and best == rank stops
             (lambda: lattice(2, ()), 2, 2),
+            (huge_entry_lattice, 3, 2),
         ],
-        ids=["negation", "so_1", "sl_5_2", "trivial_mod_2"],
+        ids=["negation", "so_1", "sl_5_2", "trivial_mod_2", "huge_entries"],
     )
     def test_pruned_walk_equals_every_union(self, maker, p, B):
         L = maker()
@@ -188,6 +217,25 @@ class TestSymrankBruteforce:
             symrank_bruteforce(L, 2, 2)
         assert err.value.code == "BUDGET_EXCEEDED"
 
+    def test_walk_eliminates_echelon_rows_only(self, monkeypatch):
+        # each orbit of so_2 at B = 2 (up to 16 vectors) is reduced in full
+        # once, up front; every visit of the walk then eliminates only that
+        # orbit's echelon rows mod p, at most the rank many
+        L = character_lattice_action(so_case(2).presentation)
+        orbits = orbits_reference(L, 2)
+        eliminate, sizes = oracle._eliminate, []
+
+        def recording(rows, vectors, p):
+            vectors = list(vectors)
+            sizes.append(len(vectors))
+            return eliminate(rows, vectors, p)
+
+        monkeypatch.setattr(oracle, "_eliminate", recording)
+        assert symrank_bruteforce(L, 2, 2) == 8
+        assert sorted(sizes[: len(orbits)]) == sorted(map(len, orbits))
+        walk = sizes[len(orbits) :]
+        assert walk and max(walk) <= L.rank
+
     def test_independent_of_the_engine_search(self):
         # the oracle imports nothing of the engine's search, and it calls no
         # name the engine defines: not `_span`, and not `_enumerate_orbits`,
@@ -208,7 +256,7 @@ class TestSymrankBruteforce:
             if getattr(obj, "__module__", None) == engine_module.__name__
         }
         assert {"_span", "_enumerate_orbits", "symrank", "FLattice"} <= engine
-        for fn in (symrank_bruteforce, ff_stabilizer, _eliminate):
+        for fn in (symrank_bruteforce, _box_orbits, ff_stabilizer, _eliminate):
             called = {
                 node.func.id if isinstance(node.func, ast.Name) else node.func.attr
                 for node in ast.walk(ast.parse(inspect.getsource(fn)))

@@ -23,6 +23,8 @@ from edtorus.zlat import (
     smith_normal_form,
 )
 
+from conftest import smith_product
+
 
 def det_cofactor(rows):
     """Independent determinant by cofactor expansion."""
@@ -38,8 +40,11 @@ def det_cofactor(rows):
     return total
 
 
-def diag(dec):
-    return [dec.D.at(i, i) for i in range(min(dec.D.rows, dec.D.cols))]
+def diag(M, dec):
+    """The diagonal of U M V; off it, U M V must be zero."""
+    D = smith_product(M, dec)
+    assert all(D.at(i, j) == 0 for i in range(D.rows) for j in range(D.cols) if i != j)
+    return [D.at(i, i) for i in range(min(D.rows, D.cols))]
 
 
 small_matrix = st.integers(min_value=1, max_value=4).flatmap(
@@ -55,8 +60,9 @@ small_matrix = st.integers(min_value=1, max_value=4).flatmap(
 
 class TestSmithNormalForm:
     def test_identity(self):
-        dec = smith_normal_form(IntMatrix.identity(2))
-        assert diag(dec) == [1, 1]
+        M = IntMatrix.identity(2)
+        dec = smith_normal_form(M)
+        assert diag(M, dec) == [1, 1]
         assert dec.invariant_factors == (1, 1)
 
     def test_2x2_example(self):
@@ -66,11 +72,12 @@ class TestSmithNormalForm:
         minors_gcd = abs(det_cofactor([[2, 4], [6, 8]]))
         assert (entries_gcd, minors_gcd // entries_gcd) == (2, 4)
         dec = smith_normal_form(M)
-        assert diag(dec) == [2, 4]
+        assert diag(M, dec) == [2, 4]
 
     def test_zero_matrix(self):
-        dec = smith_normal_form(IntMatrix.from_rows([[0]]))
-        assert diag(dec) == [0]
+        M = IntMatrix.from_rows([[0]])
+        dec = smith_normal_form(M)
+        assert diag(M, dec) == [0]
         assert dec.invariant_factors == (0,)
 
     @settings(max_examples=120)
@@ -78,20 +85,16 @@ class TestSmithNormalForm:
     def test_transform_identity_and_chain(self, rows):
         M = IntMatrix.from_rows(rows)
         dec = smith_normal_form(M)
-        assert dec.U @ M @ dec.V == dec.D
+        # U M V is diagonal, with the invariant factors on its diagonal
+        d = diag(M, dec)
+        assert tuple(d) == dec.invariant_factors
         assert abs(det_cofactor(dec.U.to_rows())) == 1
         assert abs(det_cofactor(dec.V.to_rows())) == 1
-        d = diag(dec)
         for a, b in zip(d, d[1:]):
             if a == 0:
                 assert b == 0
             else:
                 assert b % a == 0
-        # off-diagonal must vanish
-        for i in range(dec.D.rows):
-            for j in range(dec.D.cols):
-                if i != j:
-                    assert dec.D.at(i, j) == 0
 
     @settings(max_examples=80)
     @given(
@@ -116,7 +119,7 @@ class TestSmithNormalForm:
         M = IntMatrix.from_rows([[6, 4, 2], [2, 8, 10], [4, 2, 0]])
         first = smith_normal_form(M)
         second = smith_normal_form(M)
-        assert first.U == second.U and first.V == second.V and first.D == second.D
+        assert first == second
 
 
 class TestCokernel:
