@@ -122,6 +122,8 @@ def presentation_from_json(doc) -> tuple[MonomialGroupPresentation, list[RepBloc
         if key not in doc:
             raise EdtorusError("BAD_INPUT", f"missing key: {key}")
     p, d, e = (_int(doc[key], key) for key in ("p", "torus_rank", "root_of_unity_exponent"))
+    if d < 0:
+        raise EdtorusError("BAD_INPUT", f"torus_rank must be nonnegative, got {d}")
     split = doc.get("split")
     if split is not None and not isinstance(split, bool):
         raise EdtorusError("BAD_INPUT", "split must be true, false or null")

@@ -330,14 +330,6 @@ class ComponentGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def element_order(self, i: int) -> int:
-        n = 1
-        x = i
-        while x != self.identity:
-            x = self.mul(x, i)
-            n += 1
-        return n
-
     def is_abelian(self) -> bool:
         return self._commute(set(self.right[self.identity]))
 
@@ -421,50 +413,53 @@ class ComponentGroup:
         the internal direct sum of the cyclic groups generated by the basis
         elements, factor_orders is the divisibility chain of their orders, and
         coords maps each subgroup element index to its exponent tuple.  The
-        subgroup is presented by a greedy generating set and the relations
-        read off its Cayley graph; results are memoized per member set.
+        subgroup is presented by a greedy generating set with one triangular
+        relation per generator, read off as it grows coset by coset; results
+        are memoized per member set, the whole group keyed by range(order).
         """
-        members = self.subgroup_closure(indices if indices is not None else range(self.order))
+        members = tuple(range(self.order)) if indices is None else self.subgroup_closure(indices)
         if members not in self._decompositions:
             self._decompositions[members] = self._decompose(members)
         return self._decompositions[members]
 
+    def _grow(self, coords: dict, g: int, k: int) -> dict:
+        """coords over the cosets x g^j, 0 <= j < k: x g^j gets coords[x] + (j,)."""
+        grown = {}
+        for x, expo in coords.items():
+            for j in range(k):
+                grown[x] = expo + (j,)
+                x = self.mul(x, g)
+        return grown
+
     def _decompose(self, members: tuple[int, ...]):
-        hs, _ = self._generators(members)
-        if not self._commute(hs):
-            raise ValueError("subgroup is not abelian")
+        # each member not yet reached is the next pick h_t; with k_t the least
+        # power of h_t already reached, the subgroup grows by its cosets
+        # x h_t^j (0 <= j < k_t), and k_t e_t - vec(h_t^k_t) is a relation.
+        # The relations are lower triangular with determinant prod k_t = |H|,
+        # so they span the whole relation lattice.
+        vec = {self.identity: ()}
+        hs: list[int] = []
+        relations: list[list[int]] = []
+        for h in members:
+            if h in vec:
+                continue
+            if any(self.mul(h, g) != self.mul(g, h) for g in hs):
+                raise ValueError("subgroup is not abelian")
+            y, k = h, 1
+            while y not in vec:
+                y, k = self.mul(y, h), k + 1
+            relations.append([-a for a in vec[y]] + [k])
+            hs.append(h)
+            vec = self._grow(vec, h, k)
         s = len(hs)
         if s == 0:
-            return (), (), {self.identity: ()}
-        # exponent-vector representative per element (a spanning tree of the
-        # Cayley graph) plus one relation vector per edge outside the tree;
-        # the relations are folded into their Hermite basis as they come, so
-        # no normal form sees more than s + 64 rows
-        vec = {self.identity: (0,) * s}
-        queue = [self.identity]
-        relations: list[list[int]] = []
-        for x in queue:
-            vx = vec[x]
-            for t, h in enumerate(hs):
-                y = self.mul(x, h)
-                cand = list(vx)
-                cand[t] += 1
-                if y in vec:
-                    relations.append([a - b for a, b in zip(cand, vec[y])])
-                    if len(relations) == s + 64:
-                        relations = zlat.hermite_normal_form(relations, s)
-                else:
-                    vec[y] = tuple(cand)
-                    queue.append(y)
-        relations = zlat.hermite_normal_form(relations, s)
+            return (), (), vec
+        relations = [rel + [0] * (s - len(rel)) for rel in relations]
         dec = zlat.smith_normal_form(IntMatrix.from_rows(relations).transpose())  # columns are relations
-        if dec.rank != s:
-            raise EdtorusError("INTERNAL", "relation lattice of a finite group must have full rank")
-        h_orders = [self.element_order(h) for h in hs]
+        element = {v: x for x, v in vec.items()}
         basis = []
         orders = []
-        for i in range(s):
-            d = dec.invariant_factors[i]
+        for i, d in enumerate(dec.invariant_factors):
             if d == 1:
                 continue
             # U M V = D for M the relation columns, so M V = U^-1 D: column i of
@@ -474,20 +469,16 @@ class ComponentGroup:
             if any(x % d for x in col):
                 raise EdtorusError("INTERNAL", "relation columns must be divisible by their invariant factor")
             col = [x // d for x in col]
-            g = self.identity
-            for t, exp in enumerate(col):
-                g = self.mul(g, self.power(hs[t], exp % h_orders[t]))
-            basis.append(g)
+            # subtract relations, last first, until each exponent is below its k_t
+            for t in reversed(range(s)):
+                q = col[t] // relations[t][t]
+                col = [c - q * r for c, r in zip(col, relations[t])]
+            basis.append(element[tuple(col)])
             orders.append(d)
         # exponent tuples in lexicographic order, one product per element
         coords = {self.identity: ()}
         for b, d in zip(basis, orders):
-            grown = {}
-            for g, expo in coords.items():
-                for k in range(d):
-                    grown[g] = expo + (k,)
-                    g = self.mul(g, b)
-            coords = grown
+            coords = self._grow(coords, b, d)
         if len(coords) != len(members):
             raise EdtorusError("INTERNAL", "decomposition must enumerate the subgroup")
         return tuple(basis), tuple(orders), coords

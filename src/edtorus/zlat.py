@@ -1,8 +1,8 @@
 """Exact integer-lattice engine.
 
-Smith and Hermite normal forms, integer kernels, and finite abelian
-structures.  Everything here is exact: Python integers (arbitrary
-precision), no floating point.
+Smith normal forms, integer kernels, and finite abelian structures.
+Everything here is exact: Python integers (arbitrary precision), no
+floating point.
 """
 
 from __future__ import annotations
@@ -193,48 +193,6 @@ def smith_normal_form(M: IntMatrix) -> SmithDecomposition:
     V = IntMatrix.from_rows(v) if ncols else IntMatrix(0, 0, ())
     factors = tuple(a[i][i] for i in range(limit)) if limit else ()
     return SmithDecomposition(U=U, V=V, invariant_factors=factors)
-
-
-def hermite_normal_form(rows: list[list[int]], ncols: int) -> list[list[int]]:
-    """Row-style Hermite normal form of the lattice spanned by `rows`.
-
-    Returns the nonzero echelon rows: positive pivots, entries above each
-    pivot reduced into [0, pivot).  Canonical for the row lattice.
-    """
-    h = [list(r) for r in rows]
-    nrows = len(h)
-    r_idx = 0
-    for col in range(ncols):
-        while True:
-            piv = None
-            for i in range(r_idx, nrows):
-                if h[i][col] != 0 and (piv is None or abs(h[i][col]) < abs(h[piv][col])):
-                    piv = i
-            if piv is None:
-                break
-            h[r_idx], h[piv] = h[piv], h[r_idx]
-            done = True
-            for i in range(r_idx + 1, nrows):
-                if h[i][col] != 0:
-                    q = h[i][col] // h[r_idx][col]
-                    h[i] = [x - q * y for x, y in zip(h[i], h[r_idx])]
-                    if h[i][col] != 0:
-                        done = False
-            if done:
-                break
-        if piv is None:
-            continue
-        if h[r_idx][col] < 0:
-            h[r_idx] = [-x for x in h[r_idx]]
-        p = h[r_idx][col]
-        for i in range(r_idx):
-            q = h[i][col] // p
-            if q:
-                h[i] = [x - q * y for x, y in zip(h[i], h[r_idx])]
-        r_idx += 1
-        if r_idx == nrows:
-            break
-    return [r for r in h[:r_idx]]
 
 
 def integer_kernel_basis(M: IntMatrix) -> list[tuple[int, ...]]:

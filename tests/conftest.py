@@ -132,6 +132,41 @@ def class_of(group, pair):
     raise ValueError("monomial pair is not an element of the presented group")
 
 
+def element_order(group, i):
+    """Order of class i of the component group, by repeated products."""
+    n, x = 1, i
+    while x != group.identity:
+        x, n = group.mul(x, i), n + 1
+    return n
+
+
+def abelian_invariants_reference(group, members):
+    """Invariant factors (> 1) of the abelian subgroup the members generate,
+    from the Smith form of one relation per Cayley edge outside a breadth-first
+    spanning tree, over the greedy generating set: the members in increasing
+    order, each one the earlier picks do not yet generate."""
+    hs, reached = [], {group.identity}
+    for h in sorted(members):
+        if h not in reached:
+            hs.append(h)
+            reached = set(closure(group.identity, hs, group.mul))
+    vec = {group.identity: (0,) * len(hs)}
+    queue = [group.identity]
+    relations = []
+    for x in queue:
+        for t, h in enumerate(hs):
+            y = group.mul(x, h)
+            cand = tuple(a + (i == t) for i, a in enumerate(vec[x]))
+            if y in vec:
+                relations.append([a - b for a, b in zip(cand, vec[y])])
+            else:
+                vec[y] = cand
+                queue.append(y)
+    if not relations:
+        return ()
+    return tuple(d for d in zlat.smith_normal_form(zlat.IntMatrix.from_rows(relations)).invariant_factors if d != 1)
+
+
 def verify_sl_stabilizer_clauses(n, h_generators):
     """Check both stabilizer clauses for the natural representation of the
     preimage of a permutation p-group: trivial torus part, and component

@@ -64,6 +64,7 @@ MALFORMED = {
     "split_str": (("split",), "yes"),
     "generators_object": (("generators",), {}),
     "generator_int": (("generators", 0), 5),
+    "torus_rank_negative": (("torus_rank",), -1),
     # the float and str forms would read as the valid value if they were coerced
     **{
         f"{name}_{type(bad).__name__}": (path, bad)
@@ -119,6 +120,11 @@ class TestSchema:
         assert code == EXIT_INVALID
         assert out == ""
         assert json.loads(err)["error"] == "BAD_INPUT"
+
+    def test_negative_torus_rank_named(self, tmp_path, capsys):
+        code, _, err = run(["validate", write_json(tmp_path, with_field(*MALFORMED["torus_rank_negative"]))], capsys)
+        assert code == EXIT_INVALID
+        assert "torus_rank" in json.loads(err)["detail"]
 
     def test_invalid_presentation_exit_1(self, tmp_path, capsys):
         doc = dict(SL2_NORMALIZER)

@@ -33,8 +33,10 @@ from edtorus.zlat import IntMatrix
 
 from conftest import (
     GOLDEN_INPUTS,
+    abelian_invariants_reference,
     class_of,
     ed_reps,
+    element_order,
     induced_matrix_reference,
     int_matmul,
     monomial_mul_reference,
@@ -335,7 +337,7 @@ class TestComponentGroup:
         group = component_group(so4_presentation)
         assert group.order == 4
         assert group.is_abelian()
-        assert sorted(group.element_order(i) for i in range(group.order)) == [1, 2, 2, 2]
+        assert sorted(element_order(group, i) for i in range(group.order)) == [1, 2, 2, 2]
 
     @pytest.mark.parametrize(
         "maker",
@@ -354,7 +356,8 @@ class TestComponentGroup:
         left = table[table[:, :, None], np.arange(n)[None, None, :]]
         right = table[np.arange(n)[:, None, None], table[None, :, :]]
         assert np.array_equal(left, right)
-        for o in map(group.element_order, range(n)):
+        for i in range(n):
+            o = element_order(group, i)
             while o % P.p == 0:
                 o //= P.p
             assert o == 1
@@ -446,7 +449,7 @@ class TestComponentGroup:
         A = report.induced_matrices[0]
         # the induced map factors through the component group: A^3 = identity
         assert int_matmul(int_matmul(A, A), A) == IntMatrix.identity(A.rows)
-        assert group.element_order(class_of(group, sl3_three_cycle.generators[0])) == 3
+        assert element_order(group, class_of(group, sl3_three_cycle.generators[0])) == 3
 
     def test_representative_invariance(self):
         base = sln_case(6, 3).presentation
@@ -466,7 +469,8 @@ class TestComponentGroup:
         g1 = component_group(base)
         g2 = component_group(P2)
         assert g1.order == g2.order
-        assert sorted(map(g1.element_order, range(g1.order))) == sorted(map(g2.element_order, range(g2.order)))
+        orders = [sorted(element_order(g, i) for i in range(g.order)) for g in (g1, g2)]
+        assert orders[0] == orders[1]
 
     def test_torsion_shifted_representative_same_class(self, sl3_three_cycle):
         perm, coeff = sl3_three_cycle.generators[0]
@@ -807,7 +811,7 @@ class TestAbelianDecomposition:
         x, y = next(
             (x, y)
             for x in range(group.order)
-            if group.element_order(x) == 4
+            if element_order(group, x) == 4
             for y in range(group.order)
             if group.mul(x, y) == group.mul(y, x) and y not in group.subgroup_closure([x])
         )
@@ -829,6 +833,41 @@ class TestAbelianDecomposition:
         group = component_group(sln_case(5, 2).presentation)
         with pytest.raises(ValueError, match="not abelian"):
             group.abelian_decomposition()
+
+    @pytest.mark.parametrize("n,non_abelian", [(5, 1), (6, 4), (7, 4)])
+    def test_two_generated_subgroups_match_cayley_relations(self, n, non_abelian):
+        group = component_group(sln_case(n, 2).presentation)
+        N = group.order
+        subgroups = {group.subgroup_closure([a, b]) for a in range(N) for b in range(a + 1)}
+        rejected = 0
+        for H in sorted(subgroups):
+            abelian = all(group.mul(x, y) == group.mul(y, x) for x in H for y in H)
+            if not abelian:
+                rejected += 1
+                with pytest.raises(ValueError, match="not abelian"):
+                    group.abelian_decomposition(H)
+                continue
+            _, orders, coords = group.abelian_decomposition(H)
+            assert orders == abelian_invariants_reference(group, H)
+            assert sorted(coords) == list(H)
+        assert rejected == non_abelian
+
+    def test_whole_group_costs_few_products(self, fresh_caches, monkeypatch):
+        # the greedy picks grow the group coset by coset and the coordinates
+        # are grown once more, so about 4|F| products in all; a relation per
+        # Cayley edge made 49,364 here
+        group = component_group(so_case(5).presentation)
+        calls = []
+        mul = monogrp.ComponentGroup.mul
+
+        def counted(self, x, y):
+            calls.append(1)
+            return mul(self, x, y)
+
+        monkeypatch.setattr(monogrp.ComponentGroup, "mul", counted)
+        _, orders, coords = group.abelian_decomposition()
+        assert group.order == 1024 and orders == (2,) * 10 and len(coords) == 1024
+        assert len(calls) <= 5 * group.order
 
 
 class TestElementaryRank:
@@ -855,7 +894,7 @@ class TestElementaryRank:
         from itertools import combinations
 
         group = component_group(sln_case(n, 2).presentation)
-        involutions = [i for i in range(group.order) if group.element_order(i) == 2]
+        involutions = [i for i in range(group.order) if element_order(group, i) == 2]
         # k pairwise commuting involutions generating 2^k elements
         brute = max(
             k
