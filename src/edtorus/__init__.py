@@ -14,7 +14,6 @@ from .monogrp import (
     MonomialGroupPresentation,
     MonomialRep,
     RepBlock,
-    append_character_block,
     character_lattice_action,
     component_group,
     limit_steps,
@@ -57,7 +56,6 @@ __all__ = [
     "SmithDecomposition",
     "StabilizerReport",
     "SymRankResult",
-    "append_character_block",
     "build_generically_free_extension",
     "character_lattice_action",
     "closed_form_sln",

@@ -331,13 +331,9 @@ class ComponentGroup:
         return len(self.elements)
 
     def is_abelian(self) -> bool:
-        return self._commute(set(self.right[self.identity]))
-
-    def power(self, i: int, k: int) -> int:
-        acc = self.identity
-        for _ in range(k):
-            acc = self.mul(acc, i)
-        return acc
+        first = self.right[self.identity]  # generator g is class first[g]
+        pairs = itertools.combinations(range(len(first)), 2)
+        return all(self.right[first[i]][j] == self.right[first[j]][i] for i, j in pairs)
 
     def subgroup_closure(self, indices) -> tuple[int, ...]:
         return tuple(sorted(self._generators(sorted(set(indices)))[1]))
@@ -402,9 +398,6 @@ class ComponentGroup:
                 gens.append(h)
                 reached = set(closure(self.identity, gens, self.mul))
         return gens, reached
-
-    def _commute(self, gens) -> bool:
-        return all(self.mul(a, b) == self.mul(b, a) for a, b in itertools.combinations(gens, 2))
 
     def abelian_decomposition(self, indices=None):
         """Cyclic decomposition of an abelian subgroup.
@@ -484,21 +477,23 @@ class ComponentGroup:
         return tuple(basis), tuple(orders), coords
 
     def elementary_rank(self, indices, p: int) -> int:
-        """Largest r with an elementary abelian p-subgroup of rank r inside.
+        """Largest r with an elementary abelian p-subgroup of rank r inside the
+        subgroup `indices`, which must be one (`generic_stabilizer` checks it).
 
         For an abelian subgroup this is the number of its invariant factors
-        divisible by p.  Otherwise a depth-first search walks the elementary
-        abelian subgroups generated by elements of order p, once per member set.
+        divisible by p.  A non-abelian one, which its decomposition refuses, is
+        searched depth first over the elementary abelian subgroups generated by
+        elements of order p, once per member set.
         """
-        indices = set(indices)
-        members = self.subgroup_closure(indices)
-        if len(members) == len(indices) and self._commute(self._generators(members)[0]):
-            _, orders, _ = self.abelian_decomposition(members)
-            return sum(1 for d in orders if d % p == 0)
-        return self._elementary_rank_search(indices, p)
+        try:
+            _, orders, _ = self.abelian_decomposition(indices)
+        except ValueError:
+            return self._elementary_rank_search(indices, p)
+        return sum(1 for d in orders if d % p == 0)
 
     def _elementary_rank_search(self, indices, p: int) -> int:
-        order_p = [i for i in sorted(indices) if i != self.identity and self.power(i, p) == self.identity]
+        # for p prime, i has order p exactly when it generates p classes
+        order_p = [i for i in sorted(indices) if len(closure(self.identity, [i], self.mul)) == p]
         best = 0
         limit = MAX_STEPS.get()
         visited: set[frozenset[int]] = set()
@@ -811,38 +806,6 @@ def character_lattice_action(P: MonomialGroupPresentation):
 
 def m_as_tuple(A: IntMatrix) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(A.row(i)) for i in range(A.rows))
-
-
-def append_character_block(R: MonomialRep, chi) -> MonomialRep:
-    """Append the one-dimensional block on which the group acts by chi.
-
-    chi is a tuple of integers modulo n = |F| indexed by component-group
-    element (chi[i]/n in Q/Z), verified to be a homomorphism on the edges of
-    the Cayley graph.  The new block has weight zero, so the torus acts
-    trivially on it, and modulus n.
-    """
-    P = R.presentation
-    group = component_group(P)
-    n = len(group.elements)
-    if len(chi) != n:
-        raise EdtorusError("NOT_A_CHARACTER", "character must assign a value to every class")
-    if chi[group.identity] % n != 0:
-        raise EdtorusError("NOT_A_CHARACTER", "character must vanish on the identity")
-    # chi(x g) = chi(x) + chi(g) on every Cayley edge gives chi(x y) = chi(x) +
-    # chi(y) for all x, y, by induction on the word length of y
-    gen_classes = group.right[group.identity]
-    for x, row in enumerate(group.right):
-        for g, y in enumerate(row):
-            if (chi[x] + chi[gen_classes[g]] - chi[y]) % n != 0:
-                raise EdtorusError("NOT_A_CHARACTER", "values do not respect the multiplication table")
-    d = P.torus_rank
-    block = RepBlock(
-        weights=((0,) * d,),
-        gen_perms=tuple((0,) for _ in P.generators),
-        gen_coeffs=tuple((chi[c] % n,) for c in gen_classes),
-        modulus=n,
-    )
-    return MonomialRep(presentation=P, blocks=R.blocks + (block,))
 
 
 def check_rep_compatible(P: MonomialGroupPresentation, R: MonomialRep) -> RepRecord:

@@ -29,7 +29,6 @@ from .monogrp import (
     Perm,
     RepBlock,
     _is_prime,
-    append_character_block,
     component_group,
     ensure_valid,
     natural_rep,
@@ -104,9 +103,14 @@ def build_generically_free_extension(
         raise EdtorusError("NOT_ABELIAN_COMPONENT", "component group is not abelian")
     report = generic_stabilizer(P, V)
     chars = _characters_generating_dual(group, report.component_image)
-    W = V
-    for chi in chars:
-        W = append_character_block(W, chi)
+    gens = group.right[group.identity]  # generator g is class gens[g]
+    # one weight-zero line per character, on which g acts by chi(g) mod |F|: W's
+    # record walk is the one check that these values extend to a character of F
+    lines = tuple(
+        RepBlock(((0,) * P.torus_rank,), ((0,),) * len(gens), tuple((chi[g],) for g in gens), group.order)
+        for chi in chars
+    )
+    W = MonomialRep(P, V.blocks + lines)
     _require_free(generic_stabilizer(P, W))
     if W.dim - V.dim != report.require_p_rank():
         raise EdtorusError("INTERNAL", "one line per invariant factor")
@@ -314,12 +318,16 @@ def sl_case_label(n: int, p: int) -> str:
     return "b" if n % 4 == 0 else "d"
 
 
-def sln_case(n: int, p: int) -> SlCase:
-    """Case-study presentation for the torus normalizer inside SL_n."""
+def _require_sl_case(n: int, p: int) -> None:
     if n < 2:
         raise EdtorusError("UNSUPPORTED", "need n >= 2")
     if not _is_prime(p):
         raise EdtorusError("UNSUPPORTED", f"p = {p} is not prime")
+
+
+def sln_case(n: int, p: int) -> SlCase:
+    """Case-study presentation for the torus normalizer inside SL_n."""
+    _require_sl_case(n, p)
     label = sl_case_label(n, p)
     blocks: tuple[tuple[int, int], ...] = ()
     if label == "a":
@@ -374,8 +382,7 @@ def _tower_offsets(p: int, count: int) -> tuple[tuple[int, int], ...]:
 def closed_form_sln(n: int, p: int) -> int:
     """Recorded closed form for the essential p-dimension of the SL_n
     torus normalizer."""
-    if n < 2:
-        raise EdtorusError("UNSUPPORTED", "need n >= 2")
+    _require_sl_case(n, p)
     label = sl_case_label(n, p)
     if label == "a":
         return n // p + 1
@@ -637,6 +644,7 @@ def _table_row(report: EdReport, reference: int, **key) -> dict:
 
 
 def table_sl(nmax: int, p: int) -> list[dict]:
+    _require_sl_case(nmax, p)  # so an empty table is never an answer
     return [
         _table_row(ed_case_sl(n, p), closed_form_sln(n, p), n=n, p=p, case=sl_case_label(n, p))
         for n in range(2, nmax + 1)
@@ -644,4 +652,6 @@ def table_sl(nmax: int, p: int) -> list[dict]:
 
 
 def table_so(nmax: int) -> list[dict]:
+    if nmax < 1:
+        raise EdtorusError("UNSUPPORTED", "need n >= 1")
     return [_table_row(ed_case_so(n), closed_form_so(n), n=n) for n in range(1, nmax + 1)]

@@ -14,6 +14,7 @@ from edtorus.monogrp import (
     EdtorusError,
     MonomialGroupPresentation,
     MonomialRep,
+    RepBlock,
     closure,
     component_group,
     natural_rep,
@@ -70,6 +71,17 @@ def sl_case_rep(n, p):
         return P, upper_witness_sln(n, p).rep
     keep = n - 1 if (case.label == "c" or n % 2 == 1) else n
     return P, MonomialRep(presentation=P, blocks=(_restricted_natural_block(case, keep),))
+
+
+def with_line(P, coeffs, modulus):
+    """The natural rep plus a weight-zero line on which generator j acts by coeffs[j]."""
+    block = RepBlock(
+        weights=((0,) * P.torus_rank,),
+        gen_perms=tuple((0,) for _ in P.generators),
+        gen_coeffs=tuple((c,) for c in coeffs),
+        modulus=modulus,
+    )
+    return MonomialRep(presentation=P, blocks=natural_rep(P).blocks + (block,))
 
 
 def ed_reps(P, V):

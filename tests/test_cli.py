@@ -212,6 +212,22 @@ class TestCommandLineNumbers:
         assert out == ""
         assert json.loads(err)["error"] == "BAD_INPUT"
 
+    @pytest.mark.parametrize(
+        "argv,detail",
+        [
+            (["table", "sl", "1", "4"], "need n >= 2"),
+            (["table", "sl", "-5", "9"], "need n >= 2"),
+            (["table", "sl", "3", "4"], "p = 4 is not prime"),
+            (["table", "so", "0"], "need n >= 1"),
+            (["table", "so", "-2"], "need n >= 1"),
+        ],
+    )
+    def test_table_out_of_range_is_unsupported(self, argv, detail, capsys):
+        # no row would be built, so these were once answered with an empty table
+        code, out, err = run(argv + ["--format", "json"], capsys)
+        assert (code, out) == (EXIT_INVALID, "")
+        assert json.loads(err) == {"error": "UNSUPPORTED", "detail": detail}
+
     @pytest.mark.parametrize("argv", [["--help"], ["oracle", "symrank", "--help"]])
     def test_help_exits_0(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

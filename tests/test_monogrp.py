@@ -1,4 +1,4 @@
-"""Presentation validation, component groups, lattice actions, character blocks."""
+"""Presentation validation, component groups, lattice actions, character lines."""
 
 import collections
 import dataclasses
@@ -16,7 +16,6 @@ from edtorus.monogrp import (
     MonomialGroupPresentation,
     MonomialRep,
     RepBlock,
-    append_character_block,
     character_lattice_action,
     check_rep_compatible,
     closure,
@@ -43,6 +42,7 @@ from conftest import (
     perturbed_case_presentations,
     rep_record_reference,
     sl_case_rep,
+    with_line,
 )
 
 
@@ -612,31 +612,31 @@ class TestCharacterLattice:
 
 
 class TestCharacterBlocks:
+    """A weight-zero line is a character of F; its record walk is its one check."""
+
     def test_trivial_character(self, sl3_three_cycle):
-        group = component_group(sl3_three_cycle)
-        chi = (0,) * group.order
-        R = append_character_block(natural_rep(sl3_three_cycle), chi)
-        assert R.dim == 4
-        assert R.blocks[-1].weights == ((0, 0),)
-        assert R.blocks[-1].gen_coeffs == ((0,),)
+        rec = check_rep_compatible(sl3_three_cycle, with_line(sl3_three_cycle, (0,), 3))
+        assert [coeff[-1] for _, coeff in rec.actions] == [0, 0, 0]
 
     def test_order_three_character(self, sl3_three_cycle):
+        # the generator acts by 1/3, so each class acts by its character value
         group = component_group(sl3_three_cycle)
         g = class_of(group, sl3_three_cycle.generators[0])
         chi = [0] * group.order  # values modulo |F| = 3
         chi[g] = 1
         chi[group.mul(g, g)] = 2
-        R = append_character_block(natural_rep(sl3_three_cycle), tuple(chi))
-        assert R.blocks[-1].gen_coeffs == ((1,),)
-        assert R.blocks[-1].modulus == 3
+        rec = check_rep_compatible(sl3_three_cycle, with_line(sl3_three_cycle, (1,), 3))
+        assert [coeff[-1] for _, coeff in rec.actions] == chi
 
     def test_not_a_character(self, sl3_three_cycle):
-        group = component_group(sl3_three_cycle)
-        bogus = [0] * group.order
-        bogus[1] = 1  # 1/3 on one class alone is not additive on a group of order 3
+        # the generator has order 3, and 3 * 1/2 is not 0 in Q/Z: its cube,
+        # class 2 times generator 0, acts by 1/2 where the identity acts by 0
         with pytest.raises(EdtorusError) as err:
-            append_character_block(natural_rep(sl3_three_cycle), tuple(bogus))
-        assert err.value.code == "NOT_A_CHARACTER"
+            check_rep_compatible(sl3_three_cycle, with_line(sl3_three_cycle, (1,), 2))
+        assert err.value.code == "BAD_INPUT"
+        assert err.value.detail == (
+            "blocks do not define a representation: class 2 times generator 0 does not act as class 0"
+        )
 
     @staticmethod
     def all_characters(group):
@@ -672,24 +672,16 @@ class TestCharacterBlocks:
                     dual = [N // d if j == i else 0 for j, d in enumerate(orders)]
                     assert [chi[b] for b in basis] == dual
                     assert chi == next(ref for ref in reference if [ref[b] for b in basis] == dual)
-                    assert append_character_block(natural_rep(P), chi).dim == natural_rep(P).dim + 1
+                    # W's record walk accepts the line and acts on it by chi
+                    W = with_line(P, [chi[g] for g in group.right[group.identity]], N)
+                    k = W.modulus // N
+                    assert [c[-1] for _, c in check_rep_compatible(P, W).actions] == [k * x for x in chi]
 
 
 class TestRepCompatibility:
-    @staticmethod
-    def with_line(P, coeffs, modulus):
-        """The natural rep plus a weight-zero line on which generator j acts by coeffs[j]."""
-        block = RepBlock(
-            weights=((0,) * P.torus_rank,),
-            gen_perms=tuple((0,) for _ in P.generators),
-            gen_coeffs=tuple((c,) for c in coeffs),
-            modulus=modulus,
-        )
-        return MonomialRep(presentation=P, blocks=natural_rep(P).blocks + (block,))
-
     def test_block_denominator_need_not_divide_e(self, so4_presentation):
         # e = 1, and the sign swap acts on the new line by 1/2: a character of F
-        check_rep_compatible(so4_presentation, self.with_line(so4_presentation, (1, 0), 2))
+        check_rep_compatible(so4_presentation, with_line(so4_presentation, (1, 0), 2))
 
     def test_relation_violated_rejected(self):
         # the swap squares to the torus point -1, which is trivial on a weight-zero
@@ -702,14 +694,14 @@ class TestRepCompatibility:
             generators=(((1, 0), (0, 2)),),
         )
         with pytest.raises(EdtorusError, match="do not define a representation") as err:
-            check_rep_compatible(P, self.with_line(P, (1,), 4))
+            check_rep_compatible(P, with_line(P, (1,), 4))
         assert err.value.code == "BAD_INPUT"
-        check_rep_compatible(P, self.with_line(P, (2,), 4))
+        check_rep_compatible(P, with_line(P, (2,), 4))
 
     @pytest.mark.parametrize("c", [2, Fraction(1, 2)])
     def test_unreduced_block_coefficient_rejected(self, so4_presentation, c):
         with pytest.raises(EdtorusError, match="integers reduced modulo its modulus") as err:
-            check_rep_compatible(so4_presentation, self.with_line(so4_presentation, (c, 0), 2))
+            check_rep_compatible(so4_presentation, with_line(so4_presentation, (c, 0), 2))
         assert err.value.code == "BAD_INPUT"
 
     @pytest.mark.parametrize("modulus", [0, -2])
@@ -888,6 +880,27 @@ class TestElementaryRank:
         for members in sorted(subgroups):
             assert group.elementary_rank(members, P.p) == group._elementary_rank_search(members, P.p)
         assert group.elementary_rank(range(group.order), P.p) == rank
+
+    def test_abelian_subgroup_is_closed_once(self, fresh_caches, monkeypatch):
+        # one greedy closure and the coset-grown decomposition, whose own
+        # refusal decides abelianness; closing the subgroup three times made
+        # 59,584 products here
+        group = component_group(so_case(5).presentation)
+        calls = []
+        mul = monogrp.ComponentGroup.mul
+
+        def counted(self, x, y):
+            calls.append(1)
+            return mul(self, x, y)
+
+        monkeypatch.setattr(monogrp.ComponentGroup, "mul", counted)
+        assert group.elementary_rank(range(1024), 2) == 10
+        assert len(calls) <= 25_000
+
+    def test_is_abelian_reads_the_cayley_graph(self, monkeypatch):
+        groups = [component_group(P) for P in (so_case(2).presentation, sln_case(5, 2).presentation)]
+        monkeypatch.setattr(monogrp.ComponentGroup, "mul", None)
+        assert [group.is_abelian() for group in groups] == [True, False]
 
     @pytest.mark.parametrize("n", [5, 6, 7])
     def test_non_abelian_search_matches_brute_force(self, n):

@@ -222,6 +222,27 @@ class TestOnePass:
         assert lines.count(3) == edges
         assert len(lines) == 2 * edges
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_character_lines_are_checked_once(self, n, fresh_caches, monkeypatch):
+        # after the enumeration, the one pass over the Cayley graph is the
+        # extension's record walk, which checks every character line at once
+        passes = []
+
+        class Passes(list):
+            def __iter__(self):
+                passes.append(len(self))
+                return super().__iter__()
+
+        init = monogrp.ComponentGroup.__init__
+
+        def counting(self, P, elements, right, *rest):
+            init(self, P, elements, Passes(right), *rest)
+
+        monkeypatch.setattr(monogrp.ComponentGroup, "__init__", counting)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["ed", "case", "so", str(n), "--format", "json"]) == 0
+        assert passes == [4**n]
+
     def test_normal_forms_stay_small(self, fresh_caches, monkeypatch):
         # the component group is presented by one relation per generator, so
         # no normal form is handed a matrix that grows with |F| (here 256)

@@ -6,7 +6,6 @@ from edtorus.cli import load_presentation
 from edtorus.monogrp import (
     EdtorusError,
     MonomialGroupPresentation,
-    append_character_block,
     component_group,
     natural_rep,
 )
@@ -21,6 +20,7 @@ from conftest import (
     perturbed_case_presentations,
     sl_case_rep,
     stabilizer_image_reference,
+    with_line,
 )
 
 
@@ -173,9 +173,7 @@ class TestPFaithful:
         # a block seeing only the trivial character of the component group
         # leaves the whole 3-cycle class acting trivially on nothing new;
         # dropping the natural block makes the torus action rank deficient
-        group = component_group(sl3_three_cycle)
-        chi = (0,) * group.order
-        rep = append_character_block(natural_rep(sl3_three_cycle), chi)
+        rep = with_line(sl3_three_cycle, (0,), 3)
         assert is_p_faithful(sl3_three_cycle, rep).ok  # natural block still faithful
 
 
@@ -186,12 +184,7 @@ class TestPGenericallyFree:
         assert len(report.component_image) > 1  # a component class fixes a generic point
 
     def test_sl3_with_faithful_character_block(self, sl3_three_cycle):
-        group = component_group(sl3_three_cycle)
-        g = class_of(group, sl3_three_cycle.generators[0])
-        chi = [0] * group.order  # values modulo |F| = 3
-        chi[g] = 1
-        chi[group.mul(g, g)] = 2
-        rep = append_character_block(natural_rep(sl3_three_cycle), tuple(chi))
+        rep = with_line(sl3_three_cycle, (1,), 3)  # the generator acts by 1/3
         assert generic_stabilizer(sl3_three_cycle, rep).p_generically_free
 
     def test_sl2_normalizer_free_with_oracle(self, sl2_normalizer):
@@ -202,18 +195,12 @@ class TestPGenericallyFree:
 
 class TestMonotonicity:
     def test_appending_blocks_shrinks_image(self, sl3_three_cycle):
-        group = component_group(sl3_three_cycle)
         base = generic_stabilizer(sl3_three_cycle)
-        trivial_chi = (0,) * group.order
-        rep1 = append_character_block(natural_rep(sl3_three_cycle), trivial_chi)
+        rep1 = with_line(sl3_three_cycle, (0,), 3)
         same = generic_stabilizer(sl3_three_cycle, rep1)
         assert set(same.component_image) <= set(base.component_image)
         assert same.component_image == base.component_image  # trivial character: no shrink
-        g = class_of(group, sl3_three_cycle.generators[0])
-        chi = [0] * group.order  # values modulo |F| = 3
-        chi[g] = 1
-        chi[group.mul(g, g)] = 2
-        rep2 = append_character_block(natural_rep(sl3_three_cycle), tuple(chi))
+        rep2 = with_line(sl3_three_cycle, (1,), 3)  # the generator acts by 1/3
         smaller = generic_stabilizer(sl3_three_cycle, rep2)
         assert set(smaller.component_image) < set(base.component_image)
 
