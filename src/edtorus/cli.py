@@ -23,7 +23,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 from . import oracle, pipeline
 from .monogrp import (
@@ -100,15 +99,21 @@ def _parse_generator(obj, num_lines: int):
     den = _int_list(obj.get("coeff_den"), num_lines, "coeff_den")
     if 0 in den:
         raise EdtorusError("BAD_INPUT", "coeff_den entries must be nonzero")
-    return tuple(x - 1 for x in perm), tuple(Fraction(a, b) % 1 for a, b in zip(num, den))
+    return tuple(x - 1 for x in perm), tuple(map(_mod_one, num, den))
+
+
+def _mod_one(a: int, b: int) -> tuple[int, int]:
+    """a/b mod 1 in lowest terms, for b nonzero: (numerator in [0, den), den > 0)."""
+    g = math.gcd(a, b) if b > 0 else -math.gcd(a, b)
+    return a // g % (b // g), b // g
 
 
 def _scaled(coeffs, n: int) -> tuple[tuple[int, ...], ...]:
-    """Fractions in [0, 1) as integers modulo n; every denominator must divide n."""
-    bad = next((c.denominator for coeff in coeffs for c in coeff if n % c.denominator), None)
+    """Reduced fractions (a, b) in [0, 1) as integers modulo n; every denominator b must divide n."""
+    bad = next((b for coeff in coeffs for _, b in coeff if n % b), None)
     if bad is not None:
         raise EdtorusError("BAD_INPUT", f"coefficient denominator {bad} does not divide e = {n}")
-    return tuple(tuple(c.numerator * (n // c.denominator) for c in coeff) for coeff in coeffs)
+    return tuple(tuple(a * (n // b) for a, b in coeff) for coeff in coeffs)
 
 
 def presentation_from_json(doc) -> tuple[MonomialGroupPresentation, list[RepBlock]]:
@@ -148,7 +153,7 @@ def presentation_from_json(doc) -> tuple[MonomialGroupPresentation, list[RepBloc
         if len(parsed) != len(gens):
             raise EdtorusError("BAD_INPUT", "each block needs one action per presentation generator")
         # the block's modulus is the lcm of its reduced denominators
-        modulus = math.lcm(*(c.denominator for g in parsed for c in g[1]))
+        modulus = math.lcm(*(b for g in parsed for _, b in g[1]))
         blocks.append(
             RepBlock(
                 weights=bweights,
@@ -170,8 +175,8 @@ def presentation_to_json(P: MonomialGroupPresentation) -> dict:
         "generators": [
             {
                 "perm": [x + 1 for x in perm],
-                "coeff_num": [Fraction(c, e).numerator for c in coeff],
-                "coeff_den": [Fraction(c, e).denominator for c in coeff],
+                "coeff_num": [c // math.gcd(c, e) for c in coeff],
+                "coeff_den": [e // math.gcd(c, e) for c in coeff],
             }
             for perm, coeff in P.generators
         ],
@@ -397,95 +402,95 @@ def _env_max_steps() -> int:
         raise EdtorusError("BAD_INPUT", f"{MAX_STEPS_ENV} must be an integer, got {env_steps!r}") from None
 
 
+class _Lazy:
+    """A subcommand's parser, built by `build` when argparse first uses it, to
+    parse the rest of an argv.  So a process builds only the parsers on the
+    command paths it runs, while each family still lists all its members in
+    help, usage and "invalid choice"."""
+
+    def __init__(self, build, **kwargs):
+        self._build, self._kwargs = build, kwargs
+
+    @functools.cached_property
+    def _parser(self) -> argparse.ArgumentParser:
+        parser = _Parser(**self._kwargs)
+        self._build(parser)
+        return parser
+
+    def __getattr__(self, name):
+        return getattr(self._parser, name)
+
+
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+_INPUT = _arg("input")
+_REP = _arg("--rep", choices=("natural", "full"), default="full")
+_BOUND = _arg("-B", "--bound", type=int, default=None)
+_COMMON = (_arg("--format", choices=("table", "json"), default="table"), _arg("--max-steps", type=int, default=None))
+
+
+def _leaf(fn, *args):
+    """What sets up a command's parser: its arguments in help order, then the options every command takes."""
+
+    def build(parser):
+        for flags, kwargs in args + _COMMON:
+            parser.add_argument(*flags, **kwargs)
+        parser.set_defaults(fn=fn)
+
+    return build
+
+
+def _family(dest, members):
+    """What sets up a family's parser: its members, {name: (help or None, their set-up)} in help order."""
+
+    def build(parser):
+        subs = parser.add_subparsers(dest=dest, required=True, parser_class=_Lazy)
+        for name, (summary, member) in members.items():
+            subs.add_parser(name, build=member, **({"help": summary} if summary else {}))
+
+    return build
+
+
+_COMMANDS = _family("command", {
+    "validate": ("check a presentation file", _leaf(_cmd_validate, _INPUT)),
+    "stabilizer": ("generic stabilizer of a representation", _leaf(_cmd_stabilizer, _INPUT, _REP)),
+    "symrank": ("symmetric p-rank of the character lattice", _leaf(_cmd_symrank, _INPUT, _BOUND)),
+    "eta": (
+        "minimal p-faithful dimension bounds",
+        _leaf(_cmd_eta, _INPUT, _arg("--rep", choices=("natural", "full", "none"), default="full"), _BOUND),
+    ),
+    "ed": (
+        "essential p-dimension report",
+        _leaf(_cmd_ed, _arg("target", nargs="+", help="<input.json> or: case sl <n> <p> | case so <n>"), _REP),
+    ),
+    "case": ("emit a case-study presentation", _family("family", {
+        "sl": (None, _leaf(_cmd_case, _arg("n", type=int), _arg("p", type=int))),
+        "so": (None, _leaf(_cmd_case, _arg("n", type=int))),
+    })),
+    "table": ("case-study tables against the closed forms", _family("family", {
+        "sl": (None, _leaf(_cmd_table, _arg("nmax", type=int), _arg("p", type=int))),
+        "so": (None, _leaf(_cmd_table, _arg("nmax", type=int))),
+    })),
+    "oracle": ("independent brute-force checks", _family("kind", {
+        "stab": (None, _leaf(_cmd_oracle, _INPUT, _REP, _arg("-q", type=int, default=None),
+                             _arg("--trials", type=int, default=50), _arg("--seed", type=int, default=0))),
+        "symrank": (None, _leaf(_cmd_oracle, _INPUT, _arg("-B", "--bound", type=int, default=3))),
+        "sylow": (None, _leaf(_cmd_oracle, _arg("d", type=int), _arg("p", type=int))),
+    })),
+})
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """Built at the first call and shared by every later one, so it holds no per-request state."""
+    """Built at the first call and shared by every later one, so it holds no
+    per-request state; each command's parser is built at its first request."""
     parser = _Parser(
         prog="edtorus",
         description="essential p-dimension of torus extensions presented by monomial generators",
     )
-
-    def common(sub):
-        sub.add_argument("--format", choices=("table", "json"), default="table")
-        sub.add_argument("--max-steps", type=int, default=None, dest="max_steps")
-
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    s = subs.add_parser("validate", help="check a presentation file")
-    s.add_argument("input")
-    common(s)
-    s.set_defaults(fn=_cmd_validate)
-
-    s = subs.add_parser("stabilizer", help="generic stabilizer of a representation")
-    s.add_argument("input")
-    s.add_argument("--rep", choices=("natural", "full"), default="full")
-    common(s)
-    s.set_defaults(fn=_cmd_stabilizer)
-
-    s = subs.add_parser("symrank", help="symmetric p-rank of the character lattice")
-    s.add_argument("input")
-    s.add_argument("-B", "--bound", type=int, default=None)
-    common(s)
-    s.set_defaults(fn=_cmd_symrank)
-
-    s = subs.add_parser("eta", help="minimal p-faithful dimension bounds")
-    s.add_argument("input")
-    s.add_argument("--rep", choices=("natural", "full", "none"), default="full")
-    s.add_argument("-B", "--bound", type=int, default=None)
-    common(s)
-    s.set_defaults(fn=_cmd_eta)
-
-    s = subs.add_parser("ed", help="essential p-dimension report")
-    s.add_argument("target", nargs="+", help="<input.json> or: case sl <n> <p> | case so <n>")
-    s.add_argument("--rep", choices=("natural", "full"), default="full")
-    common(s)
-    s.set_defaults(fn=_cmd_ed)
-
-    s = subs.add_parser("case", help="emit a case-study presentation")
-    fam = s.add_subparsers(dest="family", required=True)
-    sl = fam.add_parser("sl")
-    sl.add_argument("n", type=int)
-    sl.add_argument("p", type=int)
-    common(sl)
-    sl.set_defaults(fn=_cmd_case, family="sl")
-    so = fam.add_parser("so")
-    so.add_argument("n", type=int)
-    common(so)
-    so.set_defaults(fn=_cmd_case, family="so")
-
-    s = subs.add_parser("table", help="case-study tables against the closed forms")
-    fam = s.add_subparsers(dest="family", required=True)
-    sl = fam.add_parser("sl")
-    sl.add_argument("nmax", type=int)
-    sl.add_argument("p", type=int)
-    common(sl)
-    sl.set_defaults(fn=_cmd_table, family="sl")
-    so = fam.add_parser("so")
-    so.add_argument("nmax", type=int)
-    common(so)
-    so.set_defaults(fn=_cmd_table, family="so")
-
-    s = subs.add_parser("oracle", help="independent brute-force checks")
-    kinds = s.add_subparsers(dest="kind", required=True)
-    stab = kinds.add_parser("stab")
-    stab.add_argument("input")
-    stab.add_argument("--rep", choices=("natural", "full"), default="full")
-    stab.add_argument("-q", type=int, default=None)
-    stab.add_argument("--trials", type=int, default=50)
-    stab.add_argument("--seed", type=int, default=0)
-    common(stab)
-    stab.set_defaults(fn=_cmd_oracle, kind="stab")
-    sr = kinds.add_parser("symrank")
-    sr.add_argument("input")
-    sr.add_argument("-B", "--bound", type=int, default=3)
-    common(sr)
-    sr.set_defaults(fn=_cmd_oracle, kind="symrank")
-    sy = kinds.add_parser("sylow")
-    sy.add_argument("d", type=int)
-    sy.add_argument("p", type=int)
-    common(sy)
-    sy.set_defaults(fn=_cmd_oracle, kind="sylow")
-
+    _COMMANDS(parser)
     return parser
 
 

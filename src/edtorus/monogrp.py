@@ -410,7 +410,10 @@ class ComponentGroup:
         relation per generator, read off as it grows coset by coset; results
         are memoized per member set, the whole group keyed by range(order).
         """
-        members = tuple(range(self.order)) if indices is None else self.subgroup_closure(indices)
+        return self._decomposition(tuple(range(self.order)) if indices is None else self.subgroup_closure(indices))
+
+    def _decomposition(self, members: tuple[int, ...]):
+        """`abelian_decomposition` of the subgroup `members`, sorted, memoized per member set."""
         if members not in self._decompositions:
             self._decompositions[members] = self._decompose(members)
         return self._decompositions[members]
@@ -478,7 +481,8 @@ class ComponentGroup:
 
     def elementary_rank(self, indices, p: int) -> int:
         """Largest r with an elementary abelian p-subgroup of rank r inside the
-        subgroup `indices`, which must be one (`generic_stabilizer` checks it).
+        subgroup `indices`, which must be one (`generic_stabilizer` checks it,
+        so it is decomposed as it stands and not closed again).
 
         For an abelian subgroup this is the number of its invariant factors
         divisible by p.  A non-abelian one, which its decomposition refuses, is
@@ -486,7 +490,7 @@ class ComponentGroup:
         elements of order p, once per member set.
         """
         try:
-            _, orders, _ = self.abelian_decomposition(indices)
+            _, orders, _ = self._decomposition(tuple(sorted(set(indices))))
         except ValueError:
             return self._elementary_rank_search(indices, p)
         return sum(1 for d in orders if d % p == 0)

@@ -2,14 +2,16 @@
 
 import dataclasses
 import itertools
+import math
 import random
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from edtorus import monogrp, zlat
+from edtorus import cli, monogrp, zlat
 from edtorus.monogrp import (
     EdtorusError,
     MonomialGroupPresentation,
@@ -386,3 +388,116 @@ def so4_presentation():
 @pytest.fixture
 def negation_lattice():
     return lattice(1, (((-1,),),))
+
+
+def build_parser_reference():
+    """The whole argparse tree built at once, as `cli.build_parser` was before
+    it built each command's parser at the command's first request: the
+    differential reference for the help, errors and namespaces of that tree."""
+    parser = cli._Parser(
+        prog="edtorus",
+        description="essential p-dimension of torus extensions presented by monomial generators",
+    )
+
+    def common(sub):
+        sub.add_argument("--format", choices=("table", "json"), default="table")
+        sub.add_argument("--max-steps", type=int, default=None, dest="max_steps")
+
+    subs = parser.add_subparsers(dest="command", required=True)
+
+    s = subs.add_parser("validate", help="check a presentation file")
+    s.add_argument("input")
+    common(s)
+    s.set_defaults(fn=cli._cmd_validate)
+
+    s = subs.add_parser("stabilizer", help="generic stabilizer of a representation")
+    s.add_argument("input")
+    s.add_argument("--rep", choices=("natural", "full"), default="full")
+    common(s)
+    s.set_defaults(fn=cli._cmd_stabilizer)
+
+    s = subs.add_parser("symrank", help="symmetric p-rank of the character lattice")
+    s.add_argument("input")
+    s.add_argument("-B", "--bound", type=int, default=None)
+    common(s)
+    s.set_defaults(fn=cli._cmd_symrank)
+
+    s = subs.add_parser("eta", help="minimal p-faithful dimension bounds")
+    s.add_argument("input")
+    s.add_argument("--rep", choices=("natural", "full", "none"), default="full")
+    s.add_argument("-B", "--bound", type=int, default=None)
+    common(s)
+    s.set_defaults(fn=cli._cmd_eta)
+
+    s = subs.add_parser("ed", help="essential p-dimension report")
+    s.add_argument("target", nargs="+", help="<input.json> or: case sl <n> <p> | case so <n>")
+    s.add_argument("--rep", choices=("natural", "full"), default="full")
+    common(s)
+    s.set_defaults(fn=cli._cmd_ed)
+
+    s = subs.add_parser("case", help="emit a case-study presentation")
+    fam = s.add_subparsers(dest="family", required=True)
+    sl = fam.add_parser("sl")
+    sl.add_argument("n", type=int)
+    sl.add_argument("p", type=int)
+    common(sl)
+    sl.set_defaults(fn=cli._cmd_case, family="sl")
+    so = fam.add_parser("so")
+    so.add_argument("n", type=int)
+    common(so)
+    so.set_defaults(fn=cli._cmd_case, family="so")
+
+    s = subs.add_parser("table", help="case-study tables against the closed forms")
+    fam = s.add_subparsers(dest="family", required=True)
+    sl = fam.add_parser("sl")
+    sl.add_argument("nmax", type=int)
+    sl.add_argument("p", type=int)
+    common(sl)
+    sl.set_defaults(fn=cli._cmd_table, family="sl")
+    so = fam.add_parser("so")
+    so.add_argument("nmax", type=int)
+    common(so)
+    so.set_defaults(fn=cli._cmd_table, family="so")
+
+    s = subs.add_parser("oracle", help="independent brute-force checks")
+    kinds = s.add_subparsers(dest="kind", required=True)
+    stab = kinds.add_parser("stab")
+    stab.add_argument("input")
+    stab.add_argument("--rep", choices=("natural", "full"), default="full")
+    stab.add_argument("-q", type=int, default=None)
+    stab.add_argument("--trials", type=int, default=50)
+    stab.add_argument("--seed", type=int, default=0)
+    common(stab)
+    stab.set_defaults(fn=cli._cmd_oracle, kind="stab")
+    sr = kinds.add_parser("symrank")
+    sr.add_argument("input")
+    sr.add_argument("-B", "--bound", type=int, default=3)
+    common(sr)
+    sr.set_defaults(fn=cli._cmd_oracle, kind="symrank")
+    sy = kinds.add_parser("sylow")
+    sy.add_argument("d", type=int)
+    sy.add_argument("p", type=int)
+    common(sy)
+    sy.set_defaults(fn=cli._cmd_oracle, kind="sylow")
+
+    return parser
+
+
+def coefficients_reference(nums, dens, n=None):
+    """The coefficients num/den of one JSON generator read with `Fraction`, as
+    the CLI read them before it reduced integer pairs itself: each reduced mod
+    1, then scaled to integers modulo n, whose default is the lcm of the
+    reduced denominators (a block's modulus).  Returns (scaled, n), or raises
+    the BAD_INPUT the CLI raises for a denominator that does not divide n."""
+    coeffs = [Fraction(a, b) % 1 for a, b in zip(nums, dens)]
+    if n is None:
+        n = math.lcm(*(c.denominator for c in coeffs))
+    bad = next((c.denominator for c in coeffs if n % c.denominator), None)
+    if bad is not None:
+        raise EdtorusError("BAD_INPUT", f"coefficient denominator {bad} does not divide e = {n}")
+    return tuple(c.numerator * (n // c.denominator) for c in coeffs), n
+
+
+def fraction_json_reference(c, e):
+    """The (coeff_num, coeff_den) `Fraction` wrote for the coefficient c/e."""
+    return Fraction(c, e).numerator, Fraction(c, e).denominator

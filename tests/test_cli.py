@@ -1,15 +1,20 @@
 """Front-end behavior: schema, report formats, round-trips, exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from edtorus import cli
 from edtorus.cli import EXIT_BUDGET, EXIT_INCONCLUSIVE, EXIT_INVALID, EXIT_OK, build_parser, main
 from edtorus.monogrp import DEFAULT_MAX_STEPS, MAX_STEPS, EdtorusError, limit_steps
+
+from conftest import build_parser_reference, coefficients_reference, fraction_json_reference
+from test_golden import GOLDEN, _argv, _golden
 
 GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
 SO_2 = str(GOLDEN_INPUTS / "so_2.json")
@@ -182,46 +187,45 @@ class TestRepresentationCheck:
         }
 
 
+BAD_ARGVS = [
+    ["symrank", SO_2, "-B", "0"],
+    ["symrank", SO_2, "-B", "-1"],
+    ["eta", SO_2, "--rep", "none", "-B", "0"],
+    ["oracle", "stab", SO_2, "--trials", "0"],
+    ["oracle", "stab", SO_2, "--trials", "-2"],
+    ["ed", "case", "sl", "x", "2"],
+    ["ed", "case", "so", "1x"],
+    ["oracle", "symrank", SO_2, "-B", "0"],
+    ["symrank", SO_2, "--max-steps", "-1"],
+    ["ed", SO_2, "--max-steps", "-1"],
+    # malformed for argparse itself, whose own exit status 2 reads as INCONCLUSIVE
+    ["symrank", SO_2, "--max-steps", "abc"],
+    ["table", "sl", "x", "2"],
+    ["oracle", "stab", SO_2, "--trials", "x"],
+    ["oracle", "symrank", SO_2, "--no-such-flag"],
+    ["frobnicate"],
+    # the pinch answers without a search, but an explicit bound is still checked
+    ["eta", SO_2, "-B", "0"],
+]
+
+OUT_OF_RANGE = [
+    (["table", "sl", "1", "4"], "need n >= 2"),
+    (["table", "sl", "-5", "9"], "need n >= 2"),
+    (["table", "sl", "3", "4"], "p = 4 is not prime"),
+    (["table", "so", "0"], "need n >= 1"),
+    (["table", "so", "-2"], "need n >= 1"),
+]
+
+
 class TestCommandLineNumbers:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["symrank", SO_2, "-B", "0"],
-            ["symrank", SO_2, "-B", "-1"],
-            ["eta", SO_2, "--rep", "none", "-B", "0"],
-            ["oracle", "stab", SO_2, "--trials", "0"],
-            ["oracle", "stab", SO_2, "--trials", "-2"],
-            ["ed", "case", "sl", "x", "2"],
-            ["ed", "case", "so", "1x"],
-            ["oracle", "symrank", SO_2, "-B", "0"],
-            ["symrank", SO_2, "--max-steps", "-1"],
-            ["ed", SO_2, "--max-steps", "-1"],
-            # malformed for argparse itself, whose own exit status 2 reads as INCONCLUSIVE
-            ["symrank", SO_2, "--max-steps", "abc"],
-            ["table", "sl", "x", "2"],
-            ["oracle", "stab", SO_2, "--trials", "x"],
-            ["oracle", "symrank", SO_2, "--no-such-flag"],
-            ["frobnicate"],
-            # the pinch answers without a search, but an explicit bound is still checked
-            ["eta", SO_2, "-B", "0"],
-        ],
-    )
+    @pytest.mark.parametrize("argv", BAD_ARGVS)
     def test_rejected_with_a_diagnostic(self, argv, capsys):
         code, out, err = run(argv + ["--format", "json"], capsys)
         assert code == EXIT_INVALID
         assert out == ""
         assert json.loads(err)["error"] == "BAD_INPUT"
 
-    @pytest.mark.parametrize(
-        "argv,detail",
-        [
-            (["table", "sl", "1", "4"], "need n >= 2"),
-            (["table", "sl", "-5", "9"], "need n >= 2"),
-            (["table", "sl", "3", "4"], "p = 4 is not prime"),
-            (["table", "so", "0"], "need n >= 1"),
-            (["table", "so", "-2"], "need n >= 1"),
-        ],
-    )
+    @pytest.mark.parametrize("argv,detail", OUT_OF_RANGE)
     def test_table_out_of_range_is_unsupported(self, argv, detail, capsys):
         # no row would be built, so these were once answered with an empty table
         code, out, err = run(argv + ["--format", "json"], capsys)
@@ -449,12 +453,23 @@ class TestParserReuse:
     """One parser serves every `main` call of a process; no option of one
     request, nor the budget of the environment it ran in, reaches the next."""
 
-    def test_parser_built_once(self):
+    def test_parser_built_once(self, monkeypatch):
+        # one top-level parser a process, and each parser on a path a request
+        # took built once: none for the commands and kinds no request named
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs["prog"])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
         build_parser.cache_clear()
         for _ in range(5):
             assert main(["validate", SO_2, "--format", "json"]) == EXIT_OK
             assert main(["case", "so", "1", "--format", "json"]) == EXIT_OK
         assert (build_parser.cache_info().misses, build_parser.cache_info().hits) == (1, 9)
+        assert built == ["edtorus", "edtorus validate", "edtorus case", "edtorus case so"]
 
     def test_options_do_not_carry_over(self, capsys):
         golden = GOLDEN_INPUTS.parent
@@ -487,6 +502,90 @@ class TestParserReuse:
         assert (code, json.loads(err)["error"]) == (EXIT_INVALID, "BAD_INPUT")
         monkeypatch.delenv("EDTORUS_MAX_STEPS")
         assert run(argv, capsys)[0] == EXIT_OK
+
+
+def _parsed(parser, argv):
+    """What parsing argv gives: its namespace, its diagnostic, or its exit with what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return vars(parser.parse_args(argv))
+    except EdtorusError as exc:
+        return exc.code, exc.detail
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue()
+
+
+FAMILIES = {"case": ["sl", "so"], "table": ["sl", "so"], "oracle": ["stab", "symrank", "sylow"]}
+COMMANDS = ["validate", "stabilizer", "symrank", "eta", "ed", *FAMILIES]
+PARSER_ARGVS = [
+    *(_argv(_golden(name).argv) + ["--format", _golden(name).fmt] for name in sorted(GOLDEN)),
+    *BAD_ARGVS,
+    *(argv for argv, _ in OUT_OF_RANGE),
+    ["validate", SO_2],
+    # help at every level, and paths that stop before a command is named
+    ["-h"],
+    ["--help"],
+    *([command, "-h"] for command in COMMANDS),
+    *([family, kind, "--help"] for family, kinds in FAMILIES.items() for kind in kinds),
+    [],
+    ["--format", "json", "validate", SO_2],
+    ["case"],
+    ["oracle"],
+    ["case", "xx", "1"],
+    ["table", "sl"],
+    ["oracle", "nope", SO_2],
+    ["ed", "case", "sl", "3"],
+    ["frobnicate", "-h"],
+]
+
+
+class TestParserTree:
+    """The parsers built as requests name them parse, refuse and print help
+    as the whole tree built at once does, whatever the process ran before."""
+
+    @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
+    def test_fresh_tree_matches_whole_tree(self, argv):
+        build_parser.cache_clear()
+        assert _parsed(build_parser(), argv) == _parsed(build_parser_reference(), argv)
+
+    def test_grown_tree_matches_whole_tree(self):
+        # the second pass meets the parsers the first one grew, in another order
+        build_parser.cache_clear()
+        whole = build_parser_reference()
+        for argv in PARSER_ARGVS[::-1] + PARSER_ARGVS:
+            assert _parsed(build_parser(), argv) == _parsed(whole, argv), argv
+
+
+class TestCoefficients:
+    """Coefficients num/den read and written as reduced integer pairs, as `Fraction` read them."""
+
+    fractions = st.tuples(st.integers(-30, 30), st.integers(-12, 12).filter(bool))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(e=st.integers(1, 12), coeffs=st.lists(fractions, min_size=2, max_size=2), block=st.lists(fractions, min_size=1, max_size=3))
+    # negative, unreduced, zero, at least 1, and a denominator that does not divide e
+    @example(e=6, coeffs=[(-1, 3), (4, -6)], block=[(0, 5), (7, 2), (-9, -12)])
+    @example(e=4, coeffs=[(0, -7), (12, 4)], block=[(3, 3)])
+    @example(e=4, coeffs=[(1, 2), (1, 3)], block=[(1, 2)])
+    @example(e=12, coeffs=[(-25, 10), (6, 8)], block=[(-1, -1)])
+    def test_matches_fraction_reference(self, e, coeffs, block):
+        gen = {"perm": [2, 1], "coeff_num": [a for a, _ in coeffs], "coeff_den": [b for _, b in coeffs]}
+        lines = {"weights": [[0]] * len(block), "generators": [{
+            "perm": list(range(1, len(block) + 1)), "coeff_num": [a for a, _ in block], "coeff_den": [b for _, b in block],
+        }]}
+        doc = {**SL2_NORMALIZER, "root_of_unity_exponent": e, "generators": [gen], "extra_blocks": [lines]}
+        try:
+            expected = coefficients_reference(*zip(*coeffs), e)[0], coefficients_reference(*zip(*block))
+        except EdtorusError as exc:
+            with pytest.raises(EdtorusError) as got:
+                cli.presentation_from_json(doc)
+            assert (got.value.code, got.value.detail) == (exc.code, exc.detail)
+            return
+        P, (tail,) = cli.presentation_from_json(doc)
+        assert (P.generators[0][1], (tail.gen_coeffs[0], tail.modulus)) == expected
+        written = cli.presentation_to_json(P)["generators"][0]
+        assert list(zip(written["coeff_num"], written["coeff_den"])) == [fraction_json_reference(c, e) for c in expected[0]]
 
 
 class TestStepLimit:
@@ -553,14 +652,17 @@ def mutated_golden(draw):
     return doc
 
 
+DOC_COMMANDS = ["validate", "stabilizer", "eta", "ed", "symrank", "oracle stab", "oracle symrank"]
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(doc=json_values | mutated_golden(), command=st.sampled_from(["validate", "stabilizer"]))
+@given(doc=json_values | mutated_golden(), command=st.sampled_from(DOC_COMMANDS))
 def test_random_documents_exit_with_a_code(tmp_path_factory, doc, command):
     path = tmp_path_factory.mktemp("doc") / "input.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command, str(path), "--format", "json"])
+        code = main([*command.split(), str(path), "--format", "json", "--max-steps", "10000"])
     assert code in (EXIT_OK, EXIT_INVALID, EXIT_INCONCLUSIVE, EXIT_BUDGET)
     if code != EXIT_OK:
         # a diagnostic on stderr, or validate's failed report on stdout

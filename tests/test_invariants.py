@@ -132,6 +132,17 @@ def test_import_loads_no_numpy_and_no_oracle():
     assert (proc.returncode, proc.stdout.strip()) == (0, "[]"), proc.stderr
 
 
+def test_cli_import_loads_no_fractions():
+    """The CLI reads and writes JSON coefficients as reduced integer pairs:
+    `import edtorus.cli` loads neither `fractions` nor, through it, `decimal`.
+    Checked in a fresh interpreter, since this suite's references use both."""
+    src = str(Path(edtorus.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, edtorus.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, env=env)
+    assert (proc.returncode, proc.stdout.strip()) == (0, "[]"), proc.stderr
+
+
 def test_stabilizer_oracle_loads_no_numpy_random():
     """`oracle.ff_stabilizer` draws its trial points with the standard
     library's `random`: a call leaves `numpy.random` unloaded.  Checked in a

@@ -2,6 +2,7 @@
 
 import pytest
 
+from edtorus import monogrp
 from edtorus.cli import load_presentation
 from edtorus.monogrp import (
     EdtorusError,
@@ -124,6 +125,23 @@ class TestGenericStabilizer:
         assert len(other.component_image) == len(first.component_image)
         assert other.torus_part == first.torus_part
         assert other.p_rank == first.p_rank
+
+    def test_full_image_closed_once(self, fresh_caches, monkeypatch):
+        # the subgroup check closes the image; its p-rank decomposes the
+        # checked member set as it stands instead of closing it again
+        P = sln_case(8, 2).presentation
+        group = component_group(P)
+        closed = []
+        generators = monogrp.ComponentGroup._generators
+
+        def counted(self, members):
+            closed.append(len(members))
+            return generators(self, members)
+
+        monkeypatch.setattr(monogrp.ComponentGroup, "_generators", counted)
+        report = generic_stabilizer(P)
+        assert (len(report.component_image), report.p_rank) == (group.order, 4) == (16, 4)
+        assert closed == [16]
 
     def test_coefficient_representative_independence(self, sl3_three_cycle):
         # shift the generator coefficient by a torus torsion value: same group,
