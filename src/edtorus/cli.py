@@ -192,7 +192,7 @@ def load_presentation(path: str, rep_selector: str) -> tuple[MonomialGroupPresen
             doc = json.load(fh)
     except OSError as exc:
         raise EdtorusError("BAD_INPUT", f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, over-long integers, deep nesting too
         raise EdtorusError("BAD_INPUT", f"invalid JSON in {path}: {exc}") from exc
     P, blocks = presentation_from_json(doc)
     rep = natural_rep(P)

@@ -50,7 +50,7 @@ def _primitive_root(q: int) -> int:
         d += 1
     if n > 1:
         factors.add(n)
-    for g in range(2, q):
+    for g in range(1, q):  # 1 generates F_2^*, and fails the first test for any q > 2
         if all(pow(g, order // f, q) != 1 for f in factors):
             return g
     raise EdtorusError("BAD_MODULUS", f"no primitive root mod {q}")

@@ -258,9 +258,9 @@ def _product_perm(n: int, cycles: list[list[int]]) -> Perm:
     return tuple(perm)
 
 
-def sylow_tower_generators(n: int, p: int, count: int) -> list[list[Perm]]:
+def sylow_tower_generators(n: int, p: int, count: int) -> list[Perm]:
     """Generators of a Sylow p-subgroup of the symmetric group on the first
-    `count` points, grouped by p-power block.
+    `count` points, p-power block by p-power block.
 
     Each block of size p^j carries the standard tower: the p-cycle on its
     first p points, then for each level l the product of p^(l-1) disjoint
@@ -268,37 +268,12 @@ def sylow_tower_generators(n: int, p: int, count: int) -> list[list[Perm]]:
     """
     out = []
     for start, size in _tower_offsets(p, count):
-        level_gens = []
         block = 1
         while block < size:
             cycles = [[start + i + k * block for k in range(p)] for i in range(block)]
-            level_gens.append(_product_perm(n, cycles))
+            out.append(_product_perm(n, cycles))
             block *= p
-        out.append(level_gens)
     return out
-
-
-def wreath_faithful_rep_actions(p: int, levels: int) -> list[tuple[Perm, tuple[int, ...]]]:
-    """Faithful monomial actions for the tower generators of one p-power block.
-
-    Dimension p^(levels-1), coefficients modulo p: the base line carries a
-    primitive p-th root character for the bottom cycle; each further level
-    takes p cyclically permuted copies, the new generator rotating the copies.
-    """
-    dim = 1
-    actions: list[tuple[Perm, tuple[int, ...]]] = [((0,), (1,))]
-    for _ in range(1, levels):
-        new_dim = dim * p
-        lifted = []
-        for perm, coeff in actions:
-            new_perm = tuple(list(perm) + list(range(dim, new_dim)))
-            new_coeff = coeff + (0,) * (new_dim - dim)
-            lifted.append((new_perm, new_coeff))
-        rotate = tuple((i + dim) % new_dim for i in range(new_dim))
-        lifted.append((rotate, (0,) * new_dim))
-        actions = lifted
-        dim = new_dim
-    return actions
 
 
 @dataclass(frozen=True)
@@ -307,7 +282,6 @@ class SlCase:
     p: int
     label: str  # a | b | c | d
     presentation: MonomialGroupPresentation
-    h_generators: tuple[Perm, ...]
     h_description: str
     sylow_blocks: tuple[tuple[int, int], ...]  # (offset, size) per p-power block
 
@@ -342,13 +316,11 @@ def sln_case(n: int, p: int) -> SlCase:
         desc = f"product of {n // 4} Klein four-groups of double transpositions"
     elif label == "c" or (label == "d" and n % 2 == 1):
         q = n // p
-        tower = sylow_tower_generators(n, p, p * q)
-        gens = [g for block in tower for g in block]
+        gens = sylow_tower_generators(n, p, p * q)
         blocks = _tower_offsets(p, p * q)
         desc = f"Sylow {p}-subgroup of the symmetric group on the first {p * q} points"
     else:  # label d, n = 2 mod 4
-        tower = sylow_tower_generators(n, p, n - 2)
-        gens = [g for block in tower for g in block]
+        gens = sylow_tower_generators(n, p, n - 2)
         gens.append(_product_perm(n, [[n - 2, n - 1]]))
         blocks = _tower_offsets(p, n - 2)
         desc = "Sylow 2-subgroup split as (Sylow 2 on the first n-2 points) x (last transposition)"
@@ -357,26 +329,20 @@ def sln_case(n: int, p: int) -> SlCase:
         p=p,
         label=label,
         presentation=make_sl_presentation(n, p, gens),
-        h_generators=tuple(gens),
         h_description=desc,
         sylow_blocks=blocks,
     )
 
 
 def _tower_offsets(p: int, count: int) -> tuple[tuple[int, int], ...]:
-    out = []
-    remaining = count
-    cursor = 0
-    power = 1
-    while power * p <= count:
+    """(offset, size) of the p-power blocks that tile the first `count` points,
+    largest first: count's base-p digits, with the units dropped."""
+    sizes: list[int] = []
+    power = p
+    while power <= count:
+        sizes = [power] * (count // power % p) + sizes
         power *= p
-    while remaining >= p:
-        while power > remaining:
-            power //= p
-        out.append((cursor, power))
-        cursor += power
-        remaining -= power
-    return tuple(out)
+    return tuple(zip(itertools.accumulate(sizes, initial=0), sizes))
 
 
 def closed_form_sln(n: int, p: int) -> int:
@@ -435,45 +401,36 @@ class WitnessResult:
 
 def _faithful_sylow_block_reps(case: SlCase) -> list[RepBlock]:
     """Zero-weight blocks realizing a faithful representation of the Sylow
-    factor, one block per p-power orbit block, total dimension floor(n/p)."""
+    factor, one per p-power block, total dimension floor(n/p).
+
+    The block at `offset` has a line per run of p points: a generator sends
+    the line of the run starting at q to that of the run holding perm[q],
+    scaled by zeta_p^((perm[q] - offset) mod p).  Every element maps runs
+    onto runs by rotations, so this is its action on the lines
+    sum_t zeta_p^-t e_(q+t) of the permutation module: a representation, and
+    faithful, as only the identity fixes each of them."""
     P = case.presentation
     p = case.p
-    num_gens = len(P.generators)
+    zero = (0,) * P.torus_rank
     blocks: list[RepBlock] = []
-    gen_cursor = 0
-    for _offset, size in case.sylow_blocks:
-        levels = 0
-        s = size
-        while s > 1:
-            s //= p
-            levels += 1
-        actions = wreath_faithful_rep_actions(p, levels)
-        dim = len(actions[0][0])
+    for offset, size in case.sylow_blocks:
         perms = []
         coeffs = []
-        for j in range(num_gens):
-            if gen_cursor <= j < gen_cursor + levels:
-                perm, coeff = actions[j - gen_cursor]
-            else:
-                perm, coeff = tuple(range(dim)), (0,) * dim
-            perms.append(perm)
-            coeffs.append(coeff)
+        for perm, _ in P.generators:
+            image = [divmod(perm[q] - offset, p) for q in range(offset, offset + size, p)]
+            perms.append(tuple(line for line, _ in image))
+            coeffs.append(tuple(power for _, power in sorted(image)))  # each on its image line
         blocks.append(
-            RepBlock(
-                weights=tuple(tuple([0] * P.torus_rank) for _ in range(dim)),
-                gen_perms=tuple(perms),
-                gen_coeffs=tuple(coeffs),
-                modulus=p,
-            )
+            RepBlock(weights=(zero,) * (size // p), gen_perms=tuple(perms), gen_coeffs=tuple(coeffs), modulus=p)
         )
-        gen_cursor += levels
     return blocks
 
 
-def _restricted_natural_block(case: SlCase, keep: int) -> RepBlock:
-    """The span of the first `keep` coordinate lines of the defining
-    representation (valid because the case generators fix the dropped lines)."""
+def _restricted_natural_block(case: SlCase) -> RepBlock:
+    """The first n - 1 coordinate lines (case c, or n odd), else all n, of the
+    defining representation (valid because the case generators fix the rest)."""
     P = case.presentation
+    keep = case.n - 1 if (case.label == "c" or case.n % 2 == 1) else case.n
     for perm, _ in P.generators:
         for i in range(keep, P.num_lines):
             if perm[i] != i and (perm[i] < keep or i < keep):
@@ -488,17 +445,17 @@ def _restricted_natural_block(case: SlCase, keep: int) -> RepBlock:
 
 def upper_witness_sln(n: int, p: int) -> WitnessResult:
     """Explicit p-generically-free representation for the Sylow cases,
-    yielding the upper bound floor(n/p) for the essential p-dimension."""
+    yielding the upper bound floor(n/p) for the essential p-dimension: the
+    restricted coordinate block plus a line per run of p points of the Sylow
+    factor's blocks, which a generator sends to the line of the run holding
+    perm[q] (q the run's start) scaled by zeta_p^((perm[q] - offset) mod p),
+    a representation as runs go to runs by rotations."""
     case = sln_case(n, p)
     if case.label not in ("c", "d"):
         raise EdtorusError("UNSUPPORTED", "witness construction applies to the Sylow cases only")
     P = case.presentation
-    faithful_blocks = _faithful_sylow_block_reps(case)
-    if case.label == "c" or n % 2 == 1:
-        first = _restricted_natural_block(case, n - 1)
-    else:
-        first = natural_rep(P).blocks[0]
-    rep = MonomialRep(presentation=P, blocks=tuple([first] + faithful_blocks))
+    blocks = [_restricted_natural_block(case)] + _faithful_sylow_block_reps(case)
+    rep = MonomialRep(presentation=P, blocks=tuple(blocks))
     report = generic_stabilizer(P, rep)
     _require_free(report)
     upper = rep.dim - P.torus_rank
@@ -514,8 +471,7 @@ def ed_case_sl(n: int, p: int) -> EdReport:
     if component_group(P).is_abelian():
         # small Sylow factor: the truncated coordinate block is a minimal
         # p-faithful representation and the rank formula applies directly
-        keep = n - 1 if (case.label == "c" or n % 2 == 1) else n
-        vmin = MonomialRep(presentation=P, blocks=(_restricted_natural_block(case, keep),))
+        vmin = MonomialRep(presentation=P, blocks=(_restricted_natural_block(case),))
         return essential_p_dimension(P, vmin)
     witness = upper_witness_sln(n, p)
     cited = n // p

@@ -71,8 +71,70 @@ def sl_case_rep(n, p):
         return P, natural_rep(P)
     if not component_group(P).is_abelian():
         return P, upper_witness_sln(n, p).rep
-    keep = n - 1 if (case.label == "c" or n % 2 == 1) else n
-    return P, MonomialRep(presentation=P, blocks=(_restricted_natural_block(case, keep),))
+    return P, MonomialRep(presentation=P, blocks=(_restricted_natural_block(case),))
+
+
+def wreath_faithful_rep_actions_reference(p, levels):
+    """Faithful monomial actions for the tower generators of one p-power block.
+
+    Dimension p^(levels-1), coefficients modulo p: the base line carries a
+    primitive p-th root character for the bottom cycle; each further level
+    takes p cyclically permuted copies, the new generator rotating the copies.
+    """
+    dim = 1
+    actions = [((0,), (1,))]
+    for _ in range(1, levels):
+        new_dim = dim * p
+        lifted = []
+        for perm, coeff in actions:
+            new_perm = tuple(list(perm) + list(range(dim, new_dim)))
+            new_coeff = coeff + (0,) * (new_dim - dim)
+            lifted.append((new_perm, new_coeff))
+        rotate = tuple((i + dim) % new_dim for i in range(new_dim))
+        lifted.append((rotate, (0,) * new_dim))
+        actions = lifted
+        dim = new_dim
+    return actions
+
+
+def sylow_witness_blocks_reference(case):
+    """The Sylow witness's blocks built the older way: the first n - 1
+    coordinate lines (case c, or n odd) or the whole natural block, then one
+    hand-built wreath tower per p-power block, lined up with the presentation's
+    generators by position (the tower generators come block by block, one per
+    level, ahead of any other generator)."""
+    P = case.presentation
+    p = case.p
+    keep = case.n - 1 if (case.label == "c" or case.n % 2 == 1) else case.n
+    natural = natural_rep(P).blocks[0]
+    blocks = [
+        RepBlock(
+            weights=natural.weights[:keep],
+            gen_perms=tuple(perm[:keep] for perm in natural.gen_perms),
+            gen_coeffs=tuple(coeff[:keep] for coeff in natural.gen_coeffs),
+            modulus=natural.modulus,
+        )
+    ]
+    gen_cursor = 0
+    for _offset, size in case.sylow_blocks:
+        levels = 0
+        while p**levels < size:
+            levels += 1
+        actions = wreath_faithful_rep_actions_reference(p, levels)
+        dim = len(actions[0][0])
+        perms = []
+        coeffs = []
+        for j in range(len(P.generators)):
+            if gen_cursor <= j < gen_cursor + levels:
+                perm, coeff = actions[j - gen_cursor]
+            else:
+                perm, coeff = tuple(range(dim)), (0,) * dim
+            perms.append(perm)
+            coeffs.append(coeff)
+        weights = tuple(tuple([0] * P.torus_rank) for _ in range(dim))
+        blocks.append(RepBlock(weights=weights, gen_perms=tuple(perms), gen_coeffs=tuple(coeffs), modulus=p))
+        gen_cursor += levels
+    return blocks
 
 
 def with_line(P, coeffs, modulus):

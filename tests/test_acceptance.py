@@ -137,7 +137,7 @@ def test_criterion_4_stabilizer_clauses():
     results = []
     ok = True
     for n, p, case in cases:
-        good = verify_sl_stabilizer_clauses(n, case.h_generators)
+        good = verify_sl_stabilizer_clauses(n, [perm for perm, _ in case.presentation.generators])
         group = component_group(case.presentation)
         expected = group.order  # the case generators are all even permutations
         mins = []

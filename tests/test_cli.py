@@ -126,6 +126,20 @@ class TestSchema:
         assert out == ""
         assert json.loads(err)["error"] == "BAD_INPUT"
 
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"p": 2, "x": "\xff"}', b'{"p": ' + b"1" * 5000 + b"}", b"[" * 100_000],
+        ids=["not_utf8", "integer_over_4300_digits", "nested_100000_deep"],
+    )
+    def test_unreadable_json_rejected(self, tmp_path, capsys, content):
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+        code, out, err = run(["validate", str(path)], capsys)
+        assert (code, out) == (EXIT_INVALID, "")
+        diagnostic = json.loads(err)
+        assert diagnostic["error"] == "BAD_INPUT"
+        assert diagnostic["detail"].startswith(f"invalid JSON in {path}: ")
+
     def test_negative_torus_rank_named(self, tmp_path, capsys):
         code, _, err = run(["validate", write_json(tmp_path, with_field(*MALFORMED["torus_rank_negative"]))], capsys)
         assert code == EXIT_INVALID
@@ -349,6 +363,13 @@ class TestCommands:
         )
         assert code == EXIT_OK
         assert json.loads(out)["min_order"] == 1
+
+    def test_oracle_stab_q_2(self, capsys):
+        # so_2 needs torsion 1, so q = 2 is allowed; 1 generates F_2^*
+        code, out, _ = run(["oracle", "stab", SO_2, "-q", "2", "--format", "json"], capsys)
+        assert code == EXIT_OK
+        assert '"q":2' in out
+        assert json.loads(out)["min_order"] == 16  # an upper bound of the generic order 4
 
     def test_oracle_symrank(self, tmp_path, capsys):
         code, out, _ = run(

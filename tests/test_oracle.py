@@ -25,6 +25,7 @@ from edtorus.monogrp import (
 from edtorus.oracle import (
     _box_orbits,
     _eliminate,
+    _primitive_root,
     choose_modulus,
     ff_stabilizer,
     required_torsion,
@@ -48,6 +49,10 @@ DOUBLED_THREE_CYCLE = MonomialGroupPresentation(
 
 
 class TestFFStabilizer:
+    def test_primitive_root(self):
+        assert _primitive_root(2) == 1  # F_2^* is trivial, generated by 1
+        assert [_primitive_root(q) for q in (3, 5, 7, 11, 13, 17, 23)] == [2, 2, 3, 2, 2, 3, 5]
+
     def test_sl3_over_f7(self, sl3_three_cycle):
         report = ff_stabilizer(sl3_three_cycle, q=7, trials=50, seed=0)
         assert report.min_order == 3

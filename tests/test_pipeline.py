@@ -14,6 +14,8 @@ from edtorus import cli, monogrp, stab, zlat
 from edtorus.monogrp import EdtorusError, component_group, natural_rep
 from edtorus.pipeline import (
     _characters_generating_dual,
+    _faithful_sylow_block_reps,
+    _restricted_natural_block,
     build_generically_free_extension,
     closed_form_sln,
     closed_form_so,
@@ -27,11 +29,10 @@ from edtorus.pipeline import (
     table_sl,
     table_so,
     upper_witness_sln,
-    wreath_faithful_rep_actions,
 )
 from edtorus.stab import generic_stabilizer
 
-from conftest import element_order, verify_sl_stabilizer_clauses
+from conftest import element_order, sylow_witness_blocks_reference, verify_sl_stabilizer_clauses
 
 
 class TestBuilder:
@@ -340,7 +341,7 @@ class TestCaseConstructors:
 
     def test_sl5_sylow_is_one_cycle(self):
         case = sln_case(5, 3)
-        assert case.h_generators == ((1, 2, 0, 3, 4),)
+        assert [perm for perm, _ in case.presentation.generators] == [(1, 2, 0, 3, 4)]
         assert component_group(case.presentation).order == 3
 
     def test_sl4_klein(self):
@@ -375,17 +376,31 @@ class TestCaseConstructors:
         # |Sylow_2(S_6)| = 16, |Sylow_3(S_9)| = 81
         from edtorus.monogrp import closure, perm_compose
 
-        gens6 = [g for block in sylow_tower_generators(6, 2, 6) for g in block]
-        assert len(closure(tuple(range(6)), gens6, perm_compose)) == 16
-        gens9 = [g for block in sylow_tower_generators(9, 3, 9) for g in block]
-        assert len(closure(tuple(range(9)), gens9, perm_compose)) == 81
+        assert len(closure(tuple(range(6)), sylow_tower_generators(6, 2, 6), perm_compose)) == 16
+        assert len(closure(tuple(range(9)), sylow_tower_generators(9, 3, 9), perm_compose)) == 81
 
     def test_wreath_rep_is_faithful(self):
-        # level-2 tower for p = 2: dim 2, generators diag(-1, 1) and the swap
-        actions = wreath_faithful_rep_actions(2, 2)
-        assert len(actions) == 2
+        # the 2-line block of sln_case(6, 2) (the Sylow 2 on the first 4 points):
+        # generators diag(-1, 1) and the swap, then the last transposition trivially
+        (block,) = _faithful_sylow_block_reps(sln_case(6, 2))
+        assert block.dim == 2 and block.modulus == 2
+        actions = list(zip(block.gen_perms, block.gen_coeffs))
         assert actions[0] == ((0, 1), (1, 0))  # coefficients modulo p = 2
         assert actions[1] == ((1, 0), (0, 0))
+        assert actions[2] == ((0, 1), (0, 0))
+
+    # every case-c/d row with n <= 24 for p = 2, 3, 5
+    SYLOW_ROWS = [(n, p) for p in (2, 3, 5) for n in range(2, 25) if sl_case_label(n, p) in ("c", "d")]
+
+    @pytest.mark.parametrize("n,p", SYLOW_ROWS)
+    def test_faithful_blocks_match_wreath_reference(self, n, p):
+        # the run rule against the hand-built wreath tower it replaced
+        case = sln_case(n, p)
+        first, *faithful = sylow_witness_blocks_reference(case)
+        assert _faithful_sylow_block_reps(case) == faithful
+        assert _restricted_natural_block(case) == first
+        if n <= 12:  # the whole witness, where its stabilizer check is cheap
+            assert list(upper_witness_sln(n, p).rep.blocks) == [first, *faithful]
 
 
 class TestClosedForms:
@@ -493,7 +508,7 @@ class TestStabilizerClauses:
         # case-study generating set up to n = 6 including the Sylow cases
         for n, p in [(3, 3), (6, 3), (4, 2), (5, 3), (6, 2), (3, 2)]:
             case = sln_case(n, p)
-            assert verify_sl_stabilizer_clauses(n, case.h_generators)
+            assert verify_sl_stabilizer_clauses(n, [perm for perm, _ in case.presentation.generators])
 
     def test_seventeen_cycle(self):
         # p is the order's smallest prime factor, not one from a fixed list
