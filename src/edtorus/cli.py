@@ -39,7 +39,6 @@ from .monogrp import (
 )
 from .stab import generic_stabilizer
 from .symrank import eta_bounds, symrank as symrank_search, weight_seed
-from .zlat import IntMatrix
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -205,11 +204,9 @@ def load_presentation(path: str, rep_selector: str) -> tuple[MonomialGroupPresen
 
 
 def jsonable(report):
-    """A report as JSON values: a dataclass's field names are its keys, an IntMatrix is its rows."""
+    """A report as JSON values: a dataclass's field names are its keys, a matrix is its rows."""
     if isinstance(report, (tuple, list)):
         return [jsonable(x) for x in report]
-    if isinstance(report, IntMatrix):
-        return report.to_rows()
     if dataclasses.is_dataclass(report):
         return {f.name: jsonable(getattr(report, f.name)) for f in dataclasses.fields(report)}
     return report
@@ -495,6 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    args = None
     try:
         default_steps = _env_max_steps()
         args = build_parser().parse_args(argv)
@@ -503,9 +501,13 @@ def main(argv=None) -> int:
             raise EdtorusError("BAD_INPUT", f"the step budget (--max-steps or {MAX_STEPS_ENV}) must be >= 0")
         with limit_steps(args.max_steps):
             return args.fn(args, sys.stdout)
+    except MemoryError:  # named by its parsed command path, such as "oracle stab"
+        words = (getattr(args, dest, None) for dest in ("command", "family", "kind"))
+        code, detail = "BUDGET_EXCEEDED", f"{' '.join(filter(None, words))}: out of memory"
     except EdtorusError as exc:
-        sys.stderr.write(json.dumps({"error": exc.code, "detail": exc.detail}, sort_keys=True) + "\n")
-        return _EXIT_CODES.get(exc.code, EXIT_INVALID)
+        code, detail = exc.code, exc.detail
+    sys.stderr.write(json.dumps({"error": code, "detail": detail}, sort_keys=True) + "\n")
+    return _EXIT_CODES.get(code, EXIT_INVALID)
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import zlat
-from .zlat import IntMatrix
 
 Perm = tuple[int, ...]
 Coeff = tuple[int, ...]  # c_i modulo a modulus n, standing for c_i/n in Q/Z
@@ -61,14 +60,23 @@ def limit_steps(n: int):
         MAX_STEPS.reset(token)
 
 
+PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981  # psi_13
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Miller-Rabin on the first 13 primes as bases, exact below their bound
+    psi_13 (Sorenson and Webster); a larger n is refused.  The first 12 would
+    not do: psi_12 is a composite that passes them."""
+    if n >= PRIME_TEST_BOUND:
+        raise EdtorusError("BAD_INPUT", f"{n} is not below {PRIME_TEST_BOUND}, the bound of the exact prime test")
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2 or any(n % a == 0 for a in bases):
+        return n in bases
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s d with d odd
+    for a in bases:
+        x = pow(a, (n - 1) >> s, n)  # a is no witness when x is 1 or some x^(2^r), r < s, is -1
+        if x != 1 and n - 1 not in (pow(x, 1 << r, n) for r in range(s)):
             return False
-        d += 1
     return True
 
 
@@ -176,9 +184,9 @@ class MonomialGroupPresentation:
     def num_lines(self) -> int:
         return len(self.weights)
 
-    def weight_matrix(self) -> IntMatrix:
+    def weight_matrix(self) -> zlat.IntMatrix:
         """m x d matrix whose rows are the line weights."""
-        return IntMatrix.from_rows([list(w) for w in self.weights])
+        return zlat.IntMatrix(self.weights, self.torus_rank)
 
 
 @dataclass(frozen=True)
@@ -212,8 +220,8 @@ class MonomialRep:
             out.extend(b.weights)
         return tuple(out)
 
-    def weight_matrix(self) -> IntMatrix:
-        return IntMatrix.from_rows([list(w) for w in self.weights])
+    def weight_matrix(self) -> zlat.IntMatrix:
+        return zlat.IntMatrix(self.weights, self.presentation.torus_rank)
 
     @property
     def modulus(self) -> int:
@@ -249,7 +257,7 @@ class ValidationReport:
     ok: bool
     error: str | None
     detail: str
-    induced_matrices: tuple[IntMatrix, ...]
+    induced_matrices: tuple[zlat.Matrix, ...]
     component_order: int | None
     split_witness: bool
     diagnostics: tuple[str, ...]
@@ -274,11 +282,10 @@ class _CoeffCanon:
     the order of keys, so the enumeration's breadth-first order is unchanged.
     """
 
-    def __init__(self, W: IntMatrix, n: int):
+    def __init__(self, W: zlat.IntMatrix, n: int):
         self.dec = zlat.smith_normal_form(W)
         self.n = n
-        U = self.dec.U
-        self.rows = [U.row(i) for i in range(self.dec.rank, U.rows)]
+        self.rows = self.dec.U[self.dec.rank :]
         terms = ([(i, a % n) for i, a in enumerate(u) if a % n] for u in self.rows)
         self._terms = [t for t in terms if t]
 
@@ -451,16 +458,15 @@ class ComponentGroup:
         if s == 0:
             return (), (), vec
         relations = [rel + [0] * (s - len(rel)) for rel in relations]
-        dec = zlat.smith_normal_form(IntMatrix.from_rows(relations).transpose())  # columns are relations
+        dec = zlat.smith_normal_form(zlat.IntMatrix(zip(*relations), s))  # columns are relations
         element = {v: x for x, v in vec.items()}
         basis = []
         orders = []
-        for i, d in enumerate(dec.invariant_factors):
+        for d, v in zip(dec.invariant_factors, zip(*dec.V)):
             if d == 1:
                 continue
             # U M V = D for M the relation columns, so M V = U^-1 D: column i of
-            # U^-1 is column i of M V divided by d_i, which is nonzero at rank s
-            v = dec.V.column(i)
+            # U^-1 is M v, for v column i of V, divided by d_i, nonzero at rank s
             col = [sum(rel[t] * a for rel, a in zip(relations, v)) for t in range(s)]
             if any(x % d for x in col):
                 raise EdtorusError("INTERNAL", "relation columns must be divisible by their invariant factor")
@@ -557,7 +563,6 @@ def _check_blocks(P: MonomialGroupPresentation, blocks, start: int = 0) -> None:
         if any(type(x) is not int for w in block.weights for x in w):
             raise EdtorusError("BAD_INPUT", f"block {b}: weight entries must be integers")
         for j, A in enumerate(matrices):
-            rows = A.to_rows()
             perm = block.gen_perms[j]
             if sorted(perm) != list(range(block.dim)):
                 raise EdtorusError("BAD_INPUT", f"block {b}: generator {j} is not a permutation")
@@ -568,7 +573,7 @@ def _check_blocks(P: MonomialGroupPresentation, blocks, start: int = 0) -> None:
                     "BAD_INPUT", f"block {b}: coefficients must be integers reduced modulo its modulus"
                 )
             for i, w in enumerate(block.weights):  # A w over the nonzero entries of w
-                if tuple(sum(row[k] * x for k, x in enumerate(w) if x) for row in rows) != tuple(block.weights[perm[i]]):
+                if tuple(sum(row[k] * x for k, x in enumerate(w) if x) for row in A) != tuple(block.weights[perm[i]]):
                     raise EdtorusError(
                         "BAD_INPUT",
                         f"block {b}: weights are not permuted compatibly with the torus action",
@@ -624,7 +629,7 @@ def _extend(group: ComponentGroup, base: RepRecord, R: MonomialRep, s: int) -> R
     return RepRecord(_CoeffCanon(R.weight_matrix(), n), actions)
 
 
-def _induced_matrices(P: MonomialGroupPresentation, dec: zlat.SmithDecomposition, perms: list[Perm]) -> tuple[IntMatrix, ...]:
+def _induced_matrices(P: MonomialGroupPresentation, dec: zlat.SmithDecomposition, perms: list[Perm]) -> tuple[zlat.Matrix, ...]:
     """For each line permutation, the A in GL_d(Z) with A w_i = w_{perm(i)} for every
     line i; raises NO_INDUCED_ACTION at the first that has none.  `dec` is the Smith
     form U W V = D of the m x d weight rows W, of rank d.  With T the image rows, A
@@ -633,8 +638,8 @@ def _induced_matrices(P: MonomialGroupPresentation, dec: zlat.SmithDecomposition
     Such an A is unimodular: it permutes the spanning weights, so it maps their
     lattice L onto itself, and [Z^d : L] = |det A| [Z^d : L] gives det A = +-1."""
     d = P.torus_rank
-    u_terms = [[(i, a) for i, a in enumerate(dec.U.row(k)) if a] for k in range(dec.U.rows)]
-    v_terms = [[(k, a) for k, a in enumerate(dec.V.row(c)) if a] for c in range(d)]
+    u_terms = [[(i, a) for i, a in enumerate(row) if a] for row in dec.U]
+    v_terms = [[(k, a) for k, a in enumerate(row) if a] for row in dec.V]
     w_terms = [[(r, x) for r, x in enumerate(w) if x] for w in P.weights]
     factors = dec.invariant_factors[:d]
     out = []
@@ -650,7 +655,7 @@ def _induced_matrices(P: MonomialGroupPresentation, dec: zlat.SmithDecomposition
             raise EdtorusError("NO_INDUCED_ACTION", "no integral matrix maps the weights onto their images")
         y = [[x // f for x in row] for row, f in zip(ut, factors)]
         # A[r][c] = (V Y)[c][r]
-        out.append(IntMatrix(d, d, tuple(sum(a * y[k][r] for k, a in vt) for r in range(d) for vt in v_terms)))
+        out.append(tuple(tuple(sum(a * y[k][r] for k, a in vt) for vt in v_terms) for r in range(d)))
     return tuple(out)
 
 
@@ -790,7 +795,7 @@ def character_lattice_action(P: MonomialGroupPresentation):
     ident = tuple(range(len(values)))
     mats = {}
     for (perm, _), A in zip(P.generators, report.induced_matrices):
-        mats.setdefault(tuple(pos[P.weights[perm[line[w]]]] for w in values), m_as_tuple(A))
+        mats.setdefault(tuple(pos[P.weights[perm[line[w]]]] for w in values), A)
     gens = sorted(g for g in mats if g != ident)
     products = []  # x g for each image element x in discovery order, then each g
 
@@ -806,10 +811,6 @@ def character_lattice_action(P: MonomialGroupPresentation):
     edges = iter(products)
     right = [[index[next(edges)] for _ in gens] for _ in image]
     return FLattice(rank=P.torus_rank, generators=tuple(mats[g] for g in gens), right=right)
-
-
-def m_as_tuple(A: IntMatrix) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(A.row(i)) for i in range(A.rows))
 
 
 def check_rep_compatible(P: MonomialGroupPresentation, R: MonomialRep) -> RepRecord:

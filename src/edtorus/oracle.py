@@ -24,6 +24,7 @@ from math import gcd, inf, lcm
 
 import numpy as np
 
+from . import zlat
 from .monogrp import (
     MAX_STEPS,
     EdtorusError,
@@ -61,8 +62,6 @@ def required_torsion(P: MonomialGroupPresentation, R: MonomialRep) -> int:
     declared exponent, the reduced denominator n/gcd(n, c) of every block
     coefficient c/n, and every invariant factor of the weight lattice must
     divide q - 1."""
-    from . import zlat
-
     L = P.root_of_unity_exponent
     for block in R.blocks:
         for coeff in block.gen_coeffs:
@@ -82,8 +81,6 @@ def _cycle_character_spread(R: MonomialRep) -> int:
     can cover all of F_q* between them and the trial minimum never reaches
     the generic order.
     """
-    from . import zlat
-
     spread = 0
     for u in zlat.integer_kernel_basis(R.weight_matrix().transpose()):
         spread = max(spread, max(u) - min(u))
@@ -161,8 +158,8 @@ def ff_stabilizer(
             "BUDGET_EXCEEDED", f"q^d * |component group| = {q**d * group.order} exceeds {budget}"
         )
     m = R.dim
-    if (q - 1) ** d * m > 50_000_000:
-        raise EdtorusError("BUDGET_EXCEEDED", "torus value table would not fit in memory")
+    if (cells := (q - 1) ** d * m + 2 * q - 1) > 50_000_000:  # the value table, powg and inverse
+        raise EdtorusError("BUDGET_EXCEEDED", f"torus value tables of {cells} cells would not fit in memory")
     g0 = _primitive_root(q)
     actions = group.rep_actions(R)
     n = R.modulus

@@ -1,63 +1,35 @@
 """Exact integer-lattice engine.
 
-Smith normal forms, integer kernels, and finite abelian structures.
-Everything here is exact: Python integers (arbitrary precision), no
-floating point.
+Smith normal forms, integer kernels, and finite abelian structures.  Every
+matrix of the package is a tuple of integer row tuples; `IntMatrix` adds the
+column count a Smith form's argument needs.  Everything here is exact: Python
+integers (arbitrary precision), no floating point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
+
+Matrix = tuple[tuple[int, ...], ...]  # integer row tuples
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """Dense integer matrix, row-major storage, arbitrary precision entries."""
+class IntMatrix(tuple):
+    """Dense integer matrix: a tuple of integer row tuples, with its column
+    count `cols`, so that a matrix without rows still has a shape."""
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    def __new__(cls, rows, cols: int):
+        self = super().__new__(cls, map(tuple, rows))
+        if cols < 0 or any(len(r) != cols for r in self):
+            raise ValueError(f"every row must have {cols} >= 0 entries")
+        self.rows, self.cols = len(self), cols
+        return self
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("negative matrix dimensions")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entries length must equal rows*cols")
-
-    @staticmethod
-    def from_rows(rows_data) -> "IntMatrix":
-        rows = list(rows_data)
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        flat: list[int] = []
-        for r in rows:
-            if len(r) != ncols:
-                raise ValueError("ragged rows")
-            flat.extend(int(x) for x in r)
-        return IntMatrix(nrows, ncols, tuple(flat))
-
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
-    def to_rows(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
+    def __getnewargs__(self):  # so that copy and pickle rebuild it through __new__
+        return tuple(self), self.cols
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
+        return IntMatrix(zip(*self) if self else [()] * self.cols, len(self))
 
 
 @dataclass(frozen=True)
@@ -65,8 +37,8 @@ class SmithDecomposition:
     """U, V unimodular with U * source * V diagonal, its diagonal the
     invariant factors d_1 | d_2 | ... (zeros last)."""
 
-    U: IntMatrix
-    V: IntMatrix
+    U: Matrix
+    V: Matrix
     invariant_factors: tuple[int, ...]
 
     @property
@@ -89,10 +61,7 @@ class FiniteAbelianStructure:
 
     @property
     def torsion_order(self) -> int:
-        n = 1
-        for f in self.invariant_factors:
-            n *= f
-        return n
+        return prod(self.invariant_factors)
 
 
 def _smallest_pivot(a: list[list[int]], k: int, nrows: int, ncols: int):
@@ -112,9 +81,9 @@ def _smallest_pivot(a: list[list[int]], k: int, nrows: int, ncols: int):
 def smith_normal_form(M: IntMatrix) -> SmithDecomposition:
     """Smith normal form with unimodular transforms: U * M * V is diagonal."""
     nrows, ncols = M.rows, M.cols
-    a = M.to_rows()
-    u = IntMatrix.identity(nrows).to_rows()
-    v = IntMatrix.identity(ncols).to_rows()
+    a = [list(r) for r in M]
+    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -189,14 +158,11 @@ def smith_normal_form(M: IntMatrix) -> SmithDecomposition:
             pos = _smallest_pivot(a, k, nrows, ncols)
         k += 1
 
-    U = IntMatrix.from_rows(u) if nrows else IntMatrix(0, 0, ())
-    V = IntMatrix.from_rows(v) if ncols else IntMatrix(0, 0, ())
-    factors = tuple(a[i][i] for i in range(limit)) if limit else ()
-    return SmithDecomposition(U=U, V=V, invariant_factors=factors)
+    factors = tuple(a[i][i] for i in range(limit))
+    return SmithDecomposition(U=tuple(map(tuple, u)), V=tuple(map(tuple, v)), invariant_factors=factors)
 
 
 def integer_kernel_basis(M: IntMatrix) -> list[tuple[int, ...]]:
     """Basis of the saturated integer kernel {x : M x = 0}."""
     dec = smith_normal_form(M)
-    r = dec.rank
-    return [dec.V.column(j) for j in range(r, M.cols)]
+    return list(zip(*dec.V))[dec.rank :]

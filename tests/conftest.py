@@ -157,6 +157,18 @@ def ed_reps(P, V):
     return reps
 
 
+def is_prime_reference(n):
+    """Primality by trial division up to sqrt(n)."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
 def perm_inverse_reference(p):
     inv = [0] * len(p)
     for i, x in enumerate(p):
@@ -240,7 +252,7 @@ def abelian_invariants_reference(group, members):
                 queue.append(y)
     if not relations:
         return ()
-    return tuple(d for d in zlat.smith_normal_form(zlat.IntMatrix.from_rows(relations)).invariant_factors if d != 1)
+    return tuple(d for d in zlat.smith_normal_form(zlat.IntMatrix(relations, len(hs))).invariant_factors if d != 1)
 
 
 def verify_sl_stabilizer_clauses(n, h_generators):
@@ -299,11 +311,12 @@ def ff_stabilizer_reference(P, R, q, trials, seed):
 
 
 def int_matmul(a, b):
-    """The product of two `zlat.IntMatrix`, in Python integers."""
-    if a.cols != b.rows:
+    """The product of two matrices of integer row tuples, in Python integers
+    (a b with no rows is taken as 0 x 0)."""
+    if any(len(row) != len(b) for row in a):
         raise ValueError("shape mismatch")
-    flat = (sum(x * y for x, y in zip(a.row(i), b.column(j))) for i in range(a.rows) for j in range(b.cols))
-    return zlat.IntMatrix(a.rows, b.cols, tuple(flat))
+    columns = list(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in columns) for row in a)
 
 
 def smith_product(M, dec):
@@ -318,23 +331,23 @@ def induced_matrix_reference(P, perm):
     for unimodularity.  Raises NO_INDUCED_ACTION when there is no such A."""
     d, m = P.torus_rank, P.num_lines
     dec = zlat.smith_normal_form(P.weight_matrix().transpose())
-    # d x m with columns w_{perm(i)}; shaped explicitly, as d may be 0
-    target = zlat.IntMatrix(d, m, tuple(P.weights[perm[i]][r] for r in range(d) for i in range(m)))
+    # d x m with columns w_{perm(i)}
+    target = tuple(tuple(P.weights[perm[i]][r] for i in range(m)) for r in range(d))
     B = int_matmul(target, dec.V)
     c_rows = [[0] * d for _ in range(d)]
     for i in range(d):
         di = dec.invariant_factors[i]
         for r in range(d):
-            if B.at(r, i) % di != 0:
+            if B[r][i] % di != 0:
                 raise EdtorusError("NO_INDUCED_ACTION", "no integral matrix maps the weights onto their images")
-            c_rows[r][i] = B.at(r, i) // di
-    if any(B.at(r, j) for j in range(d, m) for r in range(d)):
+            c_rows[r][i] = B[r][i] // di
+    if any(B[r][j] for j in range(d, m) for r in range(d)):
         raise EdtorusError("NO_INDUCED_ACTION", "weight images violate the defining relations")
-    A = int_matmul(zlat.IntMatrix(d, d, tuple(x for row in c_rows for x in row)), dec.U)
+    A = int_matmul(c_rows, dec.U)
     for w, image in zip(P.weights, (P.weights[j] for j in perm)):
-        if tuple(sum(A.at(r, k) * w[k] for k in range(d)) for r in range(d)) != tuple(image):
+        if tuple(sum(A[r][k] * w[k] for k in range(d)) for r in range(d)) != tuple(image):
             raise EdtorusError("NO_INDUCED_ACTION", "no integral matrix maps the weights onto their images")
-    if any(f != 1 for f in zlat.smith_normal_form(A).invariant_factors):
+    if any(f != 1 for f in zlat.smith_normal_form(zlat.IntMatrix(A, d)).invariant_factors):
         raise EdtorusError("NO_INDUCED_ACTION", "induced matrix is not unimodular")
     return A
 
@@ -351,7 +364,7 @@ def rep_record_reference(P, R):
     group = component_group(P)
     n = R.modulus
     dec = zlat.smith_normal_form(R.weight_matrix())
-    rows = [dec.U.row(i) for i in range(dec.rank, dec.U.rows)]
+    rows = dec.U[dec.rank :]
 
     def residues(coeff):
         return tuple(sum(a * c for a, c in zip(u, coeff)) % n for u in rows)

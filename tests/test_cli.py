@@ -37,6 +37,17 @@ PLUS_MINUS_PLANE = {
     ],
 }
 
+# A rank-0 torus: one line of weight (), fixed by one generator.
+RANK_ZERO = {
+    "p": 2,
+    "torus_rank": 0,
+    "root_of_unity_exponent": 1,
+    "weights": [[]],
+    "generators": [{"perm": [1], "coeff_num": [0], "coeff_den": [1]}],
+}
+
+MERSENNE_61 = str(2**61 - 1)  # a prime too large for trial division
+
 # The generator squares to the torus point -1, which acts trivially on a
 # weight-zero line; the extra block makes it act there by i, squaring to -1.
 NOT_A_REPRESENTATION = {
@@ -118,6 +129,11 @@ class TestSchema:
         doc = json.loads(out)
         assert doc["component_order"] == 2
         assert doc["induced_matrices"] == [[[-1]]]
+
+    def test_validate_rank_zero(self, tmp_path, capsys):
+        code, out, _ = run(["validate", write_json(tmp_path, RANK_ZERO), "--format", "json"], capsys)
+        assert code == EXIT_OK
+        assert '"induced_matrices":[[]]' in out
 
     @pytest.mark.parametrize("path,value", list(MALFORMED.values()), ids=list(MALFORMED))
     def test_malformed_field_rejected(self, tmp_path, capsys, path, value):
@@ -346,6 +362,20 @@ class TestCommands:
             if row["ed_exact"] is not None:
                 assert row["matches_closed_form"]
 
+    def test_table_sl_large_prime(self, capsys):
+        code, out, _ = run(["table", "sl", "3", MERSENNE_61, "--max-steps", "1000", "--format", "json"], capsys)
+        assert code == EXIT_OK
+        assert [(row["n"], row["ed_exact"]) for row in json.loads(out)] == [(2, 0), (3, 0)]
+
+    @pytest.mark.parametrize(
+        "p,error",
+        [("318665857834031151167461", "UNSUPPORTED"), ("3317044064679887385961981", "BAD_INPUT")],
+        ids=["psi_12_composite", "psi_13_refused"],
+    )
+    def test_table_sl_prime_test_limits(self, p, error, capsys):
+        code, out, err = run(["table", "sl", "3", p], capsys)
+        assert (code, out, json.loads(err)["error"]) == (EXIT_INVALID, "", error)
+
     def test_oracle_stab(self, tmp_path, capsys):
         code, out, _ = run(
             [
@@ -394,6 +424,26 @@ class TestBudgets:
         )
         assert code == EXIT_BUDGET
         assert "BUDGET_EXCEEDED" in err
+
+    def test_ff_tables_of_length_q_counted(self, tmp_path, capsys):
+        # rank 0: q^d * |F| and the value table are both 1, but powg and inverse have q entries
+        code, out, err = run(["oracle", "stab", write_json(tmp_path, RANK_ZERO), "-q", MERSENNE_61], capsys)
+        assert (code, out) == (EXIT_BUDGET, "")
+        assert json.loads(err)["error"] == "BUDGET_EXCEEDED"
+
+    @pytest.mark.parametrize(
+        "command,owner,search",
+        [(["symrank"], cli, "symrank_search"), (["oracle", "stab"], cli.oracle, "ff_stabilizer")],
+        ids=["symrank", "oracle_stab"],
+    )
+    def test_memory_error_exit_3(self, command, owner, search, tmp_path, capsys, monkeypatch):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(owner, search, out_of_memory)
+        code, out, err = run([*command, write_json(tmp_path, SL2_NORMALIZER), "--format", "json"], capsys)
+        assert (code, out) == (EXIT_BUDGET, "")
+        assert json.loads(err) == {"error": "BUDGET_EXCEEDED", "detail": f"{' '.join(command)}: out of memory"}
 
     def test_eta_search_obeys_max_steps(self, capsys):
         path = str(GOLDEN_INPUTS / "sl_7_2.json")

@@ -28,7 +28,8 @@ def test_no_assert_statements():
 
 def test_one_exception_class():
     """Every failure is an EdtorusError carrying its code, and `cli.main` maps
-    that code to an exit status in its one handler."""
+    that code to an exit status; its one other handler maps a MemoryError,
+    which the package never raises, to BUDGET_EXCEEDED."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
     classes = [
         node.name
@@ -42,7 +43,7 @@ def test_one_exception_class():
         node for node in trees["cli.py"].body if isinstance(node, ast.FunctionDef) and node.name == "main"
     )
     handlers = [ast.unparse(node.type) for node in ast.walk(main) if isinstance(node, ast.ExceptHandler)]
-    assert handlers == ["EdtorusError"]
+    assert handlers == ["MemoryError", "EdtorusError"]
 
 
 def test_one_step_limit():

@@ -23,11 +23,10 @@ from edtorus.monogrp import (
     monomial_mul,
     natural_rep,
     perm_compose,
-    m_as_tuple,
     validate,
 )
 from edtorus.pipeline import _characters_generating_dual, sln_case, so_case
-from edtorus.symrank import _mat_mul
+from edtorus.symrank import _identity, _mat_mul
 from edtorus.zlat import IntMatrix
 
 from conftest import (
@@ -38,6 +37,7 @@ from conftest import (
     element_order,
     induced_matrix_reference,
     int_matmul,
+    is_prime_reference,
     monomial_mul_reference,
     perturbed_case_presentations,
     rep_record_reference,
@@ -94,6 +94,28 @@ class TestConventions:
                     assert monomial_mul(a, b, n) == monomial_mul_reference(a, b, n)
 
 
+class TestPrimeTest:
+    PSI_12 = 318_665_857_834_031_151_167_461  # the least composite passing Miller-Rabin on the first 12 primes
+
+    def test_matches_trial_division(self):
+        assert [n for n in range(-3, 200_000) if monogrp._is_prime(n) != is_prime_reference(n)] == []
+
+    def test_psi_12_is_composite(self):
+        assert not monogrp._is_prime(self.PSI_12)
+        assert self.PSI_12 == 399_165_290_221 * 798_330_580_441
+
+    def test_large_primes(self):
+        assert monogrp._is_prime(2**31 - 1) and monogrp._is_prime(2**61 - 1)  # Mersenne primes
+        assert not monogrp._is_prime((2**61 - 1) * (2**19 - 1))
+        assert not monogrp._is_prime(3_215_031_751)  # 151 * 751 * 28351, passes bases 2, 3, 5 and 7
+
+    @pytest.mark.parametrize("n", [monogrp.PRIME_TEST_BOUND, monogrp.PRIME_TEST_BOUND + 2, 2**127 - 1])
+    def test_refused_at_the_bound(self, n):
+        with pytest.raises(EdtorusError) as err:
+            monogrp._is_prime(n)
+        assert err.value.code == "BAD_INPUT" and str(monogrp.PRIME_TEST_BOUND) in err.value.detail
+
+
 class TestClosure:
     def add6(self, x, g):
         return (x + g) % 6
@@ -112,7 +134,7 @@ class TestValidate:
         report = validate(sl2_normalizer)
         assert report.ok
         assert report.component_order == 2
-        assert [m.to_rows() for m in report.induced_matrices] == [[[-1]]]
+        assert report.induced_matrices == (((-1,),),)
         assert not report.split_witness  # the literal swap closes to order 4
         group = component_group(sl2_normalizer)
         g = class_of(group, sl2_normalizer.generators[0])
@@ -291,7 +313,7 @@ class TestInducedMatrix:
                     outcomes["refused"] += 1
                     continue
                 assert monogrp._induced_matrices(P, dec, [perm]) == (want,)
-                assert all(f == 1 for f in zlat.smith_normal_form(want).invariant_factors)
+                assert all(f == 1 for f in zlat.smith_normal_form(IntMatrix(want, P.torus_rank)).invariant_factors)
                 outcomes["solved"] += 1
         assert outcomes["refused"] > 100 and outcomes["solved"] > 100, outcomes
 
@@ -448,7 +470,7 @@ class TestComponentGroup:
         group = component_group(sl3_three_cycle)
         A = report.induced_matrices[0]
         # the induced map factors through the component group: A^3 = identity
-        assert int_matmul(int_matmul(A, A), A) == IntMatrix.identity(A.rows)
+        assert int_matmul(int_matmul(A, A), A) == _identity(len(A))
         assert element_order(group, class_of(group, sl3_three_cycle.generators[0])) == 3
 
     def test_representative_invariance(self):
@@ -516,7 +538,7 @@ class TestComponentGroup:
         rng = random.Random(7)
         for _ in range(200):
             m, d, n = rng.randint(1, 4), rng.randint(1, 3), rng.randint(1, 6)
-            W = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(d)] for _ in range(m)])
+            W = IntMatrix([[rng.randint(-3, 3) for _ in range(d)] for _ in range(m)], d)
             canon = _CoeffCanon(W, n)
             v = tuple(rng.randrange(n) for _ in range(m))
             expected = membership_bruteforce([Fraction(x, n) for x in v], W)
@@ -559,8 +581,8 @@ class TestCharacterLattice:
         P = maker()
         L = character_lattice_action(P)
         # reference: the induced generator matrices closed under matrix products
-        ident = m_as_tuple(IntMatrix.identity(P.torus_rank))
-        gens = sorted({m_as_tuple(A) for A in validate(P).induced_matrices})
+        ident = _identity(P.torus_rank)
+        gens = sorted(set(validate(P).induced_matrices))
         assert L.matrices == tuple(sorted(closure(ident, gens, _mat_mul)))
         assert L.is_abelian() == all(_mat_mul(a, b) == _mat_mul(b, a) for a in L.matrices for b in L.matrices)
         assert ident not in L.generators

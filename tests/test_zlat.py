@@ -6,7 +6,9 @@ Derived expectations are computed by independent oracles inside this module
 denominator search) and frozen into the asserts.
 """
 
+import copy
 import itertools
+import pickle
 from fractions import Fraction
 from math import gcd
 
@@ -43,8 +45,8 @@ def det_cofactor(rows):
 def diag(M, dec):
     """The diagonal of U M V; off it, U M V must be zero."""
     D = smith_product(M, dec)
-    assert all(D.at(i, j) == 0 for i in range(D.rows) for j in range(D.cols) if i != j)
-    return [D.at(i, i) for i in range(min(D.rows, D.cols))]
+    assert all(x == 0 for i, row in enumerate(D) for j, x in enumerate(row) if i != j)
+    return [D[i][i] for i in range(min(M.rows, M.cols))]
 
 
 small_matrix = st.integers(min_value=1, max_value=4).flatmap(
@@ -60,14 +62,14 @@ small_matrix = st.integers(min_value=1, max_value=4).flatmap(
 
 class TestSmithNormalForm:
     def test_identity(self):
-        M = IntMatrix.identity(2)
+        M = IntMatrix([[1, 0], [0, 1]], 2)
         dec = smith_normal_form(M)
         assert diag(M, dec) == [1, 1]
         assert dec.invariant_factors == (1, 1)
 
     def test_2x2_example(self):
         # independent oracle: d1 = gcd of entries = 2, d1*d2 = gcd of 2x2 minors = |2*8-4*6| = 8
-        M = IntMatrix.from_rows([[2, 4], [6, 8]])
+        M = IntMatrix([[2, 4], [6, 8]], 2)
         entries_gcd = gcd(gcd(2, 4), gcd(6, 8))
         minors_gcd = abs(det_cofactor([[2, 4], [6, 8]]))
         assert (entries_gcd, minors_gcd // entries_gcd) == (2, 4)
@@ -75,7 +77,7 @@ class TestSmithNormalForm:
         assert diag(M, dec) == [2, 4]
 
     def test_zero_matrix(self):
-        M = IntMatrix.from_rows([[0]])
+        M = IntMatrix([[0]], 1)
         dec = smith_normal_form(M)
         assert diag(M, dec) == [0]
         assert dec.invariant_factors == (0,)
@@ -83,13 +85,13 @@ class TestSmithNormalForm:
     @settings(max_examples=120)
     @given(small_matrix)
     def test_transform_identity_and_chain(self, rows):
-        M = IntMatrix.from_rows(rows)
+        M = IntMatrix(rows, len(rows[0]))
         dec = smith_normal_form(M)
         # U M V is diagonal, with the invariant factors on its diagonal
         d = diag(M, dec)
         assert tuple(d) == dec.invariant_factors
-        assert abs(det_cofactor(dec.U.to_rows())) == 1
-        assert abs(det_cofactor(dec.V.to_rows())) == 1
+        assert abs(det_cofactor(dec.U)) == 1
+        assert abs(det_cofactor(dec.V)) == 1
         for a, b in zip(d, d[1:]):
             if a == 0:
                 assert b == 0
@@ -107,7 +109,7 @@ class TestSmithNormalForm:
         )
     )
     def test_factor_product_is_det(self, rows):
-        M = IntMatrix.from_rows(rows)
+        M = IntMatrix(rows, len(rows))
         d = det_cofactor(rows)
         dec = smith_normal_form(M)
         prod = 1
@@ -116,7 +118,7 @@ class TestSmithNormalForm:
         assert prod == abs(d)
 
     def test_determinism(self):
-        M = IntMatrix.from_rows([[6, 4, 2], [2, 8, 10], [4, 2, 0]])
+        M = IntMatrix([[6, 4, 2], [2, 8, 10], [4, 2, 0]], 3)
         first = smith_normal_form(M)
         second = smith_normal_form(M)
         assert first == second
@@ -157,7 +159,7 @@ class TestSublatticeIndex:
     def test_matches_invariant_factor_valuation(self, vecs, p):
         # the p-part of the index is zero exactly when the Smith form has full
         # rank and no invariant factor is divisible by p
-        dec = smith_normal_form(IntMatrix.from_rows([list(v) for v in vecs]).transpose())
+        dec = smith_normal_form(IntMatrix(vecs, 2).transpose())
         p_spanning = dec.rank == 2 and all(f % p for f in dec.invariant_factors if f)
         assert (len(_span((), vecs, p)) == 2) == p_spanning
 
@@ -174,9 +176,8 @@ def membership_bruteforce(v, W: IntMatrix) -> bool:
     if factors:
         N *= max(factors)
     target = [int(Fraction(x) * N) % N for x in v]
-    rows = W.to_rows()
     for nums in itertools.product(range(N), repeat=W.cols):
-        if all(sum(w * a for w, a in zip(row, nums)) % N == y for row, y in zip(rows, target)):
+        if all(sum(w * a for w, a in zip(row, nums)) % N == y for row, y in zip(W, target)):
             return True
     return False
 
@@ -185,16 +186,16 @@ class TestTorsionMembership:
     """The coset key of `monogrp._CoeffCanon` against the exhaustive search."""
 
     def test_zero_vector(self):
-        W = IntMatrix.from_rows([[1], [1]])
+        W = IntMatrix([[1], [1]], 1)
         assert _CoeffCanon(W, 2).is_torsion_image([0, 0])
 
     def test_diagonal_half(self):
-        W = IntMatrix.from_rows([[1], [1]])
+        W = IntMatrix([[1], [1]], 1)
         assert membership_bruteforce([Fraction(1, 2), Fraction(1, 2)], W)
         assert _CoeffCanon(W, 2).is_torsion_image([1, 1])
 
     def test_half_zero_not_in_image(self):
-        W = IntMatrix.from_rows([[1], [1]])
+        W = IntMatrix([[1], [1]], 1)
         assert not membership_bruteforce([Fraction(1, 2), Fraction(0)], W)
         assert not _CoeffCanon(W, 2).is_torsion_image([1, 0])
 
@@ -214,7 +215,7 @@ class TestTorsionMembership:
         )
         dens = data.draw(st.lists(st.sampled_from([1, 2, 3, 4, 6, 8]), min_size=m, max_size=m))
         nums = data.draw(st.lists(st.integers(0, 7), min_size=m, max_size=m))
-        W = IntMatrix.from_rows(rows)
+        W = IntMatrix(rows, d)
         v = [Fraction(a, b) for a, b in zip(nums, dens)]
         n = 24  # a multiple of every denominator drawn; v_i = c_i / n
         c = [a * (n // b) for a, b in zip(nums, dens)]
@@ -222,7 +223,7 @@ class TestTorsionMembership:
 
     def test_three_by_three_grid(self):
         # exhaustive small-denominator sweep at the full allowed shape
-        W = IntMatrix.from_rows([[1, 0, 1], [0, 2, 1], [1, 1, 0]])
+        W = IntMatrix([[1, 0, 1], [0, 2, 1], [1, 1, 0]], 3)
         canon = _CoeffCanon(W, 2)
         for nums in itertools.product(range(4), repeat=3):
             v = [Fraction(a, 2) for a in nums]
@@ -237,16 +238,55 @@ class TestTorsionMembership:
             st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d), min_size=m, max_size=m)
         )
         a, b = (data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)) for _ in range(2))
-        W = IntMatrix.from_rows(rows)
+        W = IntMatrix(rows, d)
         canon = _CoeffCanon(W, n)
         diff = [Fraction(x - y, n) for x, y in zip(a, b)]
         assert (canon.canon(a) == canon.canon(b)) == membership_bruteforce(diff, W)
 
 
+class TestShape:
+    """A matrix without rows, or without columns, keeps its shape."""
+
+    def test_zero_by_three(self):
+        M = IntMatrix((), 3)
+        assert (M.rows, M.cols) == (0, 3)
+        T = M.transpose()
+        assert (T, T.rows, T.cols) == (((), (), ()), 3, 0)
+        assert (T.transpose(), T.transpose().rows, T.transpose().cols) == ((), 0, 3)
+        dec = smith_normal_form(M)
+        assert (dec.U, dec.V, dec.invariant_factors) == ((), ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ())
+        assert integer_kernel_basis(M) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+    def test_three_by_zero(self):
+        M = IntMatrix([(), (), ()], 0)
+        assert (M.rows, M.cols) == (3, 0)
+        T = M.transpose()
+        assert (T, T.rows, T.cols) == ((), 0, 3)
+        assert (T.transpose(), T.transpose().rows, T.transpose().cols) == (((), (), ()), 3, 0)
+        dec = smith_normal_form(M)
+        assert (dec.U, dec.V, dec.invariant_factors) == (((1, 0, 0), (0, 1, 0), (0, 0, 1)), (), ())
+        assert integer_kernel_basis(M) == []  # the kernel in Z^0
+
+    def test_transpose(self):
+        M = IntMatrix([[1, 2, 3], [4, 5, 6]], 3)
+        assert (M.transpose(), M.transpose().cols) == (((1, 4), (2, 5), (3, 6)), 2)
+        assert M.transpose().transpose() == M == ((1, 2, 3), (4, 5, 6))
+
+    def test_copy_and_pickle_keep_the_shape(self):
+        M = IntMatrix((), 3)
+        for N in (copy.copy(M), copy.deepcopy(M), pickle.loads(pickle.dumps(M))):
+            assert (type(N), N, N.cols) == (IntMatrix, (), 3)
+
+    @pytest.mark.parametrize("rows,cols", [([[1, 2], [3]], 2), ([[1]], 2), ([], -1)], ids=["ragged", "short", "negative"])
+    def test_bad_shape_rejected(self, rows, cols):
+        with pytest.raises(ValueError):
+            IntMatrix(rows, cols)
+
+
 class TestKernelBasis:
     def test_sum_zero_kernel(self):
         # transpose of the weight rows for three lines summing to zero
-        M = IntMatrix.from_rows([[1, 0, -1], [0, 1, -1]])
+        M = IntMatrix([[1, 0, -1], [0, 1, -1]], 3)
         basis = integer_kernel_basis(M)
         assert len(basis) == 1
         u = basis[0]
