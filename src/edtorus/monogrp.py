@@ -80,13 +80,12 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def closure(identity, gens, mul, limit: int | None = None) -> list | None:
+def closure(identity, gens, mul) -> list:
     """Elements of the monoid generated by `gens`, in breadth-first discovery order.
 
     Each new element is found as mul(x, g) for an earlier element x and a
-    generator g; mul runs on each element in discovery order times each generator
-    in order, so it can record the right Cayley graph.  Returns None as soon as more
-    than `limit` elements would be needed; for a finite group the monoid is the group.
+    generator g, taken for each element in discovery order times each generator
+    in order; for a finite group the monoid is the group.
     """
     seen = {identity: None}  # insertion-ordered: the discovery order
     frontier = [identity]
@@ -96,17 +95,19 @@ def closure(identity, gens, mul, limit: int | None = None) -> list | None:
             for g in gens:
                 y = mul(x, g)
                 if y not in seen:
-                    if limit is not None and len(seen) >= limit:
-                        return None
                     seen[y] = None
                     nxt.append(y)
         frontier = nxt
     return list(seen)
 
 
-def perm_compose(p1: Perm, p2: Perm) -> Perm:
-    """p1 after p2 (apply p2 first)."""
-    return tuple(map(p1.__getitem__, p2))
+def generators_commute(right: list[list[int]]) -> bool:
+    """Whether a group's generators commute pairwise, read off its right Cayley
+    graph (element 0 the identity, right[x][g] = x times generator g), whose
+    generator g is element right[0][g]; that is commutativity of the group."""
+    first = right[0]
+    pairs = itertools.combinations(range(len(first)), 2)
+    return all(right[first[i]][j] == right[first[j]][i] for i, j in pairs)
 
 
 def monomial_mul(a: tuple[Perm, Coeff], b: tuple[Perm, Coeff], n: int) -> tuple[Perm, Coeff]:
@@ -338,9 +339,7 @@ class ComponentGroup:
         return len(self.elements)
 
     def is_abelian(self) -> bool:
-        first = self.right[self.identity]  # generator g is class first[g]
-        pairs = itertools.combinations(range(len(first)), 2)
-        return all(self.right[first[i]][j] == self.right[first[j]][i] for i, j in pairs)
+        return generators_commute(self.right)
 
     def subgroup_closure(self, indices) -> tuple[int, ...]:
         return tuple(sorted(self._generators(sorted(set(indices)))[1]))
@@ -780,37 +779,29 @@ def component_group(P: MonomialGroupPresentation) -> ComponentGroup:
 @lru_cache(maxsize=None)
 def character_lattice_action(P: MonomialGroupPresentation):
     """The rank-d lattice with the matrix group F induces on it, cached as `validate` is.
-    The weights span, so a matrix is fixed by how it permutes the distinct weight values:
-    the image is closed as permutations, recording its Cayley graph, which hands the lattice its order
-    and commutativity; the matrices are multiplied out only when they are read.  A generator's
-    matrix sends the weight of line i to that of line perm(i) (`validate` certified it), so its
-    permutation of the values is read off its line permutation."""
+    The weights span, so a class's matrix is fixed by its permutation phi of the distinct
+    weight values, read off its line permutation (`validate` certified the matrices).  The
+    image is the distinct phi in the enumeration's order, each reached by a Cayley edge
+    from an earlier one, with F's Cayley graph read through phi; the matrices are
+    multiplied out only when they are read."""
     from .symrank import FLattice
 
-    group_order = component_group(P).order
-    report = validate(P)
+    group = component_group(P)
     values = sorted(set(P.weights))
     pos = {w: k for k, w in enumerate(values)}
-    line = {w: i for i, w in enumerate(P.weights)}  # a line of each value
-    ident = tuple(range(len(values)))
-    mats = {}
-    for (perm, _), A in zip(P.generators, report.induced_matrices):
-        mats.setdefault(tuple(pos[P.weights[perm[line[w]]]] for w in values), A)
-    gens = sorted(g for g in mats if g != ident)
-    products = []  # x g for each image element x in discovery order, then each g
-
-    def step(x, g):
-        products.append(perm_compose(x, g))
-        return products[-1]
-
-    # the matrix group is the image of F, so it never needs more than |F| elements
-    image = closure(ident, gens, step, limit=group_order)
-    if image is None or group_order % len(image) != 0:
-        raise EdtorusError("INTERNAL", "lattice action order must divide the component order")
-    index = {x: i for i, x in enumerate(image)}
-    edges = iter(products)
-    right = [[index[next(edges)] for _ in gens] for _ in image]
-    return FLattice(rank=P.torus_rank, generators=tuple(mats[g] for g in gens), right=right)
+    lines = [P.weights.index(w) for w in values]  # a line of each value
+    phi = [tuple(pos[P.weights[el.perm[i]]] for i in lines) for el in group.elements]
+    first: dict[Perm, int] = {}  # each image element's first class, in order
+    for x, v in enumerate(phi):
+        first.setdefault(v, x)
+    index = {v: i for i, v in enumerate(first)}
+    first_gen: dict[Perm, int] = {}  # each generator phi's first generator
+    for j, x in enumerate(group.right[group.identity]):
+        first_gen.setdefault(phi[x], j)
+    js = [first_gen[g] for g in sorted(first_gen) if g != phi[group.identity]]
+    right = [[index[phi[group.right[x][j]]] for j in js] for x in first.values()]
+    matrices = validate(P).induced_matrices
+    return FLattice(rank=P.torus_rank, generators=tuple(matrices[j] for j in js), right=right)
 
 
 def check_rep_compatible(P: MonomialGroupPresentation, R: MonomialRep) -> RepRecord:

@@ -153,10 +153,9 @@ def ff_stabilizer(
         raise EdtorusError("BAD_MODULUS", f"q - 1 must be divisible by {L}")
     d = P.torus_rank
     budget = MAX_STEPS.get()
-    if q**d * group.order > budget:
-        raise EdtorusError(
-            "BUDGET_EXCEEDED", f"q^d * |component group| = {q**d * group.order} exceeds {budget}"
-        )
+    for name, k in (("q^d", q**d), ("trials", trials)):  # torus points, and trials, times classes
+        if k * group.order > budget:
+            raise EdtorusError("BUDGET_EXCEEDED", f"{name} * |component group| = {k * group.order} exceeds {budget}")
     m = R.dim
     if (cells := (q - 1) ** d * m + 2 * q - 1) > 50_000_000:  # the value table, powg and inverse
         raise EdtorusError("BUDGET_EXCEEDED", f"torus value tables of {cells} cells would not fit in memory")

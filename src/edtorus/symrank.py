@@ -28,7 +28,7 @@ from functools import cached_property
 from operator import mul
 from typing import NamedTuple
 
-from .monogrp import MAX_STEPS, EdtorusError, character_lattice_action, closure, ensure_valid
+from .monogrp import MAX_STEPS, EdtorusError, character_lattice_action, closure, ensure_valid, generators_commute
 from .stab import is_p_faithful
 
 
@@ -65,9 +65,7 @@ class FLattice:
         return len(self.right)
 
     def is_abelian(self) -> bool:
-        pairs = itertools.combinations(range(len(self.generators)), 2)
-        first = self.right[0]  # generator g is element first[g]
-        return all(self.right[first[i]][j] == self.right[first[j]][i] for i, j in pairs)
+        return generators_commute(self.right)
 
 
 def _identity(rank: int) -> tuple[tuple[int, ...], ...]:

@@ -28,6 +28,14 @@ class IntMatrix(tuple):
     def __getnewargs__(self):  # so that copy and pickle rebuild it through __new__
         return tuple(self), self.cols
 
+    def __eq__(self, other):  # equal rows fix the shape unless there are none
+        return isinstance(other, tuple) and tuple.__eq__(self, other) and getattr(other, "cols", self.cols) == self.cols
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
     def transpose(self) -> "IntMatrix":
         return IntMatrix(zip(*self) if self else [()] * self.cols, len(self))
 

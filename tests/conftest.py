@@ -20,9 +20,9 @@ from edtorus.monogrp import (
     closure,
     component_group,
     natural_rep,
-    perm_compose,
     perm_cycles,
     perm_sign,
+    validate,
 )
 from edtorus.oracle import FFStabilizerReport, _primitive_root
 from edtorus.pipeline import (
@@ -46,6 +46,58 @@ def lattice(rank, generators):
     index = {x: i for i, x in enumerate(elements)}
     right = [[index[_mat_mul(x, g)] for g in generators] for x in elements]
     return FLattice(rank, generators, right)
+
+
+def bounded_closure(identity, gens, mul, limit):
+    """`monogrp.closure`, given up with None as soon as more than `limit` elements
+    would be needed, so that a closure far larger than the limit stays cheap."""
+    seen = {identity: None}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = mul(x, g)
+                if y not in seen:
+                    if len(seen) >= limit:
+                        return None
+                    seen[y] = None
+                    nxt.append(y)
+        frontier = nxt
+    return list(seen)
+
+
+def perm_compose(p1, p2):
+    """p1 after p2 (apply p2 first)."""
+    return tuple(map(p1.__getitem__, p2))
+
+
+def character_lattice_action_reference(P):
+    """F's lattice image closed a second time: the generators' permutations of
+    the distinct weight values are closed under composition, at most |F| of
+    them, and the products the closure takes record its right Cayley graph."""
+    group_order = component_group(P).order
+    report = validate(P)
+    values = sorted(set(P.weights))
+    pos = {w: k for k, w in enumerate(values)}
+    line = {w: i for i, w in enumerate(P.weights)}
+    ident = tuple(range(len(values)))
+    mats = {}
+    for (perm, _), A in zip(P.generators, report.induced_matrices):
+        mats.setdefault(tuple(pos[P.weights[perm[line[w]]]] for w in values), A)
+    gens = sorted(g for g in mats if g != ident)
+    products = []
+
+    def step(x, g):
+        products.append(perm_compose(x, g))
+        return products[-1]
+
+    image = bounded_closure(ident, gens, step, limit=group_order)
+    assert image is not None and group_order % len(image) == 0
+    index = {x: i for i, x in enumerate(image)}
+    edges = iter(products)
+    right = [[index[next(edges)] for _ in gens] for _ in image]
+    return FLattice(rank=P.torus_rank, generators=tuple(mats[g] for g in gens), right=right)
 
 
 def perturbed_case_presentations(count: int, seed: int):

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -424,6 +425,17 @@ class TestBudgets:
         )
         assert code == EXIT_BUDGET
         assert "BUDGET_EXCEEDED" in err
+
+    def test_ff_trials_counted(self, capsys):
+        # q^d * |F| = 10000 is within the limit, but every trial looks up each of the 16 classes
+        start = time.perf_counter()
+        code, out, err = run(["oracle", "stab", SO_2, "--trials", "100000000", "--max-steps", "1000000"], capsys)
+        assert (code, out) == (EXIT_BUDGET, "")
+        assert json.loads(err) == {
+            "error": "BUDGET_EXCEEDED",
+            "detail": "trials * |component group| = 1600000000 exceeds 1000000",
+        }
+        assert time.perf_counter() - start < 2
 
     def test_ff_tables_of_length_q_counted(self, tmp_path, capsys):
         # rank 0: q^d * |F| and the value table are both 1, but powg and inverse have q entries

@@ -22,7 +22,6 @@ from edtorus.monogrp import (
     component_group,
     monomial_mul,
     natural_rep,
-    perm_compose,
     validate,
 )
 from edtorus.pipeline import _characters_generating_dual, sln_case, so_case
@@ -32,6 +31,8 @@ from edtorus.zlat import IntMatrix
 from conftest import (
     GOLDEN_INPUTS,
     abelian_invariants_reference,
+    bounded_closure,
+    character_lattice_action_reference,
     class_of,
     ed_reps,
     element_order,
@@ -70,12 +71,6 @@ class TestConventions:
         sq = monomial_mul(g, g, 2)
         assert sq[0] == (0, 1)
         assert sq[1] == (1, 1)
-
-    def test_compose_inverse(self):
-        p1, p2 = (1, 2, 0), (0, 2, 1)
-        comp = perm_compose(p1, p2)
-        assert comp == tuple(p1[p2[i]] for i in range(3))
-        assert perm_compose(p1, (2, 0, 1)) == (0, 1, 2)  # p1 after its inverse
 
     def test_product_matches_dense_reference(self):
         """`monomial_mul` adds only the nonzero coefficients of its right factor;
@@ -122,11 +117,6 @@ class TestClosure:
 
     def test_breadth_first_discovery_order(self):
         assert closure(0, [2, 3], self.add6) == [0, 2, 3, 4, 5, 1]
-
-    def test_cap(self):
-        assert closure(0, [1], self.add6, limit=5) is None
-        assert closure(0, [1], self.add6, limit=6) == [0, 1, 2, 3, 4, 5]
-        assert closure(0, [], self.add6, limit=1) == [0]
 
 
 class TestValidate:
@@ -331,7 +321,8 @@ class TestOneWalk:
             assert report.ok
             e = P.root_of_unity_exponent
             ident = (tuple(range(P.num_lines)), (0,) * P.num_lines)
-            literal = closure(ident, P.generators, lambda a, b: monomial_mul(a, b, e), limit=report.component_order)
+            # the literal monomial group can be far larger than |F|: stop one past it
+            literal = bounded_closure(ident, P.generators, lambda a, b: monomial_mul(a, b, e), report.component_order)
             assert report.split_witness == (literal is not None)
             splits.append(report.split_witness)
         assert 10 < sum(splits) < len(splits) - 10  # both answers are exercised
@@ -587,6 +578,29 @@ class TestCharacterLattice:
         assert L.is_abelian() == all(_mat_mul(a, b) == _mat_mul(b, a) for a in L.matrices for b in L.matrices)
         assert ident not in L.generators
 
+    @staticmethod
+    def reference_presentations():
+        out = [sln_case(n, p).presentation for n in range(2, 13) for p in (2, 3, 5) if p <= n]
+        out += [so_case(n).presentation for n in range(1, 4)]
+        out += [load_presentation(str(path), "full")[0] for path in sorted(GOLDEN_INPUTS.glob("*.json"))]
+        out.append(_repeated_and_zero_weights())
+        return out + list(perturbed_case_presentations(60, seed=29))
+
+    def test_matches_second_closure(self):
+        """The image read off the enumeration against the parent design's second
+        closure of the generators' value permutations, images smaller than F included."""
+        smaller = 0
+        for P in self.reference_presentations():
+            L, ref = character_lattice_action(P), character_lattice_action_reference(P)
+            assert (L.order, L.generators, L.matrices, L.is_abelian()) == (
+                ref.order,
+                ref.generators,
+                ref.matrices,
+                ref.is_abelian(),
+            )
+            smaller += L.order < component_group(P).order
+        assert smaller >= 2  # gm_times_z2 and the repeated weights at least
+
     def test_identity_generator_left_out(self):
         L = character_lattice_action(_repeated_and_zero_weights())
         assert component_group(_repeated_and_zero_weights()).order == 8
@@ -611,20 +625,20 @@ class TestCharacterLattice:
         assert len(L.matrices) == L.order
         assert calls <= L.order
 
-    def test_one_permutation_product_per_edge(self, monkeypatch):
+    def test_no_second_closure(self, monkeypatch):
+        """The image and its Cayley graph are read off F's enumeration."""
         P = sln_case(16, 2).presentation
-        component_group(P)  # the enumeration composes permutations too
-        calls = 0
+        component_group(P)  # cached: only the lattice image is built below
+        calls = []
+        closure = monogrp.closure
 
-        def counting_compose(p1, p2):
-            nonlocal calls
-            calls += 1
-            return perm_compose(p1, p2)
+        def counting_closure(*args, **kwargs):
+            calls.append(args)
+            return closure(*args, **kwargs)
 
-        monkeypatch.setattr(monogrp, "perm_compose", counting_compose)
+        monkeypatch.setattr(monogrp, "closure", counting_closure)
         L = character_lattice_action.__wrapped__(P)  # past the cache: a fresh build
-        assert L.order == 256
-        assert calls == L.order * len(L.generators)
+        assert (L.order, calls) == (256, [])
 
     def test_cached_per_presentation(self, so4_presentation):
         L = character_lattice_action(so4_presentation)

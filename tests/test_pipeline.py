@@ -374,7 +374,8 @@ class TestCaseConstructors:
 
     def test_sylow_tower_orders(self):
         # |Sylow_2(S_6)| = 16, |Sylow_3(S_9)| = 81
-        from edtorus.monogrp import closure, perm_compose
+        from conftest import perm_compose
+        from edtorus.monogrp import closure
 
         assert len(closure(tuple(range(6)), sylow_tower_generators(6, 2, 6), perm_compose)) == 16
         assert len(closure(tuple(range(9)), sylow_tower_generators(9, 3, 9), perm_compose)) == 81

@@ -277,6 +277,14 @@ class TestShape:
         for N in (copy.copy(M), copy.deepcopy(M), pickle.loads(pickle.dumps(M))):
             assert (type(N), N, N.cols) == (IntMatrix, (), 3)
 
+    def test_equality_counts_the_columns(self):
+        a, b = IntMatrix((), 3), IntMatrix((), 5)
+        assert (a == b, a != b, a == IntMatrix((), 3), a != IntMatrix((), 3)) == (False, True, True, False)
+        assert len({a: 3, b: 5}) == 2  # two shapes stay two keys
+        M = IntMatrix([[1, 2]], 2)
+        assert (M == ((1, 2),), M != ((1, 2),), ((1, 2),) == M, a == ()) == (True, False, True, True)
+        assert hash(M) == hash(((1, 2),))
+
     @pytest.mark.parametrize("rows,cols", [([[1, 2], [3]], 2), ([[1]], 2), ([], -1)], ids=["ragged", "short", "negative"])
     def test_bad_shape_rejected(self, rows, cols):
         with pytest.raises(ValueError):
