@@ -274,7 +274,7 @@ def _cmd_validate(args, out) -> int:
     P, _ = load_presentation(args.input, "natural")
     report = validate(P)
     emit(jsonable(report), args.format, out)
-    return EXIT_OK if report.ok else EXIT_INVALID
+    return EXIT_OK if report.ok else _EXIT_CODES.get(report.error, EXIT_INVALID)
 
 
 def _cmd_stabilizer(args, out) -> int:

@@ -255,13 +255,15 @@ def natural_rep(P: MonomialGroupPresentation) -> MonomialRep:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """What `validate` certified; a failed report certifies nothing past its code and detail."""
+
     ok: bool
     error: str | None
     detail: str
-    induced_matrices: tuple[zlat.Matrix, ...]
-    component_order: int | None
-    split_witness: bool
-    diagnostics: tuple[str, ...]
+    induced_matrices: tuple[zlat.Matrix, ...] = ()
+    component_order: int | None = None
+    split_witness: bool = False
+    diagnostics: tuple[str, ...] = ()
 
 
 class _CoeffCanon:
@@ -314,7 +316,8 @@ class ComponentGroup:
     enumeration; a product x y walks y's breadth-first word through it, so no
     multiplication table is stored.  `split_witness` says whether the literal
     generators close up to |F| elements, a complement of the torus.  `canon`
-    is the coset key the enumeration keyed each edge with.
+    is the coset key the enumeration keyed each edge with.  `component_group`
+    hands one out only for a valid presentation.
     """
 
     def __init__(self, P: MonomialGroupPresentation, elements, right, split_witness, canon):
@@ -372,7 +375,6 @@ class ComponentGroup:
         P = self.presentation
         natural = natural_rep(P)
         if R == natural:
-            ensure_valid(P)
             return RepRecord(self.canon, [(el.perm, el.coeff) for el in self.elements])
         blocks = R.blocks
         for s in range(len(blocks) - 1, 0, -1):
@@ -658,23 +660,15 @@ def _induced_matrices(P: MonomialGroupPresentation, dec: zlat.SmithDecomposition
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _coset_key(P: MonomialGroupPresentation) -> _CoeffCanon:
-    """The coset key of P's weights; its Smith form also serves `validate`."""
-    return _CoeffCanon(P.weight_matrix(), P.root_of_unity_exponent)
-
-
-@lru_cache(maxsize=None)
-def _enumerate_group(P: MonomialGroupPresentation) -> ComponentGroup:
-    """Breadth-first enumeration of the component group, shared by `validate`
-    and `component_group`: each Cayley edge is keyed once, and an edge
-    to a class first met on this level is resolved once the level is sorted.
-    A stored representative is the literal product along its word, so the
-    literal generators close up to |F| elements, the split witness, exactly
-    when each edge's literal product is the stored one of its target class."""
+def _enumerate_group(P: MonomialGroupPresentation, canon: _CoeffCanon) -> ComponentGroup:
+    """Breadth-first enumeration of the component group under the coset key
+    `canon`: each Cayley edge is keyed once, and an edge to a class first met
+    on this level is resolved once the level is sorted.  A stored
+    representative is the literal product along its word, so the literal
+    generators close up to |F| elements, the split witness, exactly when each
+    edge's literal product is the stored one of its target class."""
     m = P.num_lines
     e = P.root_of_unity_exponent
-    canon = _coset_key(P)
     ident = GroupElement(perm=tuple(range(m)), coeff=(0,) * m, word=())
     elements = [ident]
     index = {(ident.perm, canon.canon(ident.coeff)): 0}
@@ -715,65 +709,56 @@ def _enumerate_group(P: MonomialGroupPresentation) -> ComponentGroup:
 
 
 @lru_cache(maxsize=None)
-def validate(P: MonomialGroupPresentation) -> ValidationReport:
-    """Certify that the presentation realizes a torus-by-p-group extension.
-    The split witness is the one the enumeration records (`_enumerate_group`)."""
-    diagnostics: list[str] = []
-
-    def failure(code: str, detail: str) -> ValidationReport:
-        return ValidationReport(
-            ok=False,
-            error=code,
-            detail=detail,
-            induced_matrices=(),
-            component_order=None,
-            split_witness=False,
-            diagnostics=tuple(diagnostics),
-        )
-
-    dec = _coset_key(P).dec
-    if dec.rank < P.torus_rank:
-        return failure("RANK_DEFICIENT", "weights span rank < torus rank; the torus would act with infinite kernel")
-
-    try:
-        matrices = _induced_matrices(P, dec, [perm for perm, _ in P.generators])
-        group = _enumerate_group(P)
-    except EdtorusError as exc:
-        return failure(exc.code, exc.detail)
-
+def _analysis(P: MonomialGroupPresentation) -> tuple[tuple[zlat.Matrix, ...], ComponentGroup]:
+    """P's induced matrices and component group, from one Smith form of its
+    weights: it decides the rank, solves each induced matrix and keys the
+    enumeration.  Raises at the first check that fails, in this order:
+    RANK_DEFICIENT, NO_INDUCED_ACTION, LIMIT_EXCEEDED, NOT_P_GROUP."""
+    canon = _CoeffCanon(P.weight_matrix(), P.root_of_unity_exponent)
+    if canon.dec.rank < P.torus_rank:
+        raise EdtorusError("RANK_DEFICIENT", "weights span rank < torus rank; the torus would act with infinite kernel")
+    matrices = _induced_matrices(P, canon.dec, [perm for perm, _ in P.generators])
+    group = _enumerate_group(P, canon)
     n = order = group.order
     while n % P.p == 0:
         n //= P.p
     if n != 1:
-        return failure("NOT_P_GROUP", f"component group order {order} is not a power of {P.p}")
+        raise EdtorusError("NOT_P_GROUP", f"component group order {order} is not a power of {P.p}")
+    return matrices, group
 
+
+@lru_cache(maxsize=None)
+def validate(P: MonomialGroupPresentation) -> ValidationReport:
+    """Certify that the presentation realizes a torus-by-p-group extension,
+    or report the first check that fails (see `_analysis`).  The split witness
+    is the one the enumeration records."""
+    try:
+        matrices, group = _analysis(P)
+    except EdtorusError as exc:
+        return ValidationReport(ok=False, error=exc.code, detail=exc.detail)
+    diagnostics = []
     if P.split_claim is True and not group.split_witness:
         diagnostics.append("split claim rejected: literal generators do not close up to a complement")
     if P.split_claim is False and group.split_witness:
         diagnostics.append("presentation claims non-split but a splitting witness exists")
-
     return ValidationReport(
-        ok=True,
-        error=None,
-        detail="",
-        induced_matrices=matrices,
-        component_order=order,
-        split_witness=group.split_witness,
-        diagnostics=tuple(diagnostics),
+        ok=True, error=None, detail="", induced_matrices=matrices, component_order=group.order,
+        split_witness=group.split_witness, diagnostics=tuple(diagnostics),
     )
 
 
 def ensure_valid(P: MonomialGroupPresentation) -> ValidationReport:
     report = validate(P)
     if not report.ok:
-        raise EdtorusError(report.error or "INVALID", report.detail)
+        raise EdtorusError(report.error, report.detail)
     return report
 
 
 def component_group(P: MonomialGroupPresentation) -> ComponentGroup:
-    """Complete enumeration of the component group with its right Cayley graph."""
+    """Complete enumeration of the component group with its right Cayley graph.
+    An invalid P's failure is read from its cached report, not enumerated again."""
     ensure_valid(P)
-    return _enumerate_group(P)
+    return _analysis(P)[1]
 
 
 @lru_cache(maxsize=None)

@@ -299,8 +299,7 @@ def symrank(L: FLattice, p: int, B: int | None = None, initial_witness=None) -> 
     """
     B = _search_bound(L, B)
     d = L.rank
-    bound = perm_lower_bound(L, p)
-    lower = bound.value if bound.hypotheses_ok else d
+    lower = perm_lower_bound(L, p).value
     best = None
     if initial_witness is not None:
         best = tuple(sorted({tuple(int(x) for x in v) for v in initial_witness}))
@@ -354,7 +353,7 @@ class EtaResult:
     certificate: str | None  # how exactness was certified, if it was
 
 
-def eta_bounds(P, V=None, B: int | None = None, run_search: bool = True) -> EtaResult:
+def eta_bounds(P, V=None, B: int | None = None) -> EtaResult:
     """Bounds on the minimal p-faithful dimension from the lattice action.
 
     The symmetric p-rank of the character lattice is always a lower bound; a
@@ -370,8 +369,7 @@ def eta_bounds(P, V=None, B: int | None = None, run_search: bool = True) -> EtaR
     L = character_lattice_action(P)
     _check_bound(B)  # an explicit bound is checked even where no search runs
     p = P.p
-    bound = perm_lower_bound(L, p)
-    lower = bound.value if bound.hypotheses_ok else L.rank
+    lower = perm_lower_bound(L, p).value
 
     v_dim = None
     if V is not None:
@@ -393,33 +391,28 @@ def eta_bounds(P, V=None, B: int | None = None, run_search: bool = True) -> EtaR
             lower_bound_used=lower,
             search_bound=None,
         )
-    elif run_search:
+    else:
         try:
             sr = symrank(L, p, B=B, initial_witness=candidate)
         except EdtorusError as exc:
             if exc.code != "BUDGET_EXCEEDED":
                 raise
-            sr = None
 
     split = report.split_witness
-    eta_lower = lower
-    eta_upper = v_dim
+    upper = v_dim
     exact = None
-    if sr is not None:
-        eta_lower = max(eta_lower, sr.lower_bound_used if sr.status != "EXACT" else sr.value)
-        if split and L.order == report.component_order:
-            # split case, F faithful on the lattice: the minimal p-faithful dimension equals SymRank
-            split_upper = sr.value
-            eta_upper = split_upper if eta_upper is None else min(eta_upper, split_upper)
-            if sr.status == "EXACT":
-                exact = sr.value
-                certificate = "split presentation with exact symmetric p-rank"
-    if exact is None and eta_upper is not None and eta_lower == eta_upper:
-        exact = eta_lower
-        certificate = certificate or "certified lower bound meets a p-faithful representation"
+    if sr is not None and split and L.order == report.component_order:
+        # split case, F faithful on the lattice: the minimal p-faithful dimension equals SymRank
+        upper = sr.value if upper is None else min(upper, sr.value)
+        if sr.status == "EXACT":
+            exact = sr.value
+            certificate = "split presentation with exact symmetric p-rank"
+    if exact is None and upper is not None and lower == upper:
+        exact = lower
+        certificate = "certified lower bound meets a p-faithful representation"
     return EtaResult(
-        lower=eta_lower,
-        upper=eta_upper,
+        lower=lower,
+        upper=upper,
         exact=exact,
         split_witness=split,
         symrank=sr,

@@ -264,7 +264,7 @@ def class_of(group, pair):
     """Index of the class of the literal monomial pair (perm, coefficients):
     the element with the same permutation and the same torus coset key."""
     perm, coeff = pair
-    canon = monogrp._coset_key(group.presentation)
+    canon = group.canon
     key = canon.canon(coeff)
     for i, el in enumerate(group.elements):
         if el.perm == perm and canon.canon(el.coeff) == key:
@@ -462,7 +462,7 @@ def orbits_reference(L, B):
 def fresh_caches():
     """Empty the per-presentation caches before the test and again after it,
     so that what it computes, or a patched element cap, stays inside it."""
-    cached = (monogrp.validate, monogrp._coset_key, monogrp._enumerate_group, monogrp.character_lattice_action)
+    cached = [fn for fn in vars(monogrp).values() if hasattr(fn, "cache_clear")]
     for fn in cached:
         fn.cache_clear()
     yield

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from edtorus import cli
+from edtorus import cli, monogrp
 from edtorus.cli import EXIT_BUDGET, EXIT_INCONCLUSIVE, EXIT_INVALID, EXIT_OK, build_parser, main
 from edtorus.monogrp import DEFAULT_MAX_STEPS, MAX_STEPS, EdtorusError, limit_steps
 
@@ -456,6 +456,16 @@ class TestBudgets:
         code, out, err = run([*command, write_json(tmp_path, SL2_NORMALIZER), "--format", "json"], capsys)
         assert (code, out) == (EXIT_BUDGET, "")
         assert json.loads(err) == {"error": "BUDGET_EXCEEDED", "detail": f"{' '.join(command)}: out of memory"}
+
+    def test_element_cap_exit_3(self, fresh_caches, capsys, monkeypatch):
+        # validate's failed report and ed's diagnostic carry the same code and exit status
+        monkeypatch.setattr(monogrp, "ELEMENT_CAP", 10)
+        expected = {"error": "LIMIT_EXCEEDED", "detail": "component group exceeds the cap of 10 elements"}
+        code, out, _ = run(["validate", SO_2, "--format", "json"], capsys)
+        doc = json.loads(out)
+        assert (code, {k: doc[k] for k in expected}) == (EXIT_BUDGET, expected)
+        code, out, err = run(["ed", SO_2, "--format", "json"], capsys)
+        assert (code, out, json.loads(err)) == (EXIT_BUDGET, "", expected)
 
     def test_eta_search_obeys_max_steps(self, capsys):
         path = str(GOLDEN_INPUTS / "sl_7_2.json")

@@ -16,6 +16,7 @@ from edtorus.monogrp import (
     MonomialGroupPresentation,
     MonomialRep,
     RepBlock,
+    ValidationReport,
     character_lattice_action,
     check_rep_compatible,
     closure,
@@ -141,20 +142,38 @@ class TestValidate:
             generators=(((1, 0), (0, 0)),),
         )
 
-    def test_no_induced_action(self):
-        # 2 w_0 - w_1 = 0 holds of the weights and fails of their images
-        report = validate(self.swapped(((1,), (2,))))
-        assert not report.ok
-        assert (report.error, report.detail) == ("NO_INDUCED_ACTION", "weight images violate the defining relations")
-
-    def test_no_integral_induced_action(self):
-        # no relation to violate, but A (2, 0) = (0, 1) has no integral solution A
-        report = validate(self.swapped(((2, 0), (0, 1))))
-        assert not report.ok
-        assert (report.error, report.detail) == (
-            "NO_INDUCED_ACTION",
-            "no integral matrix maps the weights onto their images",
+    @staticmethod
+    def assert_refused(P, code, detail, monkeypatch):
+        """validate's failed report, field by field; then component_group and
+        check_rep_compatible raise its code from that report, with no Smith form."""
+        assert validate(P) == ValidationReport(
+            ok=False,
+            error=code,
+            detail=detail,
+            induced_matrices=(),
+            component_order=None,
+            split_witness=False,
+            diagnostics=(),
         )
+
+        def no_smith(M):
+            raise AssertionError("an invalid presentation was analysed again")
+
+        monkeypatch.setattr(zlat, "smith_normal_form", no_smith)
+        for call in (lambda: component_group(P), lambda: check_rep_compatible(P, natural_rep(P))):
+            with pytest.raises(EdtorusError) as err:
+                call()
+            assert (err.value.code, err.value.detail) == (code, detail)
+
+    def test_no_induced_action(self, fresh_caches, monkeypatch):
+        # 2 w_0 - w_1 = 0 holds of the weights and fails of their images
+        P = self.swapped(((1,), (2,)))
+        self.assert_refused(P, "NO_INDUCED_ACTION", "weight images violate the defining relations", monkeypatch)
+
+    def test_no_integral_induced_action(self, fresh_caches, monkeypatch):
+        # no relation to violate, but A (2, 0) = (0, 1) has no integral solution A
+        P = self.swapped(((2, 0), (0, 1)))
+        self.assert_refused(P, "NO_INDUCED_ACTION", "no integral matrix maps the weights onto their images", monkeypatch)
 
     @pytest.mark.parametrize(
         "load",
@@ -176,7 +195,7 @@ class TestValidate:
         assert validate(P).ok
         assert calls == {"smith_normal_form": 1}
 
-    def test_not_p_group(self):
+    def test_not_p_group(self, fresh_caches, monkeypatch):
         P = MonomialGroupPresentation(
             p=2,
             torus_rank=1,
@@ -184,11 +203,9 @@ class TestValidate:
             weights=((1,), (1,), (1,)),
             generators=(((1, 2, 0), (0, 0, 0)),),
         )
-        report = validate(P)
-        assert not report.ok
-        assert report.error == "NOT_P_GROUP"
+        self.assert_refused(P, "NOT_P_GROUP", "component group order 3 is not a power of 2", monkeypatch)
 
-    def test_rank_deficient(self):
+    def test_rank_deficient(self, fresh_caches, monkeypatch):
         P = MonomialGroupPresentation(
             p=2,
             torus_rank=2,
@@ -196,18 +213,16 @@ class TestValidate:
             weights=((1, 0), (-1, 0)),
             generators=(),
         )
-        report = validate(P)
-        assert not report.ok
-        assert report.error == "RANK_DEFICIENT"
+        detail = "weights span rank < torus rank; the torus would act with infinite kernel"
+        self.assert_refused(P, "RANK_DEFICIENT", detail, monkeypatch)
 
     def test_split_witness_for_permutation_lifts(self, sl3_three_cycle):
         assert validate(sl3_three_cycle).split_witness
 
     def test_limit_exceeded(self, sl3_three_cycle, fresh_caches, monkeypatch):
         monkeypatch.setattr(monogrp, "ELEMENT_CAP", 2)
-        report = validate(sl3_three_cycle)
-        assert not report.ok
-        assert report.error == "LIMIT_EXCEEDED"
+        detail = "component group exceeds the cap of 2 elements"
+        self.assert_refused(sl3_three_cycle, "LIMIT_EXCEEDED", detail, monkeypatch)
 
     @pytest.mark.parametrize("split", [None, True])
     def test_literal_closure_past_cap_is_no_witness(self, split):

@@ -5,6 +5,7 @@ import dataclasses
 import importlib
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -360,6 +361,16 @@ class TestCaseConstructors:
         assert component_group(so_case(1).presentation).order == 4
         assert component_group(so_case(2).presentation).order == 16
         assert so_case(1).notes  # the case says which group it is
+        for n in range(1, 6):  # the note's order is the enumerated one
+            case = so_case(n)
+            assert re.search(r"order (\d+)", case.notes[0])[1] == str(component_group(case.presentation).order)
+
+    def test_so_case_builds_no_component_group(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("so_case enumerated its component group")
+
+        monkeypatch.setattr(monogrp.ComponentGroup, "__init__", refuse)
+        assert so_case(10).presentation.torus_rank == 20
 
     def test_so_lines(self):
         case = so_case(2)
