@@ -36,7 +36,7 @@ from .monogrp import (
     perm_sign,
 )
 from .stab import StabilizerReport, generic_stabilizer, is_p_faithful
-from .symrank import eta_bounds, perm_lower_bound
+from .symrank import _identity, eta_bounds, perm_lower_bound
 
 
 # -- the generically free extension -------------------------------------------
@@ -228,12 +228,6 @@ def make_sl_presentation(n: int, p: int, perms: list[Perm]) -> MonomialGroupPres
     coefficient vector, which lies in the torus torsion image.
     """
     d = n - 1
-    weights = []
-    for i in range(d):
-        w = [0] * d
-        w[i] = 1
-        weights.append(tuple(w))
-    weights.append(tuple([-1] * d))
     gens = []
     for perm in perms:
         coeff = [0] * n
@@ -246,7 +240,7 @@ def make_sl_presentation(n: int, p: int, perms: list[Perm]) -> MonomialGroupPres
         p=p,
         torus_rank=d,
         root_of_unity_exponent=e,
-        weights=tuple(weights),
+        weights=_identity(d) + ((-1,) * d,),
         generators=tuple(gens),
     )
 
@@ -257,6 +251,17 @@ def _product_perm(n: int, cycles: list[list[int]]) -> Perm:
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             perm[a] = b
     return tuple(perm)
+
+
+def _tower_offsets(p: int, count: int) -> tuple[tuple[int, int], ...]:
+    """(offset, size) of the p-power blocks that tile the first `count` points,
+    largest first: count's base-p digits, with the units dropped."""
+    sizes: list[int] = []
+    power = p
+    while power <= count:
+        sizes = [power] * (count // power % p) + sizes
+        power *= p
+    return tuple(zip(itertools.accumulate(sizes, initial=0), sizes))
 
 
 def sylow_tower_generators(n: int, p: int, count: int) -> list[Perm]:
@@ -284,7 +289,7 @@ class SlCase:
     label: str  # a | b | c | d
     presentation: MonomialGroupPresentation
     h_description: str
-    sylow_blocks: tuple[tuple[int, int], ...]  # (offset, size) per p-power block
+    sylow_points: int  # the Sylow factor moves the points [0, sylow_points)
 
 
 def sl_case_label(n: int, p: int) -> str:
@@ -304,7 +309,7 @@ def sln_case(n: int, p: int) -> SlCase:
     """Case-study presentation for the torus normalizer inside SL_n."""
     _require_sl_case(n, p)
     label = sl_case_label(n, p)
-    blocks: tuple[tuple[int, int], ...] = ()
+    points = 0
     if label == "a":
         gens = [_product_perm(n, [list(range(k * p, (k + 1) * p))]) for k in range(n // p)]
         desc = f"elementary abelian, generated by {n // p} disjoint {p}-cycles"
@@ -316,14 +321,13 @@ def sln_case(n: int, p: int) -> SlCase:
             gens.append(_product_perm(n, [[o, o + 2], [o + 1, o + 3]]))
         desc = f"product of {n // 4} Klein four-groups of double transpositions"
     elif label == "c" or (label == "d" and n % 2 == 1):
-        q = n // p
-        gens = sylow_tower_generators(n, p, p * q)
-        blocks = _tower_offsets(p, p * q)
-        desc = f"Sylow {p}-subgroup of the symmetric group on the first {p * q} points"
+        points = p * (n // p)
+        gens = sylow_tower_generators(n, p, points)
+        desc = f"Sylow {p}-subgroup of the symmetric group on the first {points} points"
     else:  # label d, n = 2 mod 4
-        gens = sylow_tower_generators(n, p, n - 2)
+        points = n - 2
+        gens = sylow_tower_generators(n, p, points)
         gens.append(_product_perm(n, [[n - 2, n - 1]]))
-        blocks = _tower_offsets(p, n - 2)
         desc = "Sylow 2-subgroup split as (Sylow 2 on the first n-2 points) x (last transposition)"
     return SlCase(
         n=n,
@@ -331,19 +335,8 @@ def sln_case(n: int, p: int) -> SlCase:
         label=label,
         presentation=make_sl_presentation(n, p, gens),
         h_description=desc,
-        sylow_blocks=blocks,
+        sylow_points=points,
     )
-
-
-def _tower_offsets(p: int, count: int) -> tuple[tuple[int, int], ...]:
-    """(offset, size) of the p-power blocks that tile the first `count` points,
-    largest first: count's base-p digits, with the units dropped."""
-    sizes: list[int] = []
-    power = p
-    while power <= count:
-        sizes = [power] * (count // power % p) + sizes
-        power *= p
-    return tuple(zip(itertools.accumulate(sizes, initial=0), sizes))
 
 
 def closed_form_sln(n: int, p: int) -> int:
@@ -400,31 +393,28 @@ class WitnessResult:
     stabilizer: StabilizerReport
 
 
-def _faithful_sylow_block_reps(case: SlCase) -> list[RepBlock]:
-    """Zero-weight blocks realizing a faithful representation of the Sylow
-    factor, one per p-power block, total dimension floor(n/p).
+def _run_block(case: SlCase) -> RepBlock:
+    """Zero-weight block realizing a faithful representation of the Sylow
+    factor, of dimension sylow_points / p.
 
-    The block at `offset` has a line per run of p points: a generator sends
-    the line of the run starting at q to that of the run holding perm[q],
-    scaled by zeta_p^((perm[q] - offset) mod p).  Every element maps runs
-    onto runs by rotations, so this is its action on the lines
-    sum_t zeta_p^-t e_(q+t) of the permutation module: a representation, and
-    faithful, as only the identity fixes each of them."""
+    It has a line per run [kp, kp + p) of the points the factor moves: a
+    generator sends the line of the run starting at q to that of the run
+    holding perm[q], scaled by zeta_p^(perm[q] mod p).  The factor's p-power
+    blocks start at multiples of p, so every element maps runs onto runs by
+    rotations, and this is its action on the lines sum_t zeta_p^-t e_(q+t)
+    of the permutation module: a representation, and faithful, as only the
+    identity fixes each of them."""
     P = case.presentation
     p = case.p
+    starts = range(0, case.sylow_points, p)
+    perms = []
+    coeffs = []
+    for perm, _ in P.generators:
+        image = [divmod(perm[q], p) for q in starts]
+        perms.append(tuple(line for line, _ in image))
+        coeffs.append(tuple(power for _, power in sorted(image)))  # each on its image line
     zero = (0,) * P.torus_rank
-    blocks: list[RepBlock] = []
-    for offset, size in case.sylow_blocks:
-        perms = []
-        coeffs = []
-        for perm, _ in P.generators:
-            image = [divmod(perm[q] - offset, p) for q in range(offset, offset + size, p)]
-            perms.append(tuple(line for line, _ in image))
-            coeffs.append(tuple(power for _, power in sorted(image)))  # each on its image line
-        blocks.append(
-            RepBlock(weights=(zero,) * (size // p), gen_perms=tuple(perms), gen_coeffs=tuple(coeffs), modulus=p)
-        )
-    return blocks
+    return RepBlock(weights=(zero,) * len(starts), gen_perms=tuple(perms), gen_coeffs=tuple(coeffs), modulus=p)
 
 
 def _restricted_natural_block(case: SlCase) -> RepBlock:
@@ -447,15 +437,15 @@ def _restricted_natural_block(case: SlCase) -> RepBlock:
 def upper_witness_sln(n: int, p: int) -> WitnessResult:
     """Explicit p-generically-free representation for the Sylow cases,
     yielding the upper bound floor(n/p) for the essential p-dimension: the
-    restricted coordinate block plus a line per run of p points of the Sylow
-    factor's blocks, which a generator sends to the line of the run holding
-    perm[q] (q the run's start) scaled by zeta_p^((perm[q] - offset) mod p),
-    a representation as runs go to runs by rotations."""
+    restricted coordinate block (n - 1 lines, or all n for p = 2 and
+    n = 2 mod 4) plus the run block, when the Sylow factor moves a point."""
     case = sln_case(n, p)
     if case.label not in ("c", "d"):
         raise EdtorusError("UNSUPPORTED", "witness construction applies to the Sylow cases only")
     P = case.presentation
-    blocks = [_restricted_natural_block(case)] + _faithful_sylow_block_reps(case)
+    blocks = [_restricted_natural_block(case)]
+    if case.sylow_points:
+        blocks.append(_run_block(case))
     rep = MonomialRep(presentation=P, blocks=tuple(blocks))
     report = generic_stabilizer(P, rep)
     _require_free(report)
@@ -533,35 +523,16 @@ def so_case(n: int) -> SoCase:
         raise EdtorusError("UNSUPPORTED", "need n >= 1")
     d = 2 * n
     m = 4 * n
-    weights = []
-    for i in range(d):
-        w = [0] * d
-        w[i] = 1
-        weights.append(tuple(w))
-    for i in range(d):
-        w = [0] * d
-        w[i] = -1
-        weights.append(tuple(w))
-    gens = []
+    unit = _identity(d)
     zero = (0,) * m
-    for j in range(n):
-        a, b = 2 * j, 2 * j + 1
-        perm = list(range(m))
-        perm[a], perm[d + a] = d + a, a
-        perm[b], perm[d + b] = d + b, b
-        gens.append((tuple(perm), zero))
-    for j in range(n):
-        a, b = 2 * j, 2 * j + 1
-        perm = list(range(m))
-        perm[a], perm[b] = b, a
-        perm[d + a], perm[d + b] = d + b, d + a
-        gens.append((tuple(perm), zero))
+    sign_swaps = [[[a, d + a], [a + 1, d + a + 1]] for a in range(0, d, 2)]
+    transpositions = [[[a, a + 1], [d + a, d + a + 1]] for a in range(0, d, 2)]
     P = MonomialGroupPresentation(
         p=2,
         torus_rank=d,
         root_of_unity_exponent=1,
-        weights=tuple(weights),
-        generators=tuple(gens),
+        weights=unit + tuple(tuple(-x for x in w) for w in unit),
+        generators=tuple((_product_perm(m, cycles), zero) for cycles in sign_swaps + transpositions),
     )
     if n == 1:
         note = "the full torus normalizer of SO_4: the component group is all of W(D_2), order 4"

@@ -27,6 +27,7 @@ from edtorus.monogrp import (
 from edtorus.oracle import FFStabilizerReport, _primitive_root
 from edtorus.pipeline import (
     _restricted_natural_block,
+    _tower_offsets,
     build_generically_free_extension,
     make_sl_presentation,
     sln_case,
@@ -152,9 +153,10 @@ def wreath_faithful_rep_actions_reference(p, levels):
 def sylow_witness_blocks_reference(case):
     """The Sylow witness's blocks built the older way: the first n - 1
     coordinate lines (case c, or n odd) or the whole natural block, then one
-    hand-built wreath tower per p-power block, lined up with the presentation's
-    generators by position (the tower generators come block by block, one per
-    level, ahead of any other generator)."""
+    hand-built wreath tower per p-power block tiling the first `sylow_points`
+    points, lined up with the presentation's generators by position (the tower
+    generators come block by block, one per level, ahead of any other
+    generator)."""
     P = case.presentation
     p = case.p
     keep = case.n - 1 if (case.label == "c" or case.n % 2 == 1) else case.n
@@ -168,7 +170,7 @@ def sylow_witness_blocks_reference(case):
         )
     ]
     gen_cursor = 0
-    for _offset, size in case.sylow_blocks:
+    for _offset, size in _tower_offsets(p, case.sylow_points):
         levels = 0
         while p**levels < size:
             levels += 1
@@ -187,6 +189,69 @@ def sylow_witness_blocks_reference(case):
         blocks.append(RepBlock(weights=weights, gen_perms=tuple(perms), gen_coeffs=tuple(coeffs), modulus=p))
         gen_cursor += levels
     return blocks
+
+
+def make_sl_presentation_reference(n, p, perms):
+    """`make_sl_presentation` with its weights built line by line, as before
+    they were read off the identity rows."""
+    d = n - 1
+    weights = []
+    for i in range(d):
+        w = [0] * d
+        w[i] = 1
+        weights.append(tuple(w))
+    weights.append(tuple([-1] * d))
+    gens = []
+    for perm in perms:
+        coeff = [0] * n
+        if perm_sign(perm) == -1:
+            moved = min(i for i in range(n) if perm[i] != i)
+            coeff[moved] = 1
+        gens.append((tuple(perm), tuple(coeff)))
+    e = 2 if any(perm_sign(perm) == -1 for perm in perms) else 1
+    return MonomialGroupPresentation(
+        p=p, torus_rank=d, root_of_unity_exponent=e, weights=tuple(weights), generators=tuple(gens)
+    )
+
+
+def so_case_presentation_reference(n):
+    """`so_case(n).presentation` from the hand-written weight and swap loops
+    it was built with before `_product_perm` and the identity rows."""
+    d = 2 * n
+    m = 4 * n
+    weights = []
+    for i in range(d):
+        w = [0] * d
+        w[i] = 1
+        weights.append(tuple(w))
+    for i in range(d):
+        w = [0] * d
+        w[i] = -1
+        weights.append(tuple(w))
+    gens = []
+    zero = (0,) * m
+    for j in range(n):
+        a, b = 2 * j, 2 * j + 1
+        perm = list(range(m))
+        perm[a], perm[d + a] = d + a, a
+        perm[b], perm[d + b] = d + b, b
+        gens.append((tuple(perm), zero))
+    for j in range(n):
+        a, b = 2 * j, 2 * j + 1
+        perm = list(range(m))
+        perm[a], perm[b] = b, a
+        perm[d + a], perm[d + b] = d + b, d + a
+        gens.append((tuple(perm), zero))
+    return MonomialGroupPresentation(
+        p=2, torus_rank=d, root_of_unity_exponent=1, weights=tuple(weights), generators=tuple(gens)
+    )
+
+
+def rep_actions_reference(P, blocks):
+    """Generator actions, weights and modulus of the direct sum of `blocks`:
+    what a representation made of them does, however it is cut into blocks."""
+    rep = MonomialRep(presentation=P, blocks=tuple(blocks))
+    return [rep.generator_action(j) for j in range(len(P.generators))], rep.weights, rep.modulus
 
 
 def with_line(P, coeffs, modulus):

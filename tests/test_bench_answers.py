@@ -32,6 +32,17 @@ sys.dont_write_bytecode = _write_bytecode
 
 EXPECTED = json.loads((BENCH / "expected.json").read_text(encoding="utf-8"))
 
+# deleted with the multiplication-table characters; the tracer reports it missing
+STALE_TARGETS = {"monogrp.ComponentGroup.characters"}
+
+# mapped per-layer metrics that read zero on their workload: the stale target,
+# and `rep_actions`, which only the oracle calls
+ZERO_MAPPED_METRICS = {
+    "sylow-cases": {"monogrp.ComponentGroup.rep_actions.self_s"},
+    "abelian-session": {"monogrp.ComponentGroup.characters.self_s", "monogrp.ComponentGroup.rep_actions.self_s"},
+    "lattice-search": set(),
+}
+
 
 @pytest.fixture(scope="module")
 def fixtures(tmp_path_factory):
@@ -61,10 +72,11 @@ def test_bench_answers(workload, trace, fixtures):
     replies = lines[1 : 1 + len(argvs)]
     ids = [workloads.request_id(argv) for argv in requests]
     assert run.check_pass(ids, {"replies": replies}, EXPECTED[workload]) == []
-
-
-# deleted with the multiplication-table characters; the tracer reports it missing
-STALE_TARGETS = {"monogrp.ComponentGroup.characters"}
+    if trace:  # the rest of `bench/run.py --self-test`: which targets and mapped metrics are dead
+        final = lines[-1]
+        assert final["missing"] == sorted(STALE_TARGETS)
+        zero = {m for m in workloads.MAPPED_LAYER_METRICS[workload] if not final["layers"].get(m)}
+        assert zero == ZERO_MAPPED_METRICS[workload]
 
 
 @pytest.mark.parametrize("name", sorted(set(tracer.TARGETS) - STALE_TARGETS))

@@ -15,8 +15,8 @@ from edtorus import cli, monogrp, stab, zlat
 from edtorus.monogrp import EdtorusError, component_group, natural_rep
 from edtorus.pipeline import (
     _characters_generating_dual,
-    _faithful_sylow_block_reps,
     _restricted_natural_block,
+    _run_block,
     build_generically_free_extension,
     closed_form_sln,
     closed_form_so,
@@ -33,7 +33,14 @@ from edtorus.pipeline import (
 )
 from edtorus.stab import generic_stabilizer
 
-from conftest import element_order, sylow_witness_blocks_reference, verify_sl_stabilizer_clauses
+from conftest import (
+    element_order,
+    make_sl_presentation_reference,
+    rep_actions_reference,
+    so_case_presentation_reference,
+    sylow_witness_blocks_reference,
+    verify_sl_stabilizer_clauses,
+)
 
 
 class TestBuilder:
@@ -394,7 +401,7 @@ class TestCaseConstructors:
     def test_wreath_rep_is_faithful(self):
         # the 2-line block of sln_case(6, 2) (the Sylow 2 on the first 4 points):
         # generators diag(-1, 1) and the swap, then the last transposition trivially
-        (block,) = _faithful_sylow_block_reps(sln_case(6, 2))
+        block = _run_block(sln_case(6, 2))
         assert block.dim == 2 and block.modulus == 2
         actions = list(zip(block.gen_perms, block.gen_coeffs))
         assert actions[0] == ((0, 1), (1, 0))  # coefficients modulo p = 2
@@ -406,13 +413,26 @@ class TestCaseConstructors:
 
     @pytest.mark.parametrize("n,p", SYLOW_ROWS)
     def test_faithful_blocks_match_wreath_reference(self, n, p):
-        # the run rule against the hand-built wreath tower it replaced
+        # the run block against the hand-built wreath towers it replaced, taken together
         case = sln_case(n, p)
-        first, *faithful = sylow_witness_blocks_reference(case)
-        assert _faithful_sylow_block_reps(case) == faithful
+        P = case.presentation
+        first, *towers = sylow_witness_blocks_reference(case)
+        runs = [_run_block(case)] if case.sylow_points else []
+        assert rep_actions_reference(P, runs) == rep_actions_reference(P, towers)
         assert _restricted_natural_block(case) == first
         if n <= 12:  # the whole witness, where its stabilizer check is cheap
-            assert list(upper_witness_sln(n, p).rep.blocks) == [first, *faithful]
+            witness = upper_witness_sln(n, p).rep
+            assert rep_actions_reference(P, witness.blocks) == rep_actions_reference(P, [first, *towers])
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_sl_presentation_matches_loop_reference(self, p):
+        for n in range(2, 25):
+            P = sln_case(n, p).presentation
+            assert P == make_sl_presentation_reference(n, p, [perm for perm, _ in P.generators])
+
+    def test_so_presentation_matches_loop_reference(self):
+        for n in range(1, 9):
+            assert so_case(n).presentation == so_case_presentation_reference(n)
 
 
 class TestClosedForms:
@@ -497,6 +517,10 @@ class TestWitnesses:
         w53 = upper_witness_sln(5, 3)
         assert w53.rep.dim == 5
         assert w53.rep.blocks[0].dim == 4
+        # n < p: the Sylow factor moves no point, and no empty run block raises the modulus to p
+        w23 = upper_witness_sln(2, 3)
+        assert w23.rep.blocks == (_restricted_natural_block(sln_case(2, 3)),)
+        assert w23.rep.modulus == 1
 
     def test_unsupported_for_exact_cases(self):
         with pytest.raises(EdtorusError) as err:
